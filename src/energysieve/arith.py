@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -225,13 +226,16 @@ def delta_prime_power(p: int, k: int, eps: EpsilonSpec) -> Fraction:
     return Fraction(p) ** (k - 1) * (Fraction(p, 2) + eps.at(p))
 
 
-@lru_cache(maxsize=65536)
-def _delta_cached(v: int, eps: EpsilonSpec, limit: int) -> Fraction:
-    table = _shared_table(limit)
+def _delta_product(v: int, eps: EpsilonSpec, primes: PrimeTable) -> Fraction:
     out = Fraction(1)
-    for p, k in factorize(v, table).factors:
+    for p, k in factorize(v, primes).factors:
         out *= delta_prime_power(p, k, eps)
     return out
+
+
+@lru_cache(maxsize=65536)
+def _delta_cached(v: int, eps: EpsilonSpec, limit: int) -> Fraction:
+    return _delta_product(v, eps, _shared_table(limit))
 
 
 @lru_cache(maxsize=8)
@@ -253,12 +257,9 @@ def delta(v: int, eps: EpsilonSpec, primes: PrimeTable | None = None) -> Fractio
         raise ValueError("v must be positive")
     if v == 1:
         return Fraction(1)
-    if primes is not None:
-        out = Fraction(1)
-        for p, k in factorize(v, primes).factors:
-            out *= delta_prime_power(p, k, eps)
-        return out
-    return _delta_cached(v, eps, table_for(v).limit)
+    if primes is None:
+        return _delta_cached(v, eps, table_for(v).limit)
+    return _delta_product(v, eps, primes)
 
 
 def is_squarefree(n: int, primes: PrimeTable) -> bool:
@@ -269,48 +270,94 @@ def is_squarefree(n: int, primes: PrimeTable) -> bool:
 # Partial sums and the truncated singular series
 # ---------------------------------------------------------------------------
 
-def _spf(limit: int) -> np.ndarray:
-    """Smallest-prime-factor table for 2..limit."""
-    check_allocation(8 * (limit + 1), "smallest-prime-factor table")
-    spf = np.zeros(limit + 1, dtype=np.int64)
-    for p in range(2, limit + 1):
-        if spf[p] == 0:
-            sl = spf[p::p]
-            sl[sl == 0] = p
-    return spf
+# Bytes per entry n <= x live at the peak of the partial sums, which is the
+# last step of the delta table: delta(n) as float64, the squarefree mask, the
+# int64 cofactor, the float64 factor of the cofactor and the bool mask of
+# cofactors > 1.  The term columns built afterwards keep at most three 8-byte
+# arrays and the mask live at once.
+_PARTIAL_SUM_BYTES = 8 + 1 + 8 + 8 + 1
+# n-values converted to Python floats at a time for math.fsum
+_FSUM_BLOCK = 1 << 12
+_MAX_SQUARE_ROOT = math.isqrt(np.iinfo(np.int64).max)
 
 
-def _delta_terms(x: int, eps: EpsilonSpec):
-    """Yield (n, delta(n) as float, squarefree?) for n = 1..x via one SPF pass."""
-    yield 1, 1.0, True
-    if x < 2:
-        return
-    spf = _spf(x)
-    eps_f: dict[int, float] = {}
-    for n in range(2, x + 1):
-        m = n
-        d = 1.0
-        squarefree = True
-        while m > 1:
-            p = int(spf[m])
-            k = 0
-            while m % p == 0:
-                m //= p
-                k += 1
-            if k > 1:
-                squarefree = False
-            e = eps_f.get(p)
-            if e is None:
-                e = eps_f[p] = float(eps.at(p))
-            d *= p ** (k - 1) * (p / 2.0 + e)
-        yield n, d, squarefree
+def _delta_table(x: int, eps: EpsilonSpec) -> tuple[np.ndarray, np.ndarray]:
+    """delta(n) as float64 and the squarefree mask, indexed by n = 0..x.
+
+    A sieve over the primes p <= sqrt(x), in ascending order: the entries with
+    p^k || n are multiplied by p^(k-1) * (p/2 + eps(p)).  What is left of n is
+    1 or a single prime P > sqrt(x), applied last.  Each entry starts at 1.0
+    and takes its prime-power factors in ascending prime order, which is the
+    float product of the factorization, left to right.  Entry 0 is unused.
+    """
+    d = np.ones(x + 1)
+    squarefree = np.ones(x + 1, dtype=bool)
+    squarefree[0] = False
+    rest = np.arange(x + 1, dtype=np.int64)
+    root = math.isqrt(x)
+    for p in sieve_primes(root).primes:
+        p = int(p)
+        e = float(eps.at(p))
+        # exponent of p in n = j*p is 1 + (exponent of p in j)
+        k = np.ones(x // p, dtype=np.int8)
+        q = p
+        while q * p <= x:
+            k[q - 1 :: q] += 1
+            rest[q::q] //= p
+            q *= p
+        rest[q::q] //= p
+        factors = [1.0] + [p ** (j - 1) * (p / 2.0 + e) for j in range(1, int(k.max()) + 1)]
+        d[p::p] *= np.array(factors)[k]
+        squarefree[p * p :: p * p] = False
+    factor = rest / 2.0
+    factor += float(eps.default)
+    for q, v in reversed(eps.overrides):
+        # the multiples of a prime q > sqrt(x) are exactly the n whose cofactor is q
+        if root < q <= x and rest[q] == q:
+            factor[q::q] = q / 2.0 + float(v)
+    np.multiply(d, factor, out=d, where=rest > 1)
+    return d, squarefree
+
+
+def _fsum(terms: np.ndarray) -> float:
+    """math.fsum of a float64 array, converted to Python floats a block at a time."""
+    return math.fsum(
+        chain.from_iterable(
+            terms[i : i + _FSUM_BLOCK].tolist() for i in range(0, len(terms), _FSUM_BLOCK)
+        )
+    )
+
+
+def _partial_sums(xs: Sequence[int], eps: EpsilonSpec) -> tuple[tuple[float, ...], ...]:
+    """For each x in xs: M(x), T(x) over squarefree n, and T(x) over all n <= x.
+
+    math.fsum is correctly rounded, so each value is the float nearest the
+    exact sum of its terms, whatever the order they are added in.
+    """
+    top = max(xs)
+    if top > _MAX_SQUARE_ROOT:
+        raise ResourceLimitError(f"x = {top} is too large: n^2 would overflow int64")
+    check_allocation(_PARTIAL_SUM_BYTES * (top + 1), "delta table and partial-sum terms")
+    d, squarefree = _delta_table(top, eps)
+    t_all = np.arange(top + 1, dtype=np.int64)
+    t_all *= t_all
+    t_all = t_all / d
+    d = d[squarefree]
+    m = 1.0 / d
+    del d
+    t = t_all[squarefree]
+    columns = []
+    for x in xs:
+        k = int(np.count_nonzero(squarefree[: x + 1]))
+        columns.append((_fsum(m[:k]), _fsum(t[:k]), _fsum(t_all[1 : x + 1])))
+    return tuple(zip(*columns))
 
 
 def m_partial_sum(x: int, eps: EpsilonSpec = EPS_ZERO) -> float:
     """Sum over squarefree n <= x of 1/delta(n)."""
     if x < 1:
         raise ValueError("x must be positive")
-    return math.fsum(1.0 / d for _, d, sf in _delta_terms(x, eps) if sf)
+    return _partial_sums((x,), eps)[0][0]
 
 
 def t_partial_sum(x: int, eps: EpsilonSpec = EPS_ZERO, *, squarefree_only: bool = True) -> float:
@@ -321,9 +368,7 @@ def t_partial_sum(x: int, eps: EpsilonSpec = EPS_ZERO, *, squarefree_only: bool 
     """
     if x < 1:
         raise ValueError("x must be positive")
-    return math.fsum(
-        n * n / d for n, d, sf in _delta_terms(x, eps) if sf or not squarefree_only
-    )
+    return _partial_sums((x,), eps)[1 if squarefree_only else 2][0]
 
 
 def singular_series(eps: EpsilonSpec = EPS_ZERO, trunc_prime: int = 10**5) -> float:
@@ -365,28 +410,12 @@ def series_table(
     xs = tuple(int(x) for x in xs)
     if not xs or any(x < 1 for x in xs):
         raise ValueError("need a nonempty grid of positive x values")
-    top = max(xs)
-    want = set(xs)
-    m_at: dict[int, float] = {}
-    t_at: dict[int, float] = {}
-    ta_at: dict[int, float] = {}
-    m_terms: list[float] = []
-    t_terms: list[float] = []
-    ta_terms: list[float] = []
-    for n, d, sf in _delta_terms(top, eps):
-        if sf:
-            m_terms.append(1.0 / d)
-            t_terms.append(n * n / d)
-        ta_terms.append(n * n / d)
-        if n in want:
-            m_at[n] = math.fsum(m_terms)
-            t_at[n] = math.fsum(t_terms)
-            ta_at[n] = math.fsum(ta_terms)
+    m_values, t_values, t_all_values = _partial_sums(xs, eps)
     return SeriesTable(
         xs=xs,
-        m_values=tuple(m_at[x] for x in xs),
-        t_values=tuple(t_at[x] for x in xs),
-        t_all_values=tuple(ta_at[x] for x in xs),
+        m_values=m_values,
+        t_values=t_values,
+        t_all_values=t_all_values,
         trunc_prime=trunc_prime,
         singular=singular_series(eps, trunc_prime),
     )

@@ -41,7 +41,10 @@ def _parse_grid(text: str) -> list[int]:
         part = part.strip()
         if not part:
             continue
-        out.append(int(float(part)))
+        try:
+            out.append(int(float(part)))
+        except OverflowError:
+            raise ValueError(f"grid value {part!r} is not finite") from None
     if not out:
         raise ValueError("empty sweep grid")
     if any(n < 1 for n in out):

@@ -260,7 +260,7 @@ class ExperimentRow:
 
     def __post_init__(self):
         if self.energy < self.card_a * self.card_s:
-            raise ValueError("energy below the trivial |A||S| floor")
+            raise InvariantViolationError("energy below the trivial |A||S| floor")
 
     @staticmethod
     def csv_header() -> str:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ResourceLimitError
+from .errors import InvariantViolationError, ResourceLimitError
 from .limits import check_allocation
 from .sets import IntegerSet
 
@@ -82,7 +82,7 @@ class EnergyReport:
 
     def __post_init__(self):
         if not self.lower_trivial <= self.value <= self.upper_trivial:
-            raise ValueError(
+            raise InvariantViolationError(
                 f"energy {self.value} outside trivial bounds "
                 f"[{self.lower_trivial}, {self.upper_trivial}]"
             )

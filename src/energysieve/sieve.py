@@ -210,16 +210,25 @@ class DivisorSumTrace:
 
 def divisor_sum_partition(A: IntegerSet, N: int) -> DivisorSumTrace:
     """The congruence-window route: for each v count pairs a = b mod v with
-    0 < a - b < v^2, by scanning each residue class with a sorted-window rule.
+    0 < a - b < v^2, by a sorted-window rule inside each residue class.
 
-    Shares nothing with the product-enumeration route, yet the totals are
-    equal: a - b = uv with 1 <= u < v exactly when v divides a - b and the
-    difference is under v^2.  Also records, per v, the count of same-class
-    pairs falling inside a single length-v^2 block of [1, N]; every such pair
-    is a window pair, so this is a valid per-v lower bound.
+    Shares nothing with the product-enumeration route (no difference table,
+    no products uv), yet the totals are equal: a - b = uv with 1 <= u < v
+    exactly when v divides a - b and the difference is under v^2.  Also
+    records, per v, the count of same-class pairs falling inside a single
+    length-v^2 block of [1, N]; every such pair is a window pair, so this is a
+    valid per-v lower bound.
+
+    For each v one sort orders A by the key (a mod v) * W + a, where W exceeds
+    every element, so each class is a contiguous ascending run.  The window
+    pairs of a in class h are the keys in [h * W + max(a - v^2 + 1, 0), key of
+    a); the clamp at 0 keeps a window from reaching into class h - 1.  The
+    block pairs are the runs of equal (a mod v, a // v^2).
     """
     radius = math.isqrt(N)
     elems = A.elements
+    width = max(N, int(elems[-1]) if len(elems) else 0) + 1
+    index = np.arange(len(elems))
     rows: list[DivisorSumRow] = []
     total = 0
     part_total = 0
@@ -229,18 +238,14 @@ def divisor_sum_partition(A: IntegerSet, N: int) -> DivisorSumTrace:
         window = 0
         partition = 0
         if len(elems) >= 2:
-            residues = elems % v if v > 1 else np.zeros(len(elems), dtype=np.int64)
-            for h in np.unique(residues):
-                cls = elems[residues == h]
-                if len(cls) < 2:
-                    continue
-                # pairs (a=cls[j], b=cls[i]) with i < j and a - b < v^2
-                lo = np.searchsorted(cls, cls - vsq + 1, side="left")
-                window += int((np.arange(len(cls)) - lo).sum())
-                # same-class pairs within one aligned block [j*v^2, (j+1)*v^2)
-                blocks = cls // vsq
-                m = np.bincount(blocks - blocks[0])
-                partition += int((m * (m - 1) // 2).sum())
+            key = np.sort(elems % v * width + elems)
+            residue, a = np.divmod(key, width)
+            lo = np.searchsorted(key, residue * width + np.maximum(a - vsq + 1, 0), side="left")
+            window = int((index - lo).sum())
+            block = residue * (width // vsq + 1) + a // vsq
+            starts = np.flatnonzero(np.diff(block)) + 1
+            m = np.diff(starts, prepend=0, append=len(block))
+            partition = int((m * (m - 1) // 2).sum())
         rows.append(
             DivisorSumRow(
                 v=v, j_count=j_count, window_count=window, partition_lower_bound=partition

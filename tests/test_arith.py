@@ -1,6 +1,8 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from energysieve.arith import (
@@ -19,6 +21,7 @@ from energysieve.arith import (
     t_partial_sum,
 )
 from energysieve.errors import ResourceLimitError
+from energysieve.limits import MEMORY_CAP_ENV
 
 
 def trial_division_primes(limit):
@@ -153,6 +156,118 @@ class TestSquarefree:
         for n in range(1, 2000):
             oracle = all(n % (d * d) for d in range(2, math.isqrt(n) + 1))
             assert is_squarefree(n, table) is oracle
+
+
+def spf_oracle(limit):
+    """Smallest-prime-factor table for 2..limit (the per-n reference loop)."""
+    spf = np.zeros(limit + 1, dtype=np.int64)
+    for p in range(2, limit + 1):
+        if spf[p] == 0:
+            sl = spf[p::p]
+            sl[sl == 0] = p
+    return spf
+
+
+def delta_terms_oracle(x, eps):
+    """Yield (n, delta(n) as float, squarefree?) for n = 1..x via one SPF pass."""
+    yield 1, 1.0, True
+    if x < 2:
+        return
+    spf = spf_oracle(x)
+    eps_f = {}
+    for n in range(2, x + 1):
+        m = n
+        d = 1.0
+        squarefree = True
+        while m > 1:
+            p = int(spf[m])
+            k = 0
+            while m % p == 0:
+                m //= p
+                k += 1
+            if k > 1:
+                squarefree = False
+            e = eps_f.get(p)
+            if e is None:
+                e = eps_f[p] = float(eps.at(p))
+            d *= p ** (k - 1) * (p / 2.0 + e)
+        yield n, d, squarefree
+
+
+def series_oracle(xs, eps):
+    """(M, T, T over all n) at each x, by fsum over the per-n terms."""
+    want = set(xs)
+    at = {}
+    m_terms, t_terms, ta_terms = [], [], []
+    for n, d, sf in delta_terms_oracle(max(xs), eps):
+        if sf:
+            m_terms.append(1.0 / d)
+            t_terms.append(n * n / d)
+        ta_terms.append(n * n / d)
+        if n in want:
+            at[n] = (math.fsum(m_terms), math.fsum(t_terms), math.fsum(ta_terms))
+    return tuple(zip(*(at[x] for x in xs)))
+
+
+# overrides below and above sqrt(x) for the x used with it, a duplicate key
+# (the first one wins), a composite key and a prime beyond every x
+EPS_OVERRIDES = EpsilonSpec(
+    default=Fraction(1, 3),
+    overrides=(
+        (2, Fraction(1, 7)), (3, Fraction(0)), (3, Fraction(5)), (53, Fraction(2, 9)),
+        (91, Fraction(4)), (997, Fraction(3, 11)), (1009, Fraction(1, 10**6)),
+        (4999, Fraction(7)), (10007, Fraction(1)),
+    ),
+)
+
+
+class TestPartialSumsAgainstLoop:
+    # 1, 2, a prime, prime powers, and x with primes above sqrt(x) overridden
+    XS = (1, 2, 3, 4, 97, 121, 128, 1009, 5000)
+
+    @pytest.mark.parametrize("eps", [EPS_ZERO, EPS_HALF, EPS_ONE, EPS_OVERRIDES])
+    def test_partial_sums_equal(self, eps):
+        for x in self.XS:
+            m, t, t_all = series_oracle([x], eps)
+            assert m_partial_sum(x, eps) == m[0]
+            assert t_partial_sum(x, eps) == t[0]
+            assert t_partial_sum(x, eps, squarefree_only=False) == t_all[0]
+
+    @pytest.mark.parametrize("eps", [EPS_HALF, EPS_OVERRIDES])
+    def test_series_table_equal(self, eps):
+        xs = [1, 2, 97, 1009, 4096, 20000]
+        tab = series_table(xs, eps, trunc_prime=100)
+        assert (tab.m_values, tab.t_values, tab.t_all_values) == series_oracle(xs, eps)
+
+
+class TestPartialSumMemory:
+    def test_cap_refuses_series_table(self, monkeypatch):
+        monkeypatch.setenv(MEMORY_CAP_ENV, str(10**6))
+        with pytest.raises(ResourceLimitError):
+            series_table([10**5], EPS_HALF)
+        with pytest.raises(ResourceLimitError):
+            m_partial_sum(10**5, EPS_HALF)
+
+    def test_square_overflow_refused(self):
+        # n^2 is formed in int64; x beyond its square root is refused up front
+        with pytest.raises(ResourceLimitError):
+            t_partial_sum(math.isqrt(2**63 - 1) + 1, EPS_ZERO)
+
+    def test_counted_bytes_cover_peak(self, monkeypatch):
+        import energysieve.arith as arith
+
+        counted = []
+        monkeypatch.setattr(arith, "check_allocation", lambda nbytes, what: counted.append(nbytes))
+        x = 2 * 10**5
+        tracemalloc.start()
+        try:
+            arith.t_partial_sum(x, EPS_OVERRIDES)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # what the per-entry count leaves out is a few small fixed buffers:
+        # the primes up to sqrt(x) and one block of Python floats for fsum
+        assert peak <= max(counted) + 2**16
 
 
 class TestPartialSums:

@@ -1,8 +1,10 @@
 import csv
 import json
 
-from energysieve import cli
-from energysieve.energy import EnergyReport
+import numpy as np
+
+from energysieve import cli, correlation, energy
+from energysieve.energy import EnergyReport, RepFunction
 from energysieve.sets import read_set, sidon_set, is_sidon
 
 
@@ -102,6 +104,12 @@ class TestEnergy:
         monkeypatch.setattr(cli.energy, "energy_bruteforce", corrupted)
         assert run("energy", str(path), "--squares", "--method", "all") == 3
 
+    def test_report_out_of_bounds_exit3(self, tmp_path, monkeypatch):
+        path = write_squares(tmp_path, 16)
+        empty = RepFunction(offset=0, counts=np.zeros(1, dtype=np.int64))
+        monkeypatch.setattr(energy, "rep_sum", lambda X, Y, method="auto": empty)
+        assert run("energy", str(path), "--squares", "--method", "sum") == 3
+
 
 class TestSieve:
     def test_check_v(self, tmp_path, capsys):
@@ -159,6 +167,23 @@ class TestSweep:
 
     def test_empty_grid_exit2(self):
         assert run("sweep", "ramanujan", "--grid", ",") == 2
+
+    def test_infinite_grid_exit2(self):
+        for grid in ("inf", "1e400", "1e3,-inf", "nan"):
+            assert run("sweep", "ramanujan", "--grid", grid) == 2
+
+    def test_row_below_floor_exit3(self, monkeypatch):
+        real = correlation.energy_decomposition
+
+        def zero_energy(A, N, **kwargs):
+            report = real(A, N, **kwargs)
+            return correlation.DecompositionReport(
+                cap=report.cap, card_a=report.card_a, card_s=report.card_s, energy=0,
+                via_square_pairs=0, via_factor_pairs=0, ok=True,
+            )
+
+        monkeypatch.setattr(correlation, "energy_decomposition", zero_energy)
+        assert run("sweep", "theorem", "--grid", "1e3") == 3
 
     def test_cap_exceeded_exit4(self, tmp_path, monkeypatch):
         monkeypatch.setenv("ENERGYSIEVE_MAX_N", "1000")

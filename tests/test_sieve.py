@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from energysieve.arith import EPS_HALF, EPS_ZERO, sieve_primes
@@ -35,6 +36,39 @@ def divisor_sum_oracle(elements, radius):
         for v in range(u + 1, radius + 1):
             total += diffs.get(u * v, 0)
     return total
+
+
+def partition_scan_oracle(A, N):
+    """The per-class reference scan: for each v and each residue class h,
+    mask A to the class, count window pairs with a sorted search and block
+    pairs with a bincount.  Returns one (v, J_v, window, partition) per v."""
+    radius = math.isqrt(N)
+    elems = A.elements
+    rows = []
+    for v in range(1, radius + 1):
+        vsq = v * v
+        j_count = max(1, N // vsq)
+        window = 0
+        partition = 0
+        if len(elems) >= 2:
+            residues = elems % v if v > 1 else np.zeros(len(elems), dtype=np.int64)
+            for h in np.unique(residues):
+                cls = elems[residues == h]
+                if len(cls) < 2:
+                    continue
+                # pairs (a=cls[j], b=cls[i]) with i < j and a - b < v^2
+                lo = np.searchsorted(cls, cls - vsq + 1, side="left")
+                window += int((np.arange(len(cls)) - lo).sum())
+                # same-class pairs within one aligned block [j*v^2, (j+1)*v^2)
+                blocks = cls // vsq
+                m = np.bincount(blocks - blocks[0])
+                partition += int((m * (m - 1) // 2).sum())
+        rows.append((v, j_count, window, partition))
+    return rows
+
+
+def partition_rows(trace):
+    return [(r.v, r.j_count, r.window_count, r.partition_lower_bound) for r in trace.rows]
 
 
 class TestCompositeModuli:
@@ -184,6 +218,37 @@ class TestDivisorSums:
             (IntegerSet.from_elements(3000, range(7, 3000, 7)), 3000),
         ]:
             assert divisor_sum_direct(A, n) == divisor_sum_partition(A, n).total
+
+    def test_partition_rows_match_scan_random(self, rng):
+        for _ in range(40):
+            A = make_random_set(rng, rng.randint(1, 3000), 200)
+            # N at, below and above the set's cap
+            for n in (A.cap, max(1, A.cap // 3), 2 * A.cap):
+                trace = divisor_sum_partition(A, n)
+                rows = partition_rows(trace)
+                assert rows == partition_scan_oracle(A, n)
+                assert trace.total == sum(r[2] for r in rows)
+                assert trace.partition_total == sum(r[3] for r in rows)
+
+    @pytest.mark.parametrize(
+        "cap, elements",
+        [
+            (1, []),
+            (100, []),
+            (1, [1]),
+            (100, [1, 2, 3, 98, 99, 100]),       # elements near 1 and near N
+            (100, [1, 10, 50, 100]),             # class 1 is a singleton below class 0
+            (400, [1, 2, 400]),                  # windows at a < v^2 need the clamp
+            (1000, list(range(1, 1001))),        # every class full
+            (1000, [7, 507, 1000]),              # one pair 500 apart, one element at N
+        ],
+    )
+    def test_partition_rows_match_scan_edges(self, cap, elements):
+        A = IntegerSet.from_elements(cap, elements)
+        trace = divisor_sum_partition(A, cap)
+        assert partition_rows(trace) == partition_scan_oracle(A, cap)
+        assert trace.rows[0].v == 1
+        assert trace.total == divisor_sum_direct(A, cap)
 
     def test_radius_override(self):
         S = squares_up_to(100)
