@@ -13,6 +13,7 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import fields
 from fractions import Fraction
 
 from . import correlation, energy, sets, sieve
@@ -52,16 +53,38 @@ def _parse_grid(text: str) -> list[int]:
     return sorted(set(out))
 
 
-def _emit(lines_csv: list[str], payload, fmt: str, out: str | None) -> None:
-    if fmt == "json":
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+def _cell(value) -> str:
+    """One CSV cell; None only ever stands for an inconclusive bound."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return repr(value)
+    if value is None:
+        return "inconclusive"
+    return str(value)
+
+
+def _emit(args, columns, rows, payload=None, footer=None) -> None:
+    """Write rows as CSV, or the payload (default: the rows) as JSON."""
+    if args.format == "json":
+        data = rows if payload is None else payload
+        text = json.dumps(data, indent=2, sort_keys=True, default=str) + "\n"
     else:
-        text = "\n".join(lines_csv) + "\n"
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
+        lines = [",".join(columns)]
+        lines += [",".join(_cell(row[c]) for c in columns) for row in rows]
+        if footer is not None:
+            lines.append(footer)
+        text = "\n".join(lines) + "\n"
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _records(columns, objs) -> list[dict]:
+    """Row dicts from dataclasses whose fields are in column order."""
+    return [dict(zip(columns, (getattr(o, f.name) for f in fields(o)))) for o in objs]
 
 
 # ---------------------------------------------------------------------------
@@ -114,19 +137,8 @@ def _cmd_energy(args) -> int:
             )
     else:
         reports = [runners[args.method]()]
-    lines = ["method,value,lower_trivial,upper_trivial"]
-    payload = []
-    for r in reports:
-        lines.append(f"{r.method},{r.value},{r.lower_trivial},{r.upper_trivial}")
-        payload.append(
-            {
-                "method": r.method,
-                "value": r.value,
-                "lower_trivial": r.lower_trivial,
-                "upper_trivial": r.upper_trivial,
-            }
-        )
-    _emit(lines, payload, args.format, args.out)
+    columns = ("method", "value", "lower_trivial", "upper_trivial")
+    _emit(args, columns, [{c: getattr(r, c) for c in columns} for r in reports])
     return 0
 
 
@@ -135,51 +147,25 @@ def _cmd_sieve(args) -> int:
     eps = _parse_eps(args.eps)
     if args.check_v is not None:
         res = sieve.composite_moduli_check(A, args.check_v, eps)
-        lines = [
-            "v,card,delta,lhs,rhs,hypothesis_ok,holds",
-            f"{res.modulus},{res.card},{res.delta_value},{res.lhs},{res.rhs},"
-            f"{str(res.hypothesis_ok).lower()},{str(res.holds).lower()}",
-        ]
-        payload = {
-            "v": res.modulus,
-            "card": res.card,
-            "delta": str(res.delta_value),
-            "lhs": str(res.lhs),
-            "rhs": res.rhs,
-            "hypothesis_ok": res.hypothesis_ok,
-            "holds": res.holds,
-        }
+        columns = ("v", "card", "delta", "lhs", "rhs", "hypothesis_ok", "holds")
+        (row,) = _records(columns, [res])
+        _emit(args, columns, [row], row)
     elif args.gallagher is not None:
         profiles = [sets.occupancy(A, int(p)) for p in sieve_primes(args.gallagher).primes]
         bound = sieve.gallagher_bound(profiles, A.cap)
-        shown = "inconclusive" if bound is None else repr(bound)
-        lines = ["Q,N,card,bound", f"{args.gallagher},{A.cap},{len(A)},{shown}"]
-        payload = {"Q": args.gallagher, "N": A.cap, "card": len(A), "bound": bound}
+        row = {"Q": args.gallagher, "N": A.cap, "card": len(A), "bound": bound}
+        _emit(args, list(row), [row], row)
     else:
         trace = sieve.divisor_sum_partition(A, A.cap)
         direct = sieve.divisor_sum_direct(A, A.cap)
-        lines = ["v,J_v,window_count,partition_lower_bound"]
-        for r in trace.rows:
-            lines.append(f"{r.v},{r.j_count},{r.window_count},{r.partition_lower_bound}")
-        payload = {
-            "rows": [
-                {
-                    "v": r.v,
-                    "J_v": r.j_count,
-                    "window_count": r.window_count,
-                    "partition_lower_bound": r.partition_lower_bound,
-                }
-                for r in trace.rows
-            ],
-            "total": trace.total,
-            "direct": direct,
-        }
         if direct != trace.total:
             raise InvariantViolationError(
                 f"divisor-sum paths disagree: direct={direct} window={trace.total}"
             )
         print(f"total={trace.total} direct={direct} equal=true", file=sys.stderr)
-    _emit(lines, payload, args.format, args.out)
+        columns = ("v", "J_v", "window_count", "partition_lower_bound")
+        rows = _records(columns, trace.rows)
+        _emit(args, columns, rows, {"rows": rows, "total": trace.total, "direct": direct})
     return 0
 
 
@@ -200,7 +186,6 @@ def _sweep_row(kind: str, n: int, set_source: str) -> correlation.ExperimentRow:
 def _cmd_sweep(args) -> int:
     grid = _parse_grid(args.grid)
     cap = max_sweep_n()
-    rows: list[correlation.ExperimentRow] = []
     truncated_at = None
     todo = []
     for n in grid:
@@ -210,33 +195,20 @@ def _cmd_sweep(args) -> int:
         todo.append(n)
     if args.jobs > 1 and len(todo) > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(_sweep_row, [args.experiment] * len(todo), todo,
-                                 [args.set] * len(todo)))
+            results = list(pool.map(_sweep_row, [args.experiment] * len(todo), todo,
+                                    [args.set] * len(todo)))
     else:
-        rows = [_sweep_row(args.experiment, n, args.set) for n in todo]
+        results = [_sweep_row(args.experiment, n, args.set) for n in todo]
 
-    lines = [correlation.ExperimentRow.csv_header()]
-    payload = []
-    for r in rows:
-        lines.append(r.csv_line())
-        payload.append(
-            {
-                "N": r.n,
-                "card_A": r.card_a,
-                "card_S": r.card_s,
-                "energy": r.energy,
-                "lower_bound": r.lower_bound,
-                "ratio_AS": r.ratio_as,
-                "ratio_log": r.ratio_log,
-                "seconds": r.seconds,
-            }
-        )
+    columns = ("N", "card_A", "card_S", "energy", "lower_bound", "ratio_AS", "ratio_log",
+               "seconds")
+    rows = _records(columns, results)
     if truncated_at is not None:
-        lines.append(f"# truncated: N={truncated_at} exceeds cap {cap}")
-        _emit(lines, {"rows": payload, "truncated_at": truncated_at}, args.format, args.out)
+        _emit(args, columns, rows, {"rows": rows, "truncated_at": truncated_at},
+              f"# truncated: N={truncated_at} exceeds cap {cap}")
         print(f"sweep truncated at N={truncated_at} (cap {cap})", file=sys.stderr)
         return RESOURCE_EXIT
-    _emit(lines, {"rows": payload}, args.format, args.out)
+    _emit(args, columns, rows, {"rows": rows})
     return 0
 
 
@@ -286,7 +258,8 @@ def build_parser() -> argparse.ArgumentParser:
     sw.add_argument("experiment", choices=["theorem", "ramanujan", "sidon"])
     sw.add_argument("--grid", required=True, help="comma-separated N values, e.g. 1e3,1e4")
     sw.add_argument("--set", default="squares", help="set file for the theorem sweep")
-    sw.add_argument("--seed", type=int, default=0)
+    sw.add_argument("--seed", type=int, default=0,
+                    help="accepted and ignored: sweep rows read no random set")
     sw.add_argument("--jobs", type=int, default=1)
     sw.add_argument("--format", choices=["csv", "json"], default="csv")
     sw.add_argument("--out")

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arith import EPS_HALF, EpsilonSpec, delta_prime_power, sieve_primes
-from .energy import _sum_of_squares, energy_sum_path, rep_sum
+from .energy import _dot, energy_sum_path, rep_sum
 from .errors import InvariantViolationError
 from .sets import IntegerSet, is_sidon, mod4_restrict, occupancy, sidon_set, squares_up_to
 from .sieve import DifferenceTable, divisor_sum_direct
@@ -52,7 +52,7 @@ class DecompositionReport:
     ok: bool
 
 
-def energy_decomposition(A: IntegerSet, N: int, *, method: str = "auto") -> DecompositionReport:
+def energy_decomposition(A: IntegerSet, N: int) -> DecompositionReport:
     """E(A, S) three ways, with exact agreement enforced.
 
     Routes (ii) and (iii) run over index sets in explicit bijection
@@ -65,7 +65,7 @@ def energy_decomposition(A: IntegerSet, N: int, *, method: str = "auto") -> Deco
     root = math.isqrt(N)
     base = len(A) * len(S)
 
-    e_direct = energy_sum_path(A, S, method=method).value
+    e_direct = energy_sum_path(A, S).value
 
     table = DifferenceTable(A, N) if len(A) >= 2 else None
 
@@ -179,7 +179,7 @@ def quadratic_hits(A: IntegerSet, N: int) -> QuadraticHitsReport:
         raise InvariantViolationError(
             f"witness scan found {len(witnesses)} hits, table says {count}"
         )
-    energy = _sum_of_squares(rep.counts)
+    energy = _dot(rep.counts, rep.counts)
     return QuadraticHitsReport(
         shift=shift,
         count=count,
@@ -262,16 +262,6 @@ class ExperimentRow:
         if self.energy < self.card_a * self.card_s:
             raise InvariantViolationError("energy below the trivial |A||S| floor")
 
-    @staticmethod
-    def csv_header() -> str:
-        return "N,card_A,card_S,energy,lower_bound,ratio_AS,ratio_log,seconds"
-
-    def csv_line(self) -> str:
-        return (
-            f"{self.n},{self.card_a},{self.card_s},{self.energy},"
-            f"{self.lower_bound!r},{self.ratio_as!r},{self.ratio_log!r},{self.seconds!r}"
-        )
-
 
 def correlation_row(A: IntegerSet, N: int) -> ExperimentRow:
     """Full pipeline on one set: decomposition check, lower bound, ratios.
@@ -297,11 +287,11 @@ def correlation_row(A: IntegerSet, N: int) -> ExperimentRow:
     )
 
 
-def ramanujan_row(N: int, *, method: str = "auto") -> ExperimentRow:
+def ramanujan_row(N: int) -> ExperimentRow:
     """Squares-only row; ratio_log is E(S,S) / (N log N)."""
     start = time.perf_counter()
     S = squares_up_to(N)
-    energy = energy_sum_path(S, S, method=method).value
+    energy = energy_sum_path(S, S).value
     card = len(S)
     return ExperimentRow(
         n=N,
@@ -318,10 +308,7 @@ def ramanujan_row(N: int, *, method: str = "auto") -> ExperimentRow:
 def largest_sidon_prime(N: int) -> int:
     """Largest prime p with 2p^2 + p <= N, so the Sidon construction fits."""
     cap = int((math.isqrt(8 * N + 1) - 1) // 4)
-    for p in range(max(cap, 2), 1, -1):
-        if all(p % q for q in range(2, math.isqrt(p) + 1)):
-            return p
-    return 2
+    return int(sieve_primes(max(cap, 2)).primes[-1])
 
 
 def sidon_row(N: int) -> ExperimentRow:

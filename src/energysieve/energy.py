@@ -170,17 +170,8 @@ def rep_diff(X: IntegerSet, Y: IntegerSet, *, method: str = "auto") -> RepFuncti
 
 
 # ---------------------------------------------------------------------------
-# Exact accumulators (checked against 64-bit overflow)
+# Exact accumulator (checked against 64-bit overflow)
 # ---------------------------------------------------------------------------
-
-def _sum_of_squares(counts: np.ndarray) -> int:
-    if len(counts) == 0:
-        return 0
-    peak = int(counts.max())
-    if peak * peak * len(counts) < 2**62:
-        return int(np.dot(counts, counts))
-    return sum(int(c) * int(c) for c in counts[counts > 0])
-
 
 def _dot(a: np.ndarray, b: np.ndarray) -> int:
     if len(a) == 0:
@@ -196,7 +187,8 @@ def _dot(a: np.ndarray, b: np.ndarray) -> int:
 
 def energy_sum_path(X: IntegerSet, Y: IntegerSet, *, method: str = "auto") -> EnergyReport:
     """E(X,Y) as the sum of squared x+y representation counts."""
-    value = _sum_of_squares(rep_sum(X, Y, method=method).counts)
+    counts = rep_sum(X, Y, method=method).counts
+    value = _dot(counts, counts)
     return _report(value, "sum-identity", X, Y)
 
 

@@ -15,7 +15,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .arith import EpsilonSpec, sieve_primes
+from .arith import EpsilonSpec, factorize, sieve_primes, table_for
 from .errors import SetFileError
 from .limits import check_allocation
 
@@ -128,11 +128,12 @@ def sidon_set(p: int, N: int) -> IntegerSet:
     dropped (a subset of a Sidon set is Sidon).  Fits entirely when
     2p^2 + p <= N.
     """
-    if p < 2 or any(p % q == 0 for q in range(2, math.isqrt(p) + 1)):
+    if p < 2 or factorize(p, table_for(p)).factors != ((p, 1),):
         raise ValueError(f"{p} is not prime")
     if N < 1:
         raise ValueError("N must be positive")
-    i = np.arange(p, dtype=np.int64)
+    # element i is at least 2p*i + 1, so only i <= (N - 1) // (2p) can fit
+    i = np.arange(min(p, (N - 1) // (2 * p) + 1), dtype=np.int64)
     vals = 2 * p * i + (i * i) % p + 1
     return IntegerSet.from_elements(N, vals[vals <= N])
 

@@ -60,16 +60,12 @@ class SieveCheckResult:
     holds: bool          # lhs <= rhs
 
 
-def composite_moduli_check(
-    A: IntegerSet, v: int, eps: EpsilonSpec, *, profile: ResidueProfile | None = None
-) -> SieveCheckResult:
+def composite_moduli_check(A: IntegerSet, v: int, eps: EpsilonSpec) -> SieveCheckResult:
     """Evaluate the inequality at modulus v; hypothesis failures are reported,
     never raised, since the conclusion is only guaranteed under the hypothesis."""
     if v < 1:
         raise ValueError("modulus must be positive")
-    if profile is None or profile.modulus != v:
-        profile = occupancy(A, v)
-    counts = profile.counts
+    counts = occupancy(A, v).counts
     rhs = int(np.dot(counts, counts))
     dv = delta(v, eps)
     card = len(A)
@@ -136,8 +132,16 @@ class DifferenceTable:
             return
         self.dense = max_diff <= DENSE_DIFF_LIMIT
         chunk = max(1, (1 << 22) // len(elems))
+        # Bytes live at the peak.  A chunk of `block` differences holds them in
+        # int64, a bool mask and the kept int64 values: 17 per entry.  Dense adds
+        # the table and one bincount result of its length.  Sparse adds, per
+        # positive difference, the kept parts, their concatenation and
+        # np.unique's copy, mask, values and run indices: 8 + 8 + 33.
+        block = min(chunk, len(elems)) * len(elems)
+        pairs = len(elems) * (len(elems) - 1) // 2
+        table_bytes = 16 * (max_diff + 1) if self.dense else 49 * pairs
+        check_allocation(17 * block + table_bytes, "difference table")
         if self.dense:
-            check_allocation(8 * (max_diff + 1), "difference table")
             table = np.zeros(max_diff + 1, dtype=np.int64)
             for i in range(0, len(elems), chunk):
                 d = (elems[i : i + chunk, None] - elems[None, :]).ravel()
@@ -170,16 +174,13 @@ class DifferenceTable:
 # Divisor sums, two ways
 # ---------------------------------------------------------------------------
 
-def divisor_sum_direct(
-    A: IntegerSet, N: int, *, radius: int | None = None, table: DifferenceTable | None = None
-) -> int:
+def divisor_sum_direct(A: IntegerSet, N: int, *, radius: int | None = None) -> int:
     """sum over 1 <= u < v <= radius of r_{A-A}(uv); radius defaults to isqrt(N)."""
     if radius is None:
         radius = math.isqrt(N)
     if radius < 2 or len(A) < 2:
         return 0
-    if table is None:
-        table = DifferenceTable(A, radius * radius)
+    table = DifferenceTable(A, radius * radius)
     total = 0
     for u in range(1, radius):
         prods = u * np.arange(u + 1, radius + 1, dtype=np.int64)
@@ -201,11 +202,6 @@ class DivisorSumTrace:
     rows: tuple[DivisorSumRow, ...]
     total: int
     partition_total: int
-
-    def to_csv(self, fh) -> None:
-        fh.write("v,J_v,window_count,partition_lower_bound\n")
-        for r in self.rows:
-            fh.write(f"{r.v},{r.j_count},{r.window_count},{r.partition_lower_bound}\n")
 
 
 def divisor_sum_partition(A: IntegerSet, N: int) -> DivisorSumTrace:

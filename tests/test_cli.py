@@ -1,7 +1,11 @@
 import csv
 import json
+import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
+import pytest
 
 from energysieve import cli, correlation, energy
 from energysieve.energy import EnergyReport, RepFunction
@@ -48,6 +52,12 @@ class TestGen:
         assert run(*args, str(p1)) == 0
         assert run(*args, str(p2)) == 0
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_sidon_large_prime_small_cap(self, tmp_path):
+        # only i <= (N - 1) // (2p) can land in [1, N]; the scan stops there
+        path = tmp_path / "sidon.txt"
+        assert run("gen", "sidon", "--p", "1000000007", "--N", "100", "--out", str(path)) == 0
+        assert list(read_set(path)) == [1]
 
     def test_sidon_needs_p(self, tmp_path):
         assert run("gen", "sidon", "--N", "60", "--out", str(tmp_path / "x.txt")) == 2
@@ -226,3 +236,92 @@ class TestDeterminism:
         p1 = write_squares(tmp_path, 1000, "a.txt")
         p2 = write_squares(tmp_path, 1000, "b.txt")
         assert p1.read_bytes() == p2.read_bytes()
+
+
+# Exact CLI output of every subcommand and mode, pinned against the files in
+# tests/golden/cli (named <case>.<format>).  Set files are squares up to a cap
+# and are referred to as {sq<cap>} in the argument lists.
+GOLDEN = Path(__file__).parent / "golden" / "cli"
+GOLDEN_SETS = {"sq16": 16, "sq100": 100, "sq1e4": 10**4}
+GOLDEN_CASES = {  # name: (exit code, environment, argv)
+    "energy-all": (0, {}, ["energy", "{sq16}", "--squares", "--method", "all"]),
+    "energy-sum": (0, {}, ["energy", "{sq16}", "--squares", "--method", "sum"]),
+    "check-v": (0, {}, ["sieve", "{sq16}", "--check-v", "6", "--eps", "0"]),
+    "gallagher": (0, {}, ["sieve", "{sq1e4}", "--gallagher", "500"]),
+    "gallagher-inconclusive": (0, {}, ["sieve", "{sq1e4}", "--gallagher", "200"]),
+    "divisor-sum": (0, {}, ["sieve", "{sq100}", "--divisor-sum"]),
+    "sweep-theorem": (0, {}, ["sweep", "theorem", "--grid", "100,300"]),
+    "sweep-ramanujan": (0, {}, ["sweep", "ramanujan", "--grid", "100,300"]),
+    "sweep-sidon": (0, {}, ["sweep", "sidon", "--grid", "100,300"]),
+    "sweep-truncated": (
+        4, {"ENERGYSIEVE_MAX_N": "200"}, ["sweep", "ramanujan", "--grid", "100,300"]
+    ),
+    "sweep-truncated-empty": (
+        4, {"ENERGYSIEVE_MAX_N": "50"}, ["sweep", "sidon", "--grid", "100,300"]
+    ),
+}
+
+
+def mask_seconds(text):
+    """The sweep timing column is the one field outside the byte contract."""
+    text = re.sub(r'("seconds": )[^,\n]+', r'\1"<seconds>"', text)
+    return re.sub(r"^(\d+,.*,)[^,\n]+$", r"\1<seconds>", text, flags=re.M)
+
+
+def golden_run(tmp_path, capsys, monkeypatch, case, fmt):
+    """Run one golden case; returns (stdout, --out file text), seconds masked."""
+    code, env, argv = GOLDEN_CASES[case]
+    for key, value in env.items():
+        monkeypatch.setenv(key, value)
+    paths = {name: str(write_squares(tmp_path, n, f"{name}.txt")) for name, n in GOLDEN_SETS.items()}
+    argv = [a.format(**paths) for a in argv] + ["--format", fmt]
+    out = tmp_path / "out.txt"
+    capsys.readouterr()
+    assert run(*argv) == code
+    stdout = capsys.readouterr().out
+    assert run(*argv, "--out", str(out)) == code
+    mask = mask_seconds if argv[0] == "sweep" else str
+    return mask(stdout), mask(out.read_text())
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("case", sorted(GOLDEN_CASES))
+def test_golden_output(tmp_path, capsys, monkeypatch, case, fmt):
+    expected = (GOLDEN / f"{case}.{fmt}").read_text()
+    assert golden_run(tmp_path, capsys, monkeypatch, case, fmt) == (expected, expected)
+
+
+def test_csv_rows_equal_json_rows():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    def outputs(argv):
+        texts = []
+        for fmt in ("csv", "json"):
+            with tempfile.TemporaryDirectory() as tmp:
+                out = Path(tmp) / "out.txt"
+                assert run(*argv, "--format", fmt, "--out", str(out)) == 0
+                texts.append(out.read_text())
+        return list(csv.DictReader(texts[0].splitlines())), json.loads(texts[1])
+
+    def as_text(rows):
+        return [{k: str(v) for k, v in row.items()} for row in rows]
+
+    @hypothesis.settings(max_examples=25, deadline=None)
+    @hypothesis.given(
+        st.integers(1, 80).flatmap(
+            lambda cap: st.tuples(st.just(cap), st.sets(st.integers(1, cap), min_size=1))
+        )
+    )
+    def check(case):
+        cap, elements = case
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "a.txt"
+            path.write_text(f"N={cap}\n" + "".join(f"{e}\n" for e in sorted(elements)))
+            csv_rows, json_rows = outputs(["energy", str(path), "--squares"])
+            assert csv_rows == as_text(json_rows)
+            csv_rows, payload = outputs(["sieve", str(path), "--divisor-sum"])
+            assert csv_rows == as_text(payload["rows"])
+            assert payload["total"] == payload["direct"]
+
+    check()

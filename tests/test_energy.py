@@ -12,7 +12,7 @@ from energysieve.energy import (
     rep_diff,
     rep_sum,
     sumset,
-    _sum_of_squares,
+    _dot,
 )
 from energysieve.errors import ResourceLimitError
 from energysieve.sets import IntegerSet, squares_up_to
@@ -133,7 +133,7 @@ class TestBackends:
 
     def test_checked_accumulator_big_counts(self):
         big = np.full(5, 2**32, dtype=np.int64)
-        assert _sum_of_squares(big) == 5 * (2**64)
+        assert _dot(big, big) == 5 * (2**64)
 
 
 class TestEnergyPaths:

@@ -268,6 +268,28 @@ class TestDivisorSums:
         probe = np.arange(1, 1001, dtype=np.int64)
         assert (dense.lookup(probe) == sparse.lookup(probe)).all()
 
+    @pytest.mark.parametrize("dense", [True, False])
+    @pytest.mark.parametrize("size", [800, 2500])  # one chunk of differences, then two
+    def test_counted_bytes_cover_peak(self, monkeypatch, dense, size):
+        import random
+        import tracemalloc
+
+        import energysieve.sieve as sieve
+
+        A = IntegerSet.from_elements(10**6, random.Random(size).sample(range(1, 10**6 + 1), size))
+        counted = []
+        monkeypatch.setattr(sieve, "check_allocation", lambda nbytes, what: counted.append(nbytes))
+        if not dense:
+            monkeypatch.setattr(sieve, "DENSE_DIFF_LIMIT", 0)
+        tracemalloc.start()
+        try:
+            table = DifferenceTable(A, 10**6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert table.dense == dense
+        assert peak <= max(counted) + 2**16
+
 
 class TestGrowthReport:
     def test_squares(self):
