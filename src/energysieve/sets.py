@@ -142,16 +142,22 @@ def is_sidon(X: IntegerSet) -> bool:
     """True iff every nonzero difference of X occurs at most once.
 
     Checked through the equivalent condition that all pairwise sums
-    x_i + x_j (i <= j) are distinct.
+    x_i + x_j (i <= j) are distinct: sorted, no two neighbours are equal.
     """
     xs = X.elements
     n = len(xs)
     if n < 2:
         return True
-    sums = xs[None, :] + xs[:, None]
-    iu = np.triu_indices(n)
-    vals = sums[iu]
-    return len(np.unique(vals)) == len(vals)
+    m = n * (n + 1) // 2
+    # the sums (sorted in place, so no copy) and the equal-neighbour mask
+    check_allocation(9 * m, f"Sidon check over {m} pair sums")
+    sums = np.empty(m, dtype=np.int64)
+    pos = 0
+    for i in range(n):
+        np.add(xs[i], xs[i:], out=sums[pos : pos + n - i])
+        pos += n - i
+    sums.sort()
+    return not (sums[1:] == sums[:-1]).any()
 
 
 def residue_avoiding_random(

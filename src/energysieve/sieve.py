@@ -134,13 +134,19 @@ class DifferenceTable:
         chunk = max(1, (1 << 22) // len(elems))
         # Bytes live at the peak.  A chunk of `block` differences holds them in
         # int64, a bool mask and the kept int64 values: 17 per entry.  Dense adds
-        # the table and one bincount result of its length.  Sparse adds, per
-        # positive difference, the kept parts, their concatenation and
-        # np.unique's copy, mask, values and run indices: 8 + 8 + 33.
+        # the table and one bincount result of its length.  Sparse adds the
+        # kept parts (8 per positive difference) beside the chunk, then at most
+        # 26 per positive difference: the parts and their concatenation (16);
+        # the sorted concatenation, a run-start mask and the distinct values
+        # (17); the mask and its extension, the values, run starts and run
+        # lengths (2 + 24).
         block = min(chunk, len(elems)) * len(elems)
         pairs = len(elems) * (len(elems) - 1) // 2
-        table_bytes = 16 * (max_diff + 1) if self.dense else 49 * pairs
-        check_allocation(17 * block + table_bytes, "difference table")
+        if self.dense:
+            nbytes = 17 * block + 16 * (max_diff + 1)
+        else:
+            nbytes = max(17 * block + 8 * pairs, 26 * pairs)
+        check_allocation(nbytes, "difference table")
         if self.dense:
             table = np.zeros(max_diff + 1, dtype=np.int64)
             for i in range(0, len(elems), chunk):
@@ -153,9 +159,16 @@ class DifferenceTable:
             for i in range(0, len(elems), chunk):
                 d = (elems[i : i + chunk, None] - elems[None, :]).ravel()
                 parts.append(d[(d > 0) & (d <= max_diff)])
-            vals, cnts = np.unique(np.concatenate(parts), return_counts=True)
-            self._values = vals
-            self._counts = cnts.astype(np.int64)
+            del d
+            d = np.concatenate(parts)
+            del parts
+            d.sort()
+            first = np.empty(len(d), dtype=bool)
+            first[:1] = True
+            np.not_equal(d[1:], d[:-1], out=first[1:])
+            self._values = d[first]
+            del d
+            self._counts = np.diff(np.flatnonzero(np.append(first, True)))
 
     def lookup(self, ds: np.ndarray) -> np.ndarray:
         """Counts for an array of candidate differences in [1, max_diff]."""

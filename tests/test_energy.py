@@ -1,9 +1,12 @@
 import itertools
+import random
+import tracemalloc
 from collections import Counter
 
 import numpy as np
 import pytest
 
+import energysieve.energy as energy
 from energysieve.energy import (
     cauchy_schwarz_check,
     energy_bruteforce,
@@ -134,6 +137,86 @@ class TestBackends:
     def test_checked_accumulator_big_counts(self):
         big = np.full(5, 2**32, dtype=np.int64)
         assert _dot(big, big) == 5 * (2**64)
+
+
+class TestDispatch:
+    @pytest.mark.parametrize("N", [10**6, 12 * 10**6])
+    def test_auto_picks_direct_for_squares(self, N):
+        S = squares_up_to(N)
+        assert rep_sum(S, S).backend == "direct"
+
+    def test_auto_picks_fft_for_dense_set(self):
+        rng = np.random.default_rng(3)
+        A = IntegerSet.from_elements(200_000, np.flatnonzero(rng.random(200_001) < 0.115)[1:])
+        assert 22_000 < len(A) < 24_000
+        S = squares_up_to(A.cap)
+        assert rep_sum(A, A).backend == "fft"
+        assert rep_sum(A, S).backend == "fft"
+        assert rep_sum(S, A).backend == "fft"
+
+    def test_auto_counts_equal_direct_on_both_sides(self):
+        rng = random.Random(11)
+        seen = set()
+        # few elements spread over a long window go direct; many elements
+        # packed into a short window go to the transform
+        for cap, size in [(10**6, 300), (3 * 10**5, 60), (2 * 10**4, 3000), (5000, 2500)] * 3:
+            X = IntegerSet.from_elements(cap, rng.sample(range(1, cap + 1), size))
+            Y = IntegerSet.from_elements(cap, rng.sample(range(1, cap + 1), size))
+            for count in (rep_sum, rep_diff):
+                auto = count(X, Y)
+                direct = count(X, Y, method="direct")
+                assert direct.backend == "direct"
+                assert auto.offset == direct.offset
+                assert (auto.counts == direct.counts).all()
+                seen.add(auto.backend)
+        assert seen == {"direct", "fft"}
+
+    def test_failed_transform_falls_back(self, monkeypatch, rng):
+        monkeypatch.setattr(energy, "_count_fft", lambda *args: None)
+        X = make_random_set(rng, 2000, 80)
+        rep = rep_sum(X, X, method="fft")
+        assert rep.backend == "fft-fallback"
+        assert (rep.counts == rep_sum(X, X, method="direct").counts).all()
+
+    def test_first_moment_rejects_cancelling_errors(self, monkeypatch):
+        X = IntegerSet.from_elements(5000, random.Random(5).sample(range(1, 5001), 400))
+        length = 2 * int(X.elements[-1] - X.elements[0]) + 1
+        irfft = np.fft.irfft
+        seen = []
+
+        def shifted(spec, n):
+            # move one pair from the smallest sum to the next: the total,
+            # the signs and every rounding distance are unchanged
+            out = irfft(spec, n)
+            out[0] -= 1.0
+            out[1] += 1.0
+            seen.append(out[:length].copy())
+            return out
+
+        monkeypatch.setattr(np.fft, "irfft", shifted)
+        rep = rep_sum(X, X, method="fft")
+        (conv,) = seen
+        rounded = np.rint(conv)
+        assert np.abs(conv - rounded).max() < 0.25
+        assert rounded.min() >= 0
+        assert rounded.sum() == len(X) ** 2
+        assert rep.backend == "fft-fallback"
+        assert (rep.counts == rep_sum(X, X, method="direct").counts).all()
+
+    @pytest.mark.parametrize("method", ["direct", "fft"])
+    @pytest.mark.parametrize("size", [300, 3000])  # one chunk of sums, then three
+    def test_counted_bytes_cover_peak(self, monkeypatch, method, size):
+        X = IntegerSet.from_elements(10**6, random.Random(size).sample(range(1, 10**6 + 1), size))
+        counted = []
+        monkeypatch.setattr(energy, "check_allocation", lambda nbytes, what: counted.append(nbytes))
+        tracemalloc.start()
+        try:
+            rep = rep_sum(X, X, method=method)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.backend == method
+        assert peak <= max(counted) + 2**16
 
 
 class TestEnergyPaths:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from energysieve.arith import EPS_HALF, EPS_ZERO, sieve_primes
-from energysieve.errors import SetFileError
+from energysieve.errors import ResourceLimitError, SetFileError
 from energysieve.sets import (
     IntegerSet,
     is_sidon,
@@ -128,6 +128,30 @@ class TestSidon:
         for _ in range(200):
             A = make_random_set(rng, 60, 12)
             assert is_sidon(A) is sidon_oracle(list(A))
+
+    def test_is_sidon_memory_cap(self, monkeypatch):
+        X = sidon_set(101, 10**6)  # 101 elements, 5151 pair sums
+        monkeypatch.setenv("ENERGYSIEVE_MEMORY_CAP", "40000")
+        with pytest.raises(ResourceLimitError):
+            is_sidon(X)
+        monkeypatch.setenv("ENERGYSIEVE_MEMORY_CAP", str(10**6))
+        assert is_sidon(X)
+
+    def test_is_sidon_counted_bytes_cover_peak(self, monkeypatch):
+        import tracemalloc
+
+        import energysieve.sets as sets
+
+        X = sidon_set(1009, 10**7)
+        counted = []
+        monkeypatch.setattr(sets, "check_allocation", lambda nbytes, what: counted.append(nbytes))
+        tracemalloc.start()
+        try:
+            assert is_sidon(X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= max(counted) + 2**16
 
 
 class TestOccupancy:
