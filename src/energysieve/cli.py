@@ -193,8 +193,10 @@ def _cmd_sweep(args) -> int:
             truncated_at = n
             break
         todo.append(n)
-    if args.jobs > 1 and len(todo) > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    # a pool starts all its workers at once: no more than rows or CPUs
+    workers = min(args.jobs, len(todo), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_sweep_row, [args.experiment] * len(todo), todo,
                                     [args.set] * len(todo)))
     else:

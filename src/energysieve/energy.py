@@ -34,6 +34,7 @@ __all__ = [
 
 BRUTE_FORCE_GUARD = 10**9
 _CHUNK = 1 << 22
+_BLOCK = 1 << 17  # values per block, pairs per group: the bincount stays in cache
 
 
 @dataclass(frozen=True, eq=False)
@@ -111,18 +112,26 @@ def _report(value: int, method: str, X: IntegerSet, Y: IntegerSet) -> EnergyRepo
 # Pair-sum counting core (differences are sums against a reflected set)
 # ---------------------------------------------------------------------------
 
-def _rows_per_chunk(ny: int) -> int:
-    return max(1, _CHUNK // ny)
-
-
-def _count_direct(xs: np.ndarray, ys: np.ndarray, lo: int, length: int) -> np.ndarray:
-    counts = np.zeros(length, dtype=np.int64)
-    step = _rows_per_chunk(len(ys))
-    for i in range(0, len(xs), step):
-        # unnamed, so each chunk of sums is freed before the next is made
-        rows = (xs[i : i + step] - lo)[:, None]
-        counts += np.bincount((rows + ys[None, :]).ravel(), minlength=length)
-    return counts
+def _direct_blocks(xs: np.ndarray, ys: np.ndarray, lo: int, hi: int):
+    """Counts of x + y over [lo, hi] in blocks of _BLOCK values.  One `searchsorted`
+    per x gives its y range in the block (at most _BLOCK distinct y); the rows
+    are gathered in groups of at most _BLOCK pairs, each counted by one bincount.
+    """
+    for start in range(lo, hi + 1, _BLOCK):
+        length = min(_BLOCK, hi + 1 - start)
+        left = np.searchsorted(ys, start - xs)
+        lens = np.searchsorted(ys, start + length - xs) - left
+        ends = np.cumsum(lens)
+        counts = np.zeros(length, dtype=np.int64)
+        i = done = 0
+        while done < ends[-1]:
+            j = int(np.searchsorted(ends, done + _BLOCK, side="right"))
+            rows = lens[i:j]
+            idx = np.repeat(left[i:j] - ends[i:j] + rows, rows) + np.arange(done, ends[j - 1])
+            sums = ys[idx] + np.repeat(xs[i:j] - start, rows)
+            counts += np.bincount(sums, minlength=length)
+            i, done = j, int(ends[j - 1])
+        yield start, counts
 
 
 def _indicator(v: np.ndarray) -> np.ndarray:
@@ -168,12 +177,6 @@ def _exact_sum(v: np.ndarray) -> int:
     return sum(int(x) for x in v)
 
 
-def _direct_bytes(nx: int, ny: int, length: int) -> int:
-    """The table, one bincount result of its length, and one chunk of sums."""
-    step = min(_rows_per_chunk(ny), nx)
-    return 16 * length + 8 * step * ny + 8 * step
-
-
 def _fft_bytes(xs: np.ndarray, ys: np.ndarray, size: int) -> int:
     """Two complex spectra, the larger float input and the transform's padded
     copy of it (held by the FFT library, so tracemalloc does not see it): the
@@ -184,53 +187,78 @@ def _fft_bytes(xs: np.ndarray, ys: np.ndarray, size: int) -> int:
     return 32 * (size // 2 + 1) + 8 * size + 8 * span
 
 
-def _pair_counts(xs: np.ndarray, ys: np.ndarray, method: str) -> RepFunction:
-    """r(n) = #{(x, y) : x + y = n} for two sorted integer arrays.
+def _pair_counts(xs: np.ndarray, ys: np.ndarray, lo: int, hi: int, method: str,
+                 held: int = 0):
+    """r(n) = #{(x, y) : x + y = n} for lo <= n <= hi, two sorted integer arrays.
 
-    `auto` runs the backend with the lower estimated cost; a transform that
-    fails verification falls back to direct counting.
+    Returns (backend, blocks, resident): `blocks` yields (offset, counts) for
+    consecutive blocks of at most _BLOCK values from lo (none if lo > hi);
+    direct blocks are counted as they are taken, FFT blocks are views of the
+    verified transform; `resident` is the bytes they hold meanwhile.  [lo, hi]
+    lies within the range of sums.  `held`, the bytes the caller keeps alive,
+    is counted with the backend's working set against the cap.  `auto` runs
+    the backend with the lower estimated cost; a transform that fails
+    verification falls back to direct counting.
     """
     if method not in ("auto", "direct", "fft"):
         raise ValueError(f"unknown counting method {method!r}")
-    if len(xs) == 0 or len(ys) == 0:
-        return RepFunction(offset=0, counts=np.zeros(0, dtype=np.int64))
-    lo = int(xs[0] + ys[0])
-    hi = int(xs[-1] + ys[-1])
-    length = hi - lo + 1
+    if lo > hi:
+        return "direct", iter(()), 0
+    first = int(xs[0] + ys[0])
+    length = int(xs[-1] + ys[-1]) - first + 1
     size = 1 << (length - 1).bit_length()
-    nx, ny = len(xs), len(ys)
+    pairs = int((np.searchsorted(ys, hi + 1 - xs) - np.searchsorted(ys, lo - xs)).sum())
     if method == "auto":
         # Estimated costs in nanoseconds, fitted to timings of both backends on
-        # squares and random sets (16 shapes, N = 1e5 to 1.2e7, pairs 1e5 to
-        # 9e8; 2-CPU x86-64, numpy 2.4): direct pays about 7 ns per pair and
-        # 3 ns per window entry for each chunk's full-length bincount, FFT
-        # about 4 ns per size * log2(size) (3 at 2^17, 6 at 2^25).
-        chunks = -(-nx // _rows_per_chunk(ny))
-        direct_cost = 7 * nx * ny + 3 * length * chunks
-        fft_cost = 4 * size * (size.bit_length() - 1)
+        # squares and random sets (20 shapes, N = 1e5 to 1.2e7, pairs 1e5 to
+        # 9e8; 2-CPU x86-64, numpy 2.4): direct pays about 10 ns per pair in
+        # the window and 4 ns per window value, FFT about 6 ns per
+        # size * log2(size) of the padded transform (4.4 at 2^17, 7.5 at 2^25).
+        direct_cost = 10 * pairs + 4 * (hi - lo + 1)
+        fft_cost = 6 * size * (size.bit_length() - 1)
         method = "fft" if fft_cost < direct_cost else "direct"
 
-    counts = None
     backend = "direct"
     if method == "fft":
-        check_allocation(_fft_bytes(xs, ys, size), "FFT pair counting")
-        counts = _count_fft(xs, ys, lo, length, size)
-        backend = "fft" if counts is not None else "fft-fallback"
-    if counts is None:
-        check_allocation(_direct_bytes(nx, ny, length), "direct pair counting")
-        counts = _count_direct(xs, ys, lo, length)
+        check_allocation(held + _fft_bytes(xs, ys, size), "FFT pair counting")
+        counts = _count_fft(xs, ys, first, length, size)
+        if counts is not None:
+            window = counts[lo - first : hi - first + 1]
+            blocks = ((lo + i, window[i : i + _BLOCK]) for i in range(0, len(window), _BLOCK))
+            return "fft", blocks, counts.nbytes
+        backend = "fft-fallback"
+    # counts, a bincount result and the caller's previous block; a group's
+    # indices, sums and their temporaries; eight arrays over the rows
+    nbytes = 24 * min(_BLOCK, hi - lo + 1) + 48 * min(_BLOCK, pairs) + 64 * len(xs)
+    check_allocation(held + nbytes, "direct pair counting")
+    return backend, _direct_blocks(xs, ys, lo, hi), nbytes
+
+
+def _sum_window(xs: np.ndarray, ys: np.ndarray) -> tuple[int, int]:
+    """Smallest and largest x + y; an empty window (0, -1) if a set is empty."""
+    if len(xs) == 0 or len(ys) == 0:
+        return 0, -1
+    return int(xs[0] + ys[0]), int(xs[-1] + ys[-1])
+
+
+def _rep(xs: np.ndarray, ys: np.ndarray, method: str) -> RepFunction:
+    lo, hi = _sum_window(xs, ys)
+    backend, blocks, _ = _pair_counts(xs, ys, lo, hi, method, held=8 * (hi - lo + 1))
+    counts = np.empty(hi - lo + 1, dtype=np.int64)
+    for offset, block in blocks:
+        counts[offset - lo : offset - lo + len(block)] = block
     # tight window: endpoints are realized sums, so edges are already nonzero
     return RepFunction(offset=lo, counts=counts, backend=backend)
 
 
 def rep_sum(X: IntegerSet, Y: IntegerSet, *, method: str = "auto") -> RepFunction:
     """Counts of x + y = n over X x Y."""
-    return _pair_counts(X.elements, Y.elements, method)
+    return _rep(X.elements, Y.elements, method)
 
 
 def rep_diff(X: IntegerSet, Y: IntegerSet, *, method: str = "auto") -> RepFunction:
     """Counts of x - y = n; computed as sums against the reflected second set."""
-    return _pair_counts(X.elements, (-Y.elements)[::-1].copy(), method)
+    return _rep(X.elements, -Y.elements[::-1], method)
 
 
 # ---------------------------------------------------------------------------
@@ -250,25 +278,22 @@ def _dot(a: np.ndarray, b: np.ndarray) -> int:
 # ---------------------------------------------------------------------------
 
 def energy_sum_path(X: IntegerSet, Y: IntegerSet, *, method: str = "auto") -> EnergyReport:
-    """E(X,Y) as the sum of squared x+y representation counts."""
-    counts = rep_sum(X, Y, method=method).counts
-    value = _dot(counts, counts)
+    """E(X,Y) as the sum of squared x+y representation counts, block by block."""
+    xs, ys = X.elements, Y.elements
+    _, blocks, _ = _pair_counts(xs, ys, *_sum_window(xs, ys), method)
+    value = sum(_dot(counts, counts) for _, counts in blocks)
     return _report(value, "sum-identity", X, Y)
 
 
 def energy_diff_path(X: IntegerSet, Y: IntegerSet, *, method: str = "auto") -> EnergyReport:
-    """E(X,Y) as the correlation of the X-X and Y-Y difference counts."""
-    rx = rep_diff(X, X, method=method)
-    ry = rep_diff(Y, Y, method=method)
-    lo = max(rx.offset, ry.offset)
-    hi = min(rx.offset + len(rx.counts), ry.offset + len(ry.counts))
-    if lo >= hi:
-        value = 0
-    else:
-        value = _dot(
-            rx.counts[lo - rx.offset : hi - rx.offset],
-            ry.counts[lo - ry.offset : hi - ry.offset],
-        )
+    """E(X,Y) as the correlation of the X-X and Y-Y difference counts, block by block."""
+    xs, ys = X.elements, Y.elements
+    value = 0
+    if len(xs) and len(ys):
+        m = min(int(xs[-1] - xs[0]), int(ys[-1] - ys[0]))
+        _, rx, held = _pair_counts(xs, -xs[::-1], -m, m, method)
+        _, ry, _ = _pair_counts(ys, -ys[::-1], -m, m, method, held=held)
+        value = sum(_dot(a, b) for (_, a), (_, b) in zip(rx, ry))
     return _report(value, "diff-identity", X, Y)
 
 
@@ -283,10 +308,13 @@ def energy_bruteforce(X: IntegerSet, Y: IntegerSet) -> EnergyReport:
         return _report(0, "brute-force", X, Y)
     ys = Y.elements
     ylo, yhi = int(ys[0]), int(ys[-1])
+    rows = min(max(1, _CHUNK // nx), nx)
+    # the Y mask; per difference: int64 differences, candidates and kept
+    # candidates, two bound masks, their conjunction and the gathered bits
+    check_allocation(yhi - ylo + 1 + 28 * rows * nx, "brute-force energy")
     ymask = np.zeros(yhi - ylo + 1, dtype=bool)
     ymask[ys - ylo] = True
     value = 0
-    rows = max(1, _CHUNK // max(nx, 1))
     for i in range(0, nx, rows):
         diffs = (X.elements[i : i + rows, None] - X.elements[None, :]).ravel()
         for y1 in ys:

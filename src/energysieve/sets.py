@@ -7,6 +7,7 @@ are built together and never mutated.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 import warnings
@@ -112,13 +113,31 @@ def quadratic_image(a: int, b: int, c: int, N: int) -> IntegerSet:
         raise ValueError("leading coefficient must be nonzero (degenerate quadratic)")
     if N < 1:
         raise ValueError("N must be positive")
-    # any x with 1 <= q(x) <= N satisfies |a|x^2 <= |b||x| + |N-c| + |1-c|
-    reach = abs(N - c) + abs(1 - c)
-    span = math.isqrt(2 * reach // abs(a) + 1) + 2 * abs(b) + 4
-    xs = np.arange(-span, span + 1, dtype=np.int64)
-    vals = a * xs * xs + b * xs + c
-    vals = vals[(vals >= 1) & (vals <= N)]
-    return IntegerSet.from_elements(N, vals)
+    # With p = q for a > 0 and p = -q for a < 0, 1 <= q(x) <= N holds on the
+    # integers of {p <= t_hi} minus {p <= t_lo}: two nested intervals
+    if a > 0:
+        outer, inner = _at_most(a, b, c, N), _at_most(a, b, c, 0)
+    else:
+        outer, inner = _at_most(-a, -b, -c, -1), _at_most(-a, -b, -c, -N - 1)
+    if inner[0] > inner[1]:
+        xs = range(outer[0], outer[1] + 1)
+    else:
+        xs = itertools.chain(range(outer[0], inner[0]), range(inner[1] + 1, outer[1] + 1))
+    return IntegerSet.from_elements(N, (a * x * x + b * x + c for x in xs))
+
+
+def _at_most(a: int, b: int, c: int, t: int) -> tuple[int, int]:
+    """Bounds of the integers x with a x^2 + b x + c <= t, for a > 0.
+
+    They are ceil and floor of the real roots (-b -/+ sqrt(D)) / 2a,
+    D = b^2 - 4a(c - t); floor((m + sqrt(D)) / k) = floor((m + isqrt(D)) / k)
+    for integers m and k > 0, so both are exact.  Empty (lo > hi) if D < 0.
+    """
+    disc = b * b - 4 * a * (c - t)
+    if disc < 0:
+        return 1, 0
+    root = math.isqrt(disc)
+    return -((b + root) // (2 * a)), (root - b) // (2 * a)
 
 
 def sidon_set(p: int, N: int) -> IntegerSet:
@@ -180,6 +199,9 @@ def residue_avoiding_random(
         raise ValueError("N must be positive")
     if strategy not in ("qr", "uniform"):
         raise ValueError(f"unknown strategy {strategy!r}")
+    # the keep mask, and per prime the int64 values and residues and their
+    # gathered bits
+    check_allocation(18 * (N + 1), f"residue filter of [1, {N}]")
     rng = random.Random(seed)
     keep = np.ones(N + 1, dtype=bool)
     keep[0] = False

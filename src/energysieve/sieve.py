@@ -5,8 +5,9 @@ if every prime-power class count of A stays under the multiplicative ceiling,
 then |A|^2 / delta(v) <= sum over classes h mod v of |A(v;h)|^2, checked in
 exact rational arithmetic.  Second, the divisor sum
 sum_{1 <= u < v <= sqrt(N)} r_{A-A}(uv), computed both by direct product
-enumeration against a difference table and by an independent
-congruence-window scan; the two totals agree exactly, pair for pair.
+enumeration against a difference table (counted by the energy module's
+pair-counting core) and by an independent congruence-window scan that uses
+no table; the two totals agree exactly, pair for pair.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .arith import (
     sieve_primes,
     table_for,
 )
-from .limits import check_allocation
+from .energy import _pair_counts
 from .sets import IntegerSet, ResidueProfile, occupancy
 
 __all__ = [
@@ -42,10 +43,6 @@ __all__ = [
     "divisor_sum_partition",
     "divisor_growth_report",
 ]
-
-# dense difference tables beyond this value range fall back to a sparse view
-DENSE_DIFF_LIMIT = 2 * 10**7
-
 
 @dataclass(frozen=True)
 class SieveCheckResult:
@@ -119,61 +116,35 @@ def gallagher_bound(profiles: Sequence[ResidueProfile], N: int) -> float | None:
 # ---------------------------------------------------------------------------
 
 class DifferenceTable:
-    """r_{A-A}(d) for d >= 1, materialized once; dense or sparse by range."""
+    """r_{A-A}(d) for 1 <= d <= max_diff, counted once by `energy._pair_counts`.
+
+    Kept as a dense int32 table (a count is at most |A| - 1), or as each
+    block's nonzero entries when the table would be larger than that sparse
+    form can be: 4 bytes per d against 12 per positive difference.
+    """
 
     def __init__(self, A: IntegerSet, max_diff: int):
         self.max_diff = max_diff
-        elems = A.elements
-        if len(elems) < 2:
-            self._dense = np.zeros(1, dtype=np.int64)
-            self._values = np.zeros(0, dtype=np.int64)
-            self._counts = np.zeros(0, dtype=np.int64)
-            self.dense = True
+        xs = A.elements
+        pairs = len(xs) * (len(xs) - 1) // 2
+        self.dense = 4 * (max_diff + 1) <= 12 * pairs
+        hi = min(max_diff, int(xs[-1] - xs[0])) if pairs else 0
+        # dense: the table; sparse: the kept parts and then their concatenation
+        held = 4 * (max_diff + 1) if self.dense else 24 * pairs
+        _, blocks, _ = _pair_counts(xs, -xs[::-1], 1, hi, "auto", held=held)
+        if self.dense:
+            self._dense = np.zeros(max_diff + 1, dtype=np.int32)
+            for offset, counts in blocks:
+                self._dense[offset : offset + len(counts)] = counts
             return
-        self.dense = max_diff <= DENSE_DIFF_LIMIT
-        chunk = max(1, (1 << 22) // len(elems))
-        # Bytes live at the peak.  A chunk of `block` differences holds them in
-        # int64, a bool mask and the kept int64 values: 17 per entry.  Dense adds
-        # the table and one bincount result of its length.  Sparse adds the
-        # kept parts (8 per positive difference) beside the chunk, then at most
-        # 26 per positive difference: the parts and their concatenation (16);
-        # the sorted concatenation, a run-start mask and the distinct values
-        # (17); the mask and its extension, the values, run starts and run
-        # lengths (2 + 24).
-        block = min(chunk, len(elems)) * len(elems)
-        pairs = len(elems) * (len(elems) - 1) // 2
-        if self.dense:
-            nbytes = 17 * block + 16 * (max_diff + 1)
-        else:
-            nbytes = max(17 * block + 8 * pairs, 26 * pairs)
-        check_allocation(nbytes, "difference table")
-        if self.dense:
-            table = np.zeros(max_diff + 1, dtype=np.int64)
-            for i in range(0, len(elems), chunk):
-                d = (elems[i : i + chunk, None] - elems[None, :]).ravel()
-                d = d[(d > 0) & (d <= max_diff)]
-                table += np.bincount(d, minlength=max_diff + 1)
-            self._dense = table
-        else:
-            parts = []
-            for i in range(0, len(elems), chunk):
-                d = (elems[i : i + chunk, None] - elems[None, :]).ravel()
-                parts.append(d[(d > 0) & (d <= max_diff)])
-            del d
-            d = np.concatenate(parts)
-            del parts
-            d.sort()
-            first = np.empty(len(d), dtype=bool)
-            first[:1] = True
-            np.not_equal(d[1:], d[:-1], out=first[1:])
-            self._values = d[first]
-            del d
-            self._counts = np.diff(np.flatnonzero(np.append(first, True)))
+        parts = [(np.flatnonzero(c) + offset, c[c > 0].astype(np.int32)) for offset, c in blocks]
+        self._values = np.concatenate([np.zeros(0, dtype=np.int64)] + [v for v, _ in parts])
+        self._counts = np.concatenate([np.zeros(0, dtype=np.int32)] + [c for _, c in parts])
 
     def lookup(self, ds: np.ndarray) -> np.ndarray:
-        """Counts for an array of candidate differences in [1, max_diff]."""
+        """int64 counts for an array of candidate differences in [1, max_diff]."""
         if self.dense:
-            return self._dense[ds]
+            return self._dense[ds].astype(np.int64)
         if len(self._values) == 0:
             return np.zeros(len(ds), dtype=np.int64)
         idx = np.minimum(np.searchsorted(self._values, ds), len(self._values) - 1)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from energysieve import cli, correlation, energy
-from energysieve.energy import EnergyReport, RepFunction
+from energysieve.energy import EnergyReport
 from energysieve.sets import read_set, sidon_set, is_sidon
 
 
@@ -66,6 +66,34 @@ class TestGen:
         assert run("gen", "nonsense", "--N", "10", "--out", "x") == 2
 
 
+class TestResourceRefusals:
+    """Inputs whose tables would not fit exit 4 before allocating, without a traceback."""
+
+    def test_brute_force_far_apart_set(self, tmp_path, capsys):
+        a, b = tmp_path / "a.txt", tmp_path / "b.txt"
+        a.write_text("N=10\n1\n2\n")
+        b.write_text(f"N={10**11}\n1\n{10**11}\n")
+        assert run("energy", str(a), str(b), "--method", "brute") == 4
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_random_avoiding_huge_range(self, tmp_path, capsys):
+        out = tmp_path / "r.txt"
+        assert run("gen", "random-avoiding", "--N", "3000000000", "--P", "3",
+                   "--out", str(out)) == 4
+        assert "Traceback" not in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_quadratic_huge_linear_coefficient(self, tmp_path):
+        out = tmp_path / "q.txt"
+        # x^2 + 10^11 x is 0 at x = 0 and -10^11 and at least 10^11 + 1 elsewhere
+        assert run("gen", "quadratic", "--a", "1", "--b", str(10**11), "--N", "100",
+                   "--out", str(out)) == 0
+        assert list(read_set(out)) == []
+        assert run("gen", "quadratic", "--a", "1", "--b", str(10**11), "--c", "100",
+                   "--N", "100", "--out", str(out)) == 0
+        assert list(read_set(out)) == [100]
+
+
 class TestEnergy:
     def test_tiny_fixture(self, tmp_path):
         pair = tmp_path / "pair.txt"
@@ -116,8 +144,8 @@ class TestEnergy:
 
     def test_report_out_of_bounds_exit3(self, tmp_path, monkeypatch):
         path = write_squares(tmp_path, 16)
-        empty = RepFunction(offset=0, counts=np.zeros(1, dtype=np.int64))
-        monkeypatch.setattr(energy, "rep_sum", lambda X, Y, method="auto": empty)
+        empty = [(0, np.zeros(1, dtype=np.int64))]
+        monkeypatch.setattr(energy, "_pair_counts", lambda *args: ("direct", iter(empty), 0))
         assert run("energy", str(path), "--squares", "--method", "sum") == 3
 
 
@@ -212,6 +240,32 @@ class TestSweep:
                    "--out", str(b)) == 0
         strip = lambda p: [l.rsplit(",", 1)[0] for l in p.read_text().splitlines()]
         assert strip(a) == strip(b)
+
+    @pytest.mark.parametrize(
+        "jobs, cpus, workers",
+        [(64, 8, 3), (64, 2, 2), (2, 8, 2), (1, 8, None), (64, None, None), (64, 1, None)],
+    )
+    def test_jobs_clamped_to_rows_and_cpus(self, monkeypatch, capsys, jobs, cpus, workers):
+        made = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                made.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+        assert run("sweep", "ramanujan", "--grid", "100,200,300", "--jobs", str(jobs)) == 0
+        assert made == ([] if workers is None else [workers])
+        assert len(capsys.readouterr().out.splitlines()) == 4
 
     def test_csv_roundtrip_integers(self, tmp_path):
         out = tmp_path / "t.csv"

@@ -43,6 +43,29 @@ def iset(cap, elems):
     return IntegerSet.from_elements(cap, elems)
 
 
+def count_direct_oracle(xs, ys, lo, length):
+    """The former direct backend: a full-window bincount per 2^22-pair chunk."""
+    counts = np.zeros(length, dtype=np.int64)
+    step = max(1, (1 << 22) // len(ys))
+    for i in range(0, len(xs), step):
+        rows = (xs[i : i + step] - lo)[:, None]
+        counts += np.bincount((rows + ys[None, :]).ravel(), minlength=length)
+    return counts
+
+
+def streamed(xs, ys, lo, hi, method):
+    """The core's blocks over [lo, hi], checked to be consecutive, joined."""
+    backend, blocks, _ = energy._pair_counts(xs, ys, lo, hi, method)
+    parts = []
+    at = lo
+    for offset, counts in blocks:
+        assert offset == at and 0 < len(counts) <= energy._BLOCK
+        at += len(counts)
+        parts.append(counts)
+    assert at == max(lo, hi + 1)
+    return backend, np.concatenate([np.zeros(0, dtype=np.int64)] + parts)
+
+
 class TestRepFunctions:
     def test_rep_sum_pair(self):
         X = iset(2, [1, 2])
@@ -137,6 +160,67 @@ class TestBackends:
     def test_checked_accumulator_big_counts(self):
         big = np.full(5, 2**32, dtype=np.int64)
         assert _dot(big, big) == 5 * (2**64)
+
+
+class TestWindowedCore:
+    """The block-streaming core against the former direct backend, with `==`."""
+
+    CASES = {
+        "squares": lambda rng: (squares_up_to(10**6), squares_up_to(10**6)),
+        "random": lambda rng: (make_random_set(rng, 2 * 10**5, 900), make_random_set(rng, 10**5, 900)),
+        "random-squares": lambda rng: (make_random_set(rng, 10**5, 500), squares_up_to(3 * 10**5)),
+    }
+
+    @pytest.mark.parametrize("method", ["auto", "direct", "fft"])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    @pytest.mark.parametrize("diff", [False, True])
+    def test_windows_match_oracle(self, rng, method, case, diff):
+        X, Y = self.CASES[case](rng)
+        xs = X.elements
+        ys = -Y.elements[::-1] if diff else Y.elements
+        lo, hi = int(xs[0] + ys[0]), int(xs[-1] + ys[-1])
+        full = count_direct_oracle(xs, ys, lo, hi - lo + 1)
+        block = energy._BLOCK
+        windows = [
+            (lo, hi),                          # every sum, several blocks
+            (lo + block // 3, hi - block // 5),  # cuts the first and last blocks
+            (lo + block, lo + 2 * block - 1),  # exactly one block
+            (lo + 7, lo + 7),                  # one value
+            (lo + block + 1, lo + block + 1),
+            (hi, hi),
+            (lo + 5, lo + 4),                  # empty
+        ]
+        for a, b in windows:
+            backend, counts = streamed(xs, ys, a, b, method)
+            assert (counts == full[a - lo : b - lo + 1]).all(), (a, b)
+            if method != "auto":
+                assert backend == method or a > b
+
+    def test_reflected_window_is_symmetric(self, rng):
+        X = make_random_set(rng, 3 * 10**5, 400)
+        xs = X.elements
+        span = int(xs[-1] - xs[0])
+        _, counts = streamed(xs, -xs[::-1], -span, span, "direct")
+        assert (counts == counts[::-1]).all()
+        assert counts[span] == len(xs)
+
+    @pytest.mark.parametrize("path", [energy_sum_path, energy_diff_path])
+    @pytest.mark.parametrize("method", ["direct", "fft"])
+    @pytest.mark.parametrize("cap", [5 * 10**4, 10**6])  # one block of sums, then many
+    def test_streamed_paths_counted_bytes_cover_peak(self, monkeypatch, path, method, cap):
+        X = IntegerSet.from_elements(cap, random.Random(cap).sample(range(1, cap + 1), 2000))
+        Y = squares_up_to(cap)
+        expected = path(X, Y, method="direct" if method == "fft" else "fft").value
+        counted = []
+        monkeypatch.setattr(energy, "check_allocation", lambda nbytes, what: counted.append(nbytes))
+        tracemalloc.start()
+        try:
+            value = path(X, Y, method=method).value
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert value == expected
+        assert peak <= max(counted) + 2**16
 
 
 class TestDispatch:
@@ -280,6 +364,14 @@ class TestEnergyPaths:
             Xu = iset(X.cap * u, [e * u for e in X])
             Yu = iset(Y.cap * u, [e * u for e in Y])
             assert energy_sum_path(Xu, Yu).value == base
+
+    def test_brute_force_counts_its_mask(self, monkeypatch):
+        X = iset(10, [1, 2])
+        Y = iset(10**6, [1, 10**6])  # a Y mask of 10^6 bytes
+        assert energy_bruteforce(X, Y).value == 4
+        monkeypatch.setenv("ENERGYSIEVE_MEMORY_CAP", str(5 * 10**5))
+        with pytest.raises(ResourceLimitError):
+            energy_bruteforce(X, Y)
 
     def test_brute_guard(self):
         X = iset(3000, range(1, 2001))

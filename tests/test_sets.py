@@ -95,6 +95,39 @@ class TestQuadraticImage:
             assert list(quadratic_image(a, b, c, N)) == oracle
 
 
+    @pytest.mark.parametrize("a", [-3, -2, -1, 1, 2, 3])
+    def test_small_coefficients_against_scan(self, a):
+        for b in range(-9, 10):
+            for c in range(-30, 31, 3):
+                for N in (1, 2, 7, 40):
+                    scan = sorted(
+                        {a * x * x + b * x + c for x in range(-80, 81)} & set(range(1, N + 1))
+                    )
+                    assert list(quadratic_image(a, b, c, N)) == scan, (a, b, c, N)
+
+    @pytest.mark.parametrize(
+        "a, b, c, N, expected",
+        [
+            (1, 0, 1, 1, [1]),              # q = 1 at its vertex
+            (1, -4, 5, 10, [1, 2, 5, 10]),  # (x - 2)^2 + 1: roots of q = 1 and q = 10 integral
+            (1, 1, -1, 1, [1]),             # x^2 + x - 1 = 1 at x = 1 and x = -2
+            (-1, 0, 10, 10, [1, 6, 9, 10]), # 10 - x^2 = 1 at x = +-3 and = 10 at 0
+            (-2, 4, 1, 3, [1, 3]),          # vertex at q(1) = 3 = N
+            (2, 0, 0, 1, []),               # no value in [1, 1]
+            (-1, 0, 0, 5, []),              # never positive
+        ],
+    )
+    def test_roots_on_the_boundary(self, a, b, c, N, expected):
+        assert list(quadratic_image(a, b, c, N)) == expected
+
+    def test_huge_coefficients(self):
+        b = 10**11
+        assert list(quadratic_image(1, b, 0, 100)) == []
+        assert list(quadratic_image(1, b, 7, 100)) == [7]
+        assert list(quadratic_image(-1, 0, 10**18, 10**6)) == []
+        assert list(quadratic_image(-1, 0, 10**12 + 5, 10)) == [5]  # x = +-10^6
+
+
 class TestSidon:
     def test_examples(self):
         assert list(sidon_set(3, 20)) == [1, 8, 14]

@@ -20,6 +20,7 @@ from energysieve.sieve import (
     divisor_sum_partition,
     gallagher_bound,
 )
+import energysieve.sieve as sieve_module
 from conftest import make_random_set
 
 
@@ -259,36 +260,140 @@ class TestDivisorSums:
     def test_sparse_table_matches_dense(self, rng):
         import numpy as np
 
-        from energysieve.sieve import DENSE_DIFF_LIMIT
-
         A = make_random_set(rng, 1000, 60)
         dense = DifferenceTable(A, 1000)
-        sparse = DifferenceTable(A, DENSE_DIFF_LIMIT + 1)  # range forces sparse storage
+        # a dense table of 10^6 entries outweighs the sparse form of |A| <= 60
+        sparse = DifferenceTable(A, 10**6)
         assert dense.dense and not sparse.dense
         probe = np.arange(1, 1001, dtype=np.int64)
         assert (dense.lookup(probe) == sparse.lookup(probe)).all()
 
     @pytest.mark.parametrize("dense", [True, False])
-    @pytest.mark.parametrize("size", [800, 2500])  # one chunk of differences, then two
+    @pytest.mark.parametrize("size", [800, 2500])
     def test_counted_bytes_cover_peak(self, monkeypatch, dense, size):
         import random
         import tracemalloc
 
-        import energysieve.sieve as sieve
+        import energysieve.energy as energy
 
-        A = IntegerSet.from_elements(10**6, random.Random(size).sample(range(1, 10**6 + 1), size))
+        A = IntegerSet.from_elements(10**7, random.Random(size).sample(range(1, 10**7 + 1), size))
         counted = []
-        monkeypatch.setattr(sieve, "check_allocation", lambda nbytes, what: counted.append(nbytes))
-        if not dense:
-            monkeypatch.setattr(sieve, "DENSE_DIFF_LIMIT", 0)
+        monkeypatch.setattr(energy, "check_allocation", lambda nbytes, what: counted.append(nbytes))
+        # dense: one block of 5 * 10^5 entries; sparse (a table of 10^8 would
+        # outweigh it): every difference, three blocks
+        max_diff = 5 * 10**5 if dense else 10**8
         tracemalloc.start()
         try:
-            table = DifferenceTable(A, 10**6)
+            table = DifferenceTable(A, max_diff)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert table.dense == dense
         assert peak <= max(counted) + 2**16
+
+
+class DifferenceTableOracle:
+    """The former table, without its memory check: r_{A-A}(d), d >= 1, from
+    2^22-entry chunks of all differences; dense up to 2e7, sorted beyond."""
+
+    def __init__(self, A, max_diff):
+        self.max_diff = max_diff
+        elems = A.elements
+        if len(elems) < 2:
+            # the former table kept one entry here, which its callers never read
+            self._dense = np.zeros(max_diff + 1, dtype=np.int64)
+            self._values = np.zeros(0, dtype=np.int64)
+            self._counts = np.zeros(0, dtype=np.int64)
+            self.dense = True
+            return
+        self.dense = max_diff <= 2 * 10**7
+        chunk = max(1, (1 << 22) // len(elems))
+        if self.dense:
+            table = np.zeros(max_diff + 1, dtype=np.int64)
+            for i in range(0, len(elems), chunk):
+                d = (elems[i : i + chunk, None] - elems[None, :]).ravel()
+                d = d[(d > 0) & (d <= max_diff)]
+                table += np.bincount(d, minlength=max_diff + 1)
+            self._dense = table
+        else:
+            parts = []
+            for i in range(0, len(elems), chunk):
+                d = (elems[i : i + chunk, None] - elems[None, :]).ravel()
+                parts.append(d[(d > 0) & (d <= max_diff)])
+            del d
+            d = np.concatenate(parts)
+            del parts
+            d.sort()
+            first = np.empty(len(d), dtype=bool)
+            first[:1] = True
+            np.not_equal(d[1:], d[:-1], out=first[1:])
+            self._values = d[first]
+            del d
+            self._counts = np.diff(np.flatnonzero(np.append(first, True)))
+
+    def lookup(self, ds):
+        if self.dense:
+            return self._dense[ds]
+        if len(self._values) == 0:
+            return np.zeros(len(ds), dtype=np.int64)
+        idx = np.minimum(np.searchsorted(self._values, ds), len(self._values) - 1)
+        hit = self._values[idx] == ds
+        out = np.zeros(len(ds), dtype=np.int64)
+        out[hit] = self._counts[idx[hit]]
+        return out
+
+
+class TestDifferenceTable:
+    @pytest.mark.parametrize(
+        "cap, size, max_diff",
+        [
+            (10**6, 1000, 10**6),     # dense, the whole span: several blocks
+            (10**6, 1000, 150_001),   # dense, cuts the second block
+            (10**6, 1000, 1),         # dense, one value
+            (10**6, 30, 10**6),       # sparse, several blocks
+            (10**6, 30, 5 * 10**5 + 3),
+            (10**6, 1, 10**6),        # no differences
+            (10**6, 2, 10**6),
+        ],
+    )
+    def test_random_sets_match_oracle(self, cap, size, max_diff):
+        import random
+
+        A = IntegerSet.from_elements(cap, random.Random(size).sample(range(1, cap + 1), size))
+        table = DifferenceTable(A, max_diff)
+        oracle = DifferenceTableOracle(A, max_diff)
+        assert table.dense == (size > 30)
+        probe = np.arange(1, max_diff + 1, dtype=np.int64)
+        got = table.lookup(probe)
+        assert got.dtype == np.int64
+        assert (got == oracle.lookup(probe)).all()
+
+    @pytest.mark.parametrize("N", [10**4, 10**6, 4 * 10**6])
+    def test_squares_match_oracle(self, N):
+        S = squares_up_to(N)
+        for max_diff in (N, N // 3, 12):
+            probe = np.arange(1, max_diff + 1, dtype=np.int64)
+            assert (DifferenceTable(S, max_diff).lookup(probe) ==
+                    DifferenceTableOracle(S, max_diff).lookup(probe)).all()
+
+    def test_dense_set_uses_the_transform(self, monkeypatch):
+        import energysieve.energy as energy
+
+        rng = np.random.default_rng(3)
+        A = IntegerSet.from_elements(200_000, np.flatnonzero(rng.random(200_001) < 0.115)[1:])
+        backends = []
+        count = energy._pair_counts
+
+        def spy(*args, **kwargs):
+            out = count(*args, **kwargs)
+            backends.append(out[0])
+            return out
+
+        monkeypatch.setattr(sieve_module, "_pair_counts", spy)
+        table = DifferenceTable(A, A.cap)
+        assert backends == ["fft"] and table.dense
+        probe = np.arange(1, A.cap + 1, dtype=np.int64)
+        assert table.lookup(probe).sum() == len(A) * (len(A) - 1) // 2
 
 
 class TestGrowthReport:
