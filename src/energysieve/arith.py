@@ -376,9 +376,12 @@ def singular_series(eps: EpsilonSpec = EPS_ZERO, trunc_prime: int = 10**5) -> fl
     if trunc_prime < 2:
         raise ValueError("truncation bound must be at least 2")
     out = 1.0
-    for p in _shared_table(trunc_prime).primes:
-        p = int(p)
-        out *= (1.0 - 1.0 / p) ** 2 * (1.0 + 1.0 / float(delta_prime_power(p, 1, eps)))
+    for p in _shared_table(trunc_prime).primes.tolist():
+        e = eps.at(p)
+        num, den = e.numerator, e.denominator
+        # delta(p) = p/2 + eps(p) = (p den + 2 num) / (2 den); int true division
+        # rounds correctly, as float(delta_prime_power(p, 1, eps)) does
+        out *= (1.0 - 1.0 / p) ** 2 * (1.0 + 1.0 / ((p * den + 2 * num) / (2 * den)))
     return out
 
 

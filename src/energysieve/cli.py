@@ -12,7 +12,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import fields
 from fractions import Fraction
 
@@ -48,8 +47,8 @@ def _parse_grid(text: str) -> list[int]:
             raise ValueError(f"grid value {part!r} is not finite") from None
     if not out:
         raise ValueError("empty sweep grid")
-    if any(n < 1 for n in out):
-        raise ValueError("grid values must be positive")
+    if any(n < 2 for n in out):
+        raise ValueError("grid values must be at least 2: rows divide by log N")
     return sorted(set(out))
 
 
@@ -196,6 +195,9 @@ def _cmd_sweep(args) -> int:
     # a pool starts all its workers at once: no more than rows or CPUs
     workers = min(args.jobs, len(todo), os.cpu_count() or 1)
     if workers > 1:
+        # imported here: it pulls in multiprocessing, which start-up need not pay for
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_sweep_row, [args.experiment] * len(todo), todo,
                                     [args.set] * len(todo)))

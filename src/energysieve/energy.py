@@ -116,21 +116,34 @@ def _direct_blocks(xs: np.ndarray, ys: np.ndarray, lo: int, hi: int):
     """Counts of x + y over [lo, hi] in blocks of _BLOCK values.  One `searchsorted`
     per x gives its y range in the block (at most _BLOCK distinct y); the rows
     are gathered in groups of at most _BLOCK pairs, each counted by one bincount.
+    When `ys is xs` only the pairs x < y are gathered, and r(n) = 2c(n) + [n = 2x].
     """
+    after = np.arange(1, len(xs) + 1) if ys is xs else None  # index of the first y > x
     for start in range(lo, hi + 1, _BLOCK):
         length = min(_BLOCK, hi + 1 - start)
         left = np.searchsorted(ys, start - xs)
-        lens = np.searchsorted(ys, start + length - xs) - left
+        right = np.searchsorted(ys, start + length - xs)
+        if after is not None:
+            np.maximum(left, after, out=left)
+            np.maximum(right, left, out=right)
+        lens = right - left
         ends = np.cumsum(lens)
-        counts = np.zeros(length, dtype=np.int64)
+        counts = None
         i = done = 0
         while done < ends[-1]:
             j = int(np.searchsorted(ends, done + _BLOCK, side="right"))
             rows = lens[i:j]
             idx = np.repeat(left[i:j] - ends[i:j] + rows, rows) + np.arange(done, ends[j - 1])
             sums = ys[idx] + np.repeat(xs[i:j] - start, rows)
-            counts += np.bincount(sums, minlength=length)
+            group = np.bincount(sums, minlength=length)
+            counts = group if counts is None else np.add(counts, group, out=counts)
             i, done = j, int(ends[j - 1])
+        if counts is None:
+            counts = np.zeros(length, dtype=np.int64)
+        if after is not None:
+            counts *= 2
+            a, b = np.searchsorted(xs, [(start + 1) // 2, (start + length + 1) // 2])  # 2x in the block
+            counts[2 * xs[a:b] - start] += 1
         yield start, counts
 
 
@@ -144,13 +157,14 @@ def _count_fft(
     xs: np.ndarray, ys: np.ndarray, lo: int, length: int, size: int
 ) -> np.ndarray | None:
     """Integer convolution of the two indicator vectors; None if not verified.
+    When `ys is xs` one spectrum is made and squared.
 
     The rounded output must sit within 0.25 of the floats, be nonnegative, and
     match two exact identities of the pair counts: the total |X||Y| and the
     first moment sum (lo + i) counts[i] = |Y| sum(X) + |X| sum(Y).
     """
     spec = np.fft.rfft(_indicator(xs), size)
-    spec *= np.fft.rfft(_indicator(ys), size)
+    spec *= spec if ys is xs else np.fft.rfft(_indicator(ys), size)
     conv = np.fft.irfft(spec, size)[:length]
     del spec
     rounded = np.rint(conv)
@@ -178,13 +192,14 @@ def _exact_sum(v: np.ndarray) -> int:
 
 
 def _fft_bytes(xs: np.ndarray, ys: np.ndarray, size: int) -> int:
-    """Two complex spectra, the larger float input and the transform's padded
-    copy of it (held by the FFT library, so tracemalloc does not see it): the
-    peak is while the second spectrum is made.  Later stages hold at most two
-    arrays of `size` floats.
+    """The spectra (one when `ys is xs`), the larger float input and the
+    transform's padded copy of it (held by the FFT library, so tracemalloc
+    does not see it): the peak is while the last spectrum is made.  Later
+    stages hold at most two arrays of `size` floats.
     """
     span = max(int(xs[-1] - xs[0]), int(ys[-1] - ys[0])) + 1
-    return 32 * (size // 2 + 1) + 8 * size + 8 * span
+    spectra = 1 if ys is xs else 2
+    return 16 * spectra * (size // 2 + 1) + 8 * size + 8 * span
 
 
 def _pair_counts(xs: np.ndarray, ys: np.ndarray, lo: int, hi: int, method: str,
@@ -198,12 +213,16 @@ def _pair_counts(xs: np.ndarray, ys: np.ndarray, lo: int, hi: int, method: str,
     lies within the range of sums.  `held`, the bytes the caller keeps alive,
     is counted with the backend's working set against the cap.  `auto` runs
     the backend with the lower estimated cost; a transform that fails
-    verification falls back to direct counting.
+    verification falls back to direct counting.  A set paired with itself
+    (equal arrays) is counted once: each unordered pair directly, one
+    spectrum by the transform.
     """
     if method not in ("auto", "direct", "fft"):
         raise ValueError(f"unknown counting method {method!r}")
     if lo > hi:
         return "direct", iter(()), 0
+    if _same(xs, ys):
+        ys = xs
     first = int(xs[0] + ys[0])
     length = int(xs[-1] + ys[-1]) - first + 1
     size = 1 << (length - 1).bit_length()
@@ -214,8 +233,13 @@ def _pair_counts(xs: np.ndarray, ys: np.ndarray, lo: int, hi: int, method: str,
         # 9e8; 2-CPU x86-64, numpy 2.4): direct pays about 10 ns per pair in
         # the window and 4 ns per window value, FFT about 6 ns per
         # size * log2(size) of the padded transform (4.4 at 2^17, 7.5 at 2^25).
+        # A set paired with itself gathers half the pairs and makes two
+        # transforms instead of three.
         direct_cost = 10 * pairs + 4 * (hi - lo + 1)
         fft_cost = 6 * size * (size.bit_length() - 1)
+        if ys is xs:
+            direct_cost -= 5 * pairs
+            fft_cost = fft_cost * 2 // 3
         method = "fft" if fft_cost < direct_cost else "direct"
 
     backend = "direct"
@@ -232,6 +256,11 @@ def _pair_counts(xs: np.ndarray, ys: np.ndarray, lo: int, hi: int, method: str,
     nbytes = 24 * min(_BLOCK, hi - lo + 1) + 48 * min(_BLOCK, pairs) + 64 * len(xs)
     check_allocation(held + nbytes, "direct pair counting")
     return backend, _direct_blocks(xs, ys, lo, hi), nbytes
+
+
+def _same(xs: np.ndarray, ys: np.ndarray) -> bool:
+    """Whether two sorted arrays hold the same elements."""
+    return xs is ys or np.array_equal(xs, ys)
 
 
 def _sum_window(xs: np.ndarray, ys: np.ndarray) -> tuple[int, int]:
@@ -273,6 +302,13 @@ def _dot(a: np.ndarray, b: np.ndarray) -> int:
     return sum(int(x) * int(y) for x, y in zip(a, b) if x and y)
 
 
+def _block_dots(pairs, bound: int) -> int:
+    """Sum of a . b over aligned blocks (a, b) whose entries multiply to at most
+    `bound`: np.dot when no block of _BLOCK values can overflow int64, else _dot."""
+    dot = np.dot if _BLOCK * bound < 2**63 else _dot
+    return sum(int(dot(a, b)) for a, b in pairs)
+
+
 # ---------------------------------------------------------------------------
 # The three energy routes
 # ---------------------------------------------------------------------------
@@ -281,19 +317,26 @@ def energy_sum_path(X: IntegerSet, Y: IntegerSet, *, method: str = "auto") -> En
     """E(X,Y) as the sum of squared x+y representation counts, block by block."""
     xs, ys = X.elements, Y.elements
     _, blocks, _ = _pair_counts(xs, ys, *_sum_window(xs, ys), method)
-    value = sum(_dot(counts, counts) for _, counts in blocks)
+    # a sum count is at most min(|X|, |Y|)
+    value = _block_dots(((c, c) for _, c in blocks), min(len(xs), len(ys)) ** 2)
     return _report(value, "sum-identity", X, Y)
 
 
 def energy_diff_path(X: IntegerSet, Y: IntegerSet, *, method: str = "auto") -> EnergyReport:
-    """E(X,Y) as the correlation of the X-X and Y-Y difference counts, block by block."""
+    """E(X,Y) as the correlation of the X-X and Y-Y difference counts, block by
+    block; X-X is counted once when Y holds the same elements."""
     xs, ys = X.elements, Y.elements
     value = 0
     if len(xs) and len(ys):
         m = min(int(xs[-1] - xs[0]), int(ys[-1] - ys[0]))
         _, rx, held = _pair_counts(xs, -xs[::-1], -m, m, method)
-        _, ry, _ = _pair_counts(ys, -ys[::-1], -m, m, method, held=held)
-        value = sum(_dot(a, b) for (_, a), (_, b) in zip(rx, ry))
+        if _same(xs, ys):
+            pairs = ((a, a) for _, a in rx)
+        else:
+            _, ry, _ = _pair_counts(ys, -ys[::-1], -m, m, method, held=held)
+            pairs = ((a, b) for (_, a), (_, b) in zip(rx, ry))
+        # a difference count of X is at most |X|, of Y at most |Y|
+        value = _block_dots(pairs, len(xs) * len(ys))
     return _report(value, "diff-identity", X, Y)
 
 

@@ -51,11 +51,12 @@ class IntegerSet:
     def from_elements(cls, cap: int, elements: Iterable[int]) -> "IntegerSet":
         if cap < 1:
             raise ValueError("cap must be a positive integer")
+        # before the elements are drawn: a generator over a huge range is refused at once
+        check_allocation(cap + 1, f"membership mask for cap {cap}")
         arr = np.asarray(sorted(set(int(e) for e in elements)), dtype=np.int64)
         if len(arr) and (arr[0] < 1 or arr[-1] > cap):
             bad = int(arr[0]) if arr[0] < 1 else int(arr[-1])
             raise ValueError(f"element {bad} outside [1, {cap}]")
-        check_allocation(cap + 1, f"membership mask for cap {cap}")
         mask = np.zeros(cap + 1, dtype=bool)
         mask[arr] = True
         return cls(cap=cap, elements=arr, mask=mask)
@@ -104,6 +105,7 @@ def squares_up_to(N: int) -> IntegerSet:
     if N < 1:
         raise ValueError("N must be positive")
     r = math.isqrt(N)
+    check_allocation(N + 1 + 8 * r, f"squares up to {N}")  # the mask and the squares
     return IntegerSet.from_elements(N, np.arange(1, r + 1, dtype=np.int64) ** 2)
 
 

@@ -118,22 +118,25 @@ def gallagher_bound(profiles: Sequence[ResidueProfile], N: int) -> float | None:
 class DifferenceTable:
     """r_{A-A}(d) for 1 <= d <= max_diff, counted once by `energy._pair_counts`.
 
-    Kept as a dense int32 table (a count is at most |A| - 1), or as each
-    block's nonzero entries when the table would be larger than that sparse
-    form can be: 4 bytes per d against 12 per positive difference.
+    Kept as a dense table, or as each block's nonzero entries when the table
+    would be larger than that sparse form can be: 2 or 4 bytes per d against
+    12 per positive difference.  A count is at most |A| - 1, so the dense
+    table is uint16 up to |A| = 65536 and int32 beyond.
     """
 
     def __init__(self, A: IntegerSet, max_diff: int):
         self.max_diff = max_diff
         xs = A.elements
         pairs = len(xs) * (len(xs) - 1) // 2
-        self.dense = 4 * (max_diff + 1) <= 12 * pairs
+        dtype = np.uint16 if len(xs) <= 1 << 16 else np.int32
+        table_bytes = np.dtype(dtype).itemsize * (max_diff + 1)
+        self.dense = table_bytes <= 12 * pairs
         hi = min(max_diff, int(xs[-1] - xs[0])) if pairs else 0
         # dense: the table; sparse: the kept parts and then their concatenation
-        held = 4 * (max_diff + 1) if self.dense else 24 * pairs
+        held = table_bytes if self.dense else 24 * pairs
         _, blocks, _ = _pair_counts(xs, -xs[::-1], 1, hi, "auto", held=held)
         if self.dense:
-            self._dense = np.zeros(max_diff + 1, dtype=np.int32)
+            self._dense = np.zeros(max_diff + 1, dtype=dtype)
             for offset, counts in blocks:
                 self._dense[offset : offset + len(counts)] = counts
             return

@@ -331,6 +331,22 @@ class TestSingularSeries:
     def test_truncation_converged(self):
         assert abs(singular_series(EPS_ZERO, 10**5) - singular_series(EPS_ZERO, 10**4)) < 1e-4
 
+    @pytest.mark.parametrize(
+        "eps",
+        [
+            EPS_ZERO,
+            EPS_HALF,
+            EpsilonSpec(Fraction(1, 3), ((2, Fraction(5, 7)), (7, Fraction(0)), (99991, Fraction(2)))),
+        ],
+    )
+    @pytest.mark.parametrize("trunc", [2, 3, 1000, 10**5])
+    def test_equals_fraction_loop(self, eps, trunc):
+        # the former product: one Fraction delta(p) per prime, rounded by float()
+        out = 1.0
+        for p in sieve_primes(trunc):
+            out *= (1.0 - 1.0 / p) ** 2 * (1.0 + 1.0 / float(delta_prime_power(p, 1, eps)))
+        assert singular_series(eps, trunc) == out
+
 
 class TestSeriesTable:
     def test_columns_consistent(self):

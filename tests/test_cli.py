@@ -1,6 +1,10 @@
+import concurrent.futures
 import csv
 import json
+import os
 import re
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -261,7 +265,7 @@ class TestSweep:
             def map(self, fn, *iterables):
                 return map(fn, *iterables)
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
         assert run("sweep", "ramanujan", "--grid", "100,200,300", "--jobs", str(jobs)) == 0
         assert made == ([] if workers is None else [workers])
@@ -377,5 +381,90 @@ def test_csv_rows_equal_json_rows():
             csv_rows, payload = outputs(["sieve", str(path), "--divisor-sum"])
             assert csv_rows == as_text(payload["rows"])
             assert payload["total"] == payload["direct"]
+
+    check()
+
+
+def test_import_starts_no_process_machinery():
+    # a sweep imports the pool only when it makes one; every CLI run is a new process
+    code = (
+        "import sys, energysieve.cli; "
+        "print(sorted(m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules))"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=60)
+    assert out.stdout.strip() == "[]"
+
+
+# Values for every integer option and grid point: small, boundary, negative,
+# huge, and not integers at all.
+CLI_VALUES = ["-7", "-1", "0", "1", "2", "3", "16", "100", "30030", "1000000007",
+              "9223372036854775808", "1" + "0" * 30, "1e3", "abc", "", "1/2", "inf", "nan"]
+CLI_EPS = ["0", "1/2", "-1", "abc", "1/0", "1e400", "{eps}", "{badeps}", "{missing}"]
+CLI_FILES = ["{sq16}", "{sidon}", "{single}", "{missing}", "{bad}", "{empty}", "{outside}",
+             "{huge}", "{binary}", "{dir}"]
+CLI_OUTS = ["{out}", "{dir}", "{nodir}"]
+CLI_FILE_TEXT = {
+    "sq16": "N=16\n1\n4\n9\n16\n", "sidon": "N=60\n1\n13\n27\n48\n58\n", "single": "N=5\n3\n",
+    "bad": "N=abc\n1\n", "empty": "", "outside": "N=10\n11\n", "huge": "N=" + "9" * 30 + "\n5\n",
+    "eps": "default=1/2\n3=1\n", "badeps": "default=\nx=1\n",
+}
+
+
+def test_every_invocation_exits_with_a_contract_code(tmp_path, monkeypatch):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    # small caps: huge sizes are refused (exit 4) instead of allocated
+    monkeypatch.setenv("ENERGYSIEVE_MEMORY_CAP", str(1 << 24))
+    monkeypatch.setenv("ENERGYSIEVE_MAX_N", str(10**5))
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 1)  # no worker processes
+    paths = {}
+    for name, text in CLI_FILE_TEXT.items():
+        (tmp_path / name).write_text(text)
+        paths[name] = str(tmp_path / name)
+    (tmp_path / "binary").write_bytes(b"N=5\n\xff\xfe\n")
+    paths.update(binary=str(tmp_path / "binary"), missing=str(tmp_path / "missing"),
+                 dir=str(tmp_path), nodir=str(tmp_path / "no" / "out.txt"),
+                 out=str(tmp_path / "out.txt"))
+
+    def opt(flag, values):
+        return st.one_of(st.just([]), st.sampled_from(values).map(lambda v: [flag, v]))
+
+    def one(values):
+        return st.sampled_from(values).map(lambda v: [v])
+
+    fmt, out = opt("--format", ["csv", "json", "xml"]), opt("--out", CLI_OUTS)
+    grid = st.lists(st.sampled_from(CLI_VALUES), max_size=3).map(",".join)
+    commands = st.one_of(
+        st.tuples(
+            st.just(["gen"]), st.sampled_from([["squares"], ["sidon"], ["quadratic"],
+                                               ["random-avoiding"], ["other"], []]),
+            *(opt(f, CLI_VALUES) for f in ("--N", "--p", "--a", "--b", "--c", "--P", "--seed")),
+            opt("--eps", CLI_EPS), opt("--strategy", ["qr", "uniform", "other"]), out,
+        ),
+        st.tuples(
+            st.just(["energy"]), one(CLI_FILES), st.one_of(st.just([]), one(CLI_FILES)),
+            st.sampled_from([[], ["--squares"]]),
+            opt("--method", ["sum", "diff", "brute", "all", "other"]), fmt, out,
+        ),
+        st.tuples(
+            st.just(["sieve"]), one(CLI_FILES),
+            st.one_of(opt("--check-v", CLI_VALUES), opt("--gallagher", CLI_VALUES),
+                      st.just(["--divisor-sum"]), st.just(["--divisor-sum", "--check-v", "3"])),
+            opt("--eps", CLI_EPS), fmt, out,
+        ),
+        st.tuples(
+            st.just(["sweep"]), st.sampled_from([["theorem"], ["ramanujan"], ["sidon"], ["other"]]),
+            st.one_of(st.just([]), grid.map(lambda g: ["--grid", g])), opt("--set", CLI_FILES),
+            opt("--seed", CLI_VALUES), opt("--jobs", CLI_VALUES), fmt, out,
+        ),
+    ).map(lambda parts: [a.format(**paths) for part in parts for a in part])
+
+    @hypothesis.settings(max_examples=150, deadline=None, derandomize=True,
+                         suppress_health_check=list(hypothesis.HealthCheck))
+    @hypothesis.given(commands)
+    def check(argv):
+        assert run(*argv) in (0, 2, 3, 4), argv
 
     check()

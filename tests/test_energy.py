@@ -161,6 +161,13 @@ class TestBackends:
         big = np.full(5, 2**32, dtype=np.int64)
         assert _dot(big, big) == 5 * (2**64)
 
+    def test_block_sums_fall_back_when_a_block_could_overflow(self):
+        big = np.full(5, 2**32, dtype=np.int64)
+        # entries multiply to 2^64: the per-call bound selects the checked _dot
+        assert energy._block_dots([(big, big), (big[:2], big[:2])], 2**64) == 7 * 2**64
+        small = np.arange(5, dtype=np.int64)
+        assert energy._block_dots([(small, small)], 16) == 30
+
 
 class TestWindowedCore:
     """The block-streaming core against the former direct backend, with `==`."""
@@ -203,6 +210,76 @@ class TestWindowedCore:
         _, counts = streamed(xs, -xs[::-1], -span, span, "direct")
         assert (counts == counts[::-1]).all()
         assert counts[span] == len(xs)
+
+    @pytest.mark.parametrize("method", ["auto", "direct", "fft"])
+    @pytest.mark.parametrize("case", ["random", "squares"])
+    def test_self_pairs_match_oracle(self, rng, method, case):
+        X = make_random_set(rng, 2 * 10**5, 900) if case == "random" else squares_up_to(10**6)
+        xs = X.elements
+        lo, hi = 2 * int(xs[0]), 2 * int(xs[-1])
+        full = count_direct_oracle(xs, xs, lo, hi - lo + 1)
+        block = energy._BLOCK
+        windows = [
+            (lo, hi),
+            (lo + block // 3, hi - block // 5),
+            (lo + block, lo + 2 * block - 1),
+            (lo + 7, lo + 7),
+            (lo + block + 1, lo + block + 1),
+            (hi, hi),
+            (lo + 5, lo + 4),
+        ]
+        for ys in (xs, xs.copy()):  # the same array, and an equal one
+            for a, b in windows:
+                backend, counts = streamed(xs, ys, a, b, method)
+                assert (counts == full[a - lo : b - lo + 1]).all(), (a, b)
+                if method != "auto":
+                    assert backend == method or a > b
+
+    @pytest.mark.parametrize("method", ["direct", "fft"])
+    @pytest.mark.parametrize("same", [True, False])  # the same array, or an equal copy
+    def test_self_pairs_counted_once(self, monkeypatch, rng, method, same):
+        X = make_random_set(rng, 3 * 10**5, 700)
+        xs = X.elements
+        lo, hi = 2 * int(xs[0]), 2 * int(xs[-1])
+        full = count_direct_oracle(xs, xs, lo, hi - lo + 1)
+        gathered, transforms = [], []
+        bincount, rfft = np.bincount, np.fft.rfft
+
+        def counting(values, minlength):
+            gathered.append(len(values))
+            return bincount(values, minlength=minlength)
+
+        def transform(*args):
+            transforms.append(len(args[0]))
+            return rfft(*args)
+
+        monkeypatch.setattr(np, "bincount", counting)
+        monkeypatch.setattr(np.fft, "rfft", transform)
+        backend, counts = streamed(xs, xs if same else xs.copy(), lo, hi, method)
+        assert backend == method
+        assert (counts == full).all()
+        n = len(xs)
+        if method == "direct":
+            assert sum(gathered) == n * (n - 1) // 2  # each pair x < y once
+        else:
+            assert len(transforms) == 1
+
+    @pytest.mark.parametrize("path", [energy_sum_path, energy_diff_path])
+    @pytest.mark.parametrize("method", ["direct", "fft"])
+    @pytest.mark.parametrize("cap", [5 * 10**4, 10**6])  # one block of sums, then many
+    def test_self_paths_counted_bytes_cover_peak(self, monkeypatch, path, method, cap):
+        X = IntegerSet.from_elements(cap, random.Random(cap).sample(range(1, cap + 1), 2000))
+        expected = path(X, X, method="direct" if method == "fft" else "fft").value
+        counted = []
+        monkeypatch.setattr(energy, "check_allocation", lambda nbytes, what: counted.append(nbytes))
+        tracemalloc.start()
+        try:
+            value = path(X, X, method=method).value
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert value == expected
+        assert peak <= max(counted) + 2**16
 
     @pytest.mark.parametrize("path", [energy_sum_path, energy_diff_path])
     @pytest.mark.parametrize("method", ["direct", "fft"])
@@ -287,6 +364,24 @@ class TestDispatch:
         assert rep.backend == "fft-fallback"
         assert (rep.counts == rep_sum(X, X, method="direct").counts).all()
 
+    def test_corrupted_self_spectrum_falls_back(self, monkeypatch):
+        X = IntegerSet.from_elements(5000, random.Random(7).sample(range(1, 5001), 400))
+        rfft = np.fft.rfft
+        made = []
+
+        def shifted(f, n):
+            # the indicator moved up one place: squared, every count moves up
+            # two, with the same rounding, signs and (if none leaves) total
+            spec = rfft(f, n)
+            made.append(n)
+            return spec * np.exp(-2j * np.pi * np.arange(len(spec)) / n)
+
+        monkeypatch.setattr(np.fft, "rfft", shifted)
+        rep = rep_sum(X, X, method="fft")
+        assert len(made) == 1
+        assert rep.backend == "fft-fallback"
+        assert (rep.counts == rep_sum(X, X, method="direct").counts).all()
+
     @pytest.mark.parametrize("method", ["direct", "fft"])
     @pytest.mark.parametrize("size", [300, 3000])  # one chunk of sums, then three
     def test_counted_bytes_cover_peak(self, monkeypatch, method, size):
@@ -337,6 +432,21 @@ class TestEnergyPaths:
             b = energy_diff_path(X, Y).value
             c = energy_bruteforce(X, Y).value
             assert a == b == c
+
+    @pytest.mark.parametrize("method", ["auto", "direct", "fft"])
+    def test_self_energy_matches_oracles(self, rng, method):
+        sets = [make_random_set(rng, 60, 12) for _ in range(12)]
+        sets += [iset(9, [5]), iset(2, [1, 2]), squares_up_to(400)]
+        for X in sets:
+            xs = list(X)
+            expected = energy_oracle(xs, xs)
+            reps = rep_oracle(xs, xs, lambda x, y: x + y)
+            for Y in (X, iset(X.cap, xs)):  # the same set, and an equal one
+                rep = rep_sum(X, Y, method=method)
+                assert {rep.offset + int(i): int(rep.counts[i]) for i in np.flatnonzero(rep.counts)} == reps
+                assert energy_sum_path(X, Y, method=method).value == expected
+                assert energy_diff_path(X, Y, method=method).value == expected
+                assert energy_bruteforce(X, Y).value == expected
 
     def test_matches_quadruple_oracle(self, rng):
         for _ in range(15):

@@ -292,6 +292,32 @@ class TestDivisorSums:
         assert peak <= max(counted) + 2**16
 
 
+    @pytest.mark.parametrize("size, dtype", [(65536, np.uint16), (65537, np.int32)])
+    def test_table_dtype_counted_bytes_cover_peak(self, monkeypatch, size, dtype):
+        import tracemalloc
+
+        import energysieve.energy as energy
+
+        # {1, ..., size}: r(d) = size - d, so r(1) = size - 1 is the largest
+        # count the dtype must hold (65535 in uint16, 65536 needs int32)
+        A = IntegerSet.from_elements(size, range(1, size + 1))
+        counted = []
+        monkeypatch.setattr(energy, "check_allocation", lambda nbytes, what: counted.append(nbytes))
+        max_diff = 10**7  # the table outweighs the transform's working set
+        tracemalloc.start()
+        try:
+            table = DifferenceTable(A, max_diff)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert table.dense and table._dense.dtype == dtype
+        assert peak <= max(counted) + 2**16
+        probe = np.append(np.arange(1, size + 2, dtype=np.int64), max_diff)
+        got = table.lookup(probe)
+        assert got.dtype == np.int64
+        assert (got == np.maximum(size - probe, 0)).all()
+
+
 class DifferenceTableOracle:
     """The former table, without its memory check: r_{A-A}(d), d >= 1, from
     2^22-entry chunks of all differences; dense up to 2e7, sorted beyond."""
