@@ -3,7 +3,7 @@
 Outputs are CSV by default (JSON mirrors under --format json) and are
 byte-deterministic for a fixed seed, except for the seconds column of sweep
 rows.  Exit codes: 0 success, 2 usage or parse failure, 3 internal invariant
-violation, 4 resource cap exceeded.
+violation, 4 resource cap exceeded or memory exhausted.
 """
 
 from __future__ import annotations
@@ -289,6 +289,9 @@ def main(argv=None) -> int:
         return INVARIANT_EXIT
     except ResourceLimitError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
+        return RESOURCE_EXIT
+    except MemoryError as exc:  # an allocation that no cap check foresaw
+        print("resource limit:", str(exc) or "out of memory", file=sys.stderr)
         return RESOURCE_EXIT
     except (SetFileError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -324,19 +324,23 @@ def energy_sum_path(X: IntegerSet, Y: IntegerSet, *, method: str = "auto") -> En
 
 def energy_diff_path(X: IntegerSet, Y: IntegerSet, *, method: str = "auto") -> EnergyReport:
     """E(X,Y) as the correlation of the X-X and Y-Y difference counts, block by
-    block; X-X is counted once when Y holds the same elements."""
+    block; X-X is counted once when Y holds the same elements.
+
+    r(-d) = r(d) and r(0) is the set's size, so only d in [1, m] is counted:
+    E = |X||Y| + 2 sum_{d >= 1} r_X(d) r_Y(d).
+    """
     xs, ys = X.elements, Y.elements
     value = 0
     if len(xs) and len(ys):
         m = min(int(xs[-1] - xs[0]), int(ys[-1] - ys[0]))
-        _, rx, held = _pair_counts(xs, -xs[::-1], -m, m, method)
+        _, rx, held = _pair_counts(xs, -xs[::-1], 1, m, method)
         if _same(xs, ys):
             pairs = ((a, a) for _, a in rx)
         else:
-            _, ry, _ = _pair_counts(ys, -ys[::-1], -m, m, method, held=held)
+            _, ry, _ = _pair_counts(ys, -ys[::-1], 1, m, method, held=held)
             pairs = ((a, b) for (_, a), (_, b) in zip(rx, ry))
         # a difference count of X is at most |X|, of Y at most |Y|
-        value = _block_dots(pairs, len(xs) * len(ys))
+        value = len(xs) * len(ys) + 2 * _block_dots(pairs, len(xs) * len(ys))
     return _report(value, "diff-identity", X, Y)
 
 

@@ -1,12 +1,13 @@
 """Integer sets in [1, N]: constructions, residue diagnostics, and file I/O.
 
-A set carries both a sorted element array (for iteration and windowed scans)
-and a 0/1 membership mask indexed by value (for O(1) lookups); the two views
-are built together and never mutated.
+A set is a sorted element array (for iteration and windowed scans).  Its 0/1
+membership mask indexed by value (for O(1) lookups) is built on the first
+membership test and kept; neither view is ever mutated.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -37,29 +38,40 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class IntegerSet:
-    """Immutable set of integers in [1, cap] with sorted-array and mask views."""
+    """Immutable set of integers in [1, cap]: sorted elements and a lazy mask view."""
 
     cap: int
     elements: np.ndarray
-    mask: np.ndarray
 
     def __post_init__(self):
         self.elements.setflags(write=False)
-        self.mask.setflags(write=False)
+
+    @functools.cached_property
+    def mask(self) -> np.ndarray:
+        """Read-only bools over [0, cap], True at the elements; built on first use
+        (its cap + 1 bytes were checked against the cap at construction)."""
+        mask = np.zeros(self.cap + 1, dtype=bool)
+        mask[self.elements] = True
+        mask.setflags(write=False)
+        return mask
 
     @classmethod
     def from_elements(cls, cap: int, elements: Iterable[int]) -> "IntegerSet":
         if cap < 1:
             raise ValueError("cap must be a positive integer")
-        # before the elements are drawn: a generator over a huge range is refused at once
+        # before the elements are drawn: a generator over a huge range is refused
+        # at once, and the mask that a membership test builds later is approved
         check_allocation(cap + 1, f"membership mask for cap {cap}")
-        arr = np.asarray(sorted(set(int(e) for e in elements)), dtype=np.int64)
-        if len(arr) and (arr[0] < 1 or arr[-1] > cap):
-            bad = int(arr[0]) if arr[0] < 1 else int(arr[-1])
-            raise ValueError(f"element {bad} outside [1, {cap}]")
-        mask = np.zeros(cap + 1, dtype=bool)
-        mask[arr] = True
-        return cls(cap=cap, elements=arr, mask=mask)
+        if isinstance(elements, np.ndarray) and elements.ndim == 1 and elements.dtype.kind in "iu":
+            # increasing input, as the constructions give, is copied but not sorted
+            increasing = bool((elements[1:] > elements[:-1]).all())
+            arr = elements.copy() if increasing else np.unique(elements)
+        else:
+            arr = np.asarray(sorted(set(int(e) for e in elements)), dtype=np.int64)
+        lo, hi = (int(arr[0]), int(arr[-1])) if len(arr) else (1, cap)
+        if lo < 1 or hi > cap:
+            raise ValueError(f"element {lo if lo < 1 else hi} outside [1, {cap}]")
+        return cls(cap=cap, elements=arr.astype(np.int64, copy=False))
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -92,8 +104,15 @@ def occupancy(A: IntegerSet, v: int) -> ResidueProfile:
     """Exact per-class counts of A modulo v and the number of occupied classes."""
     if v < 1:
         raise ValueError("modulus must be positive")
-    counts = np.bincount(A.elements % v, minlength=v).astype(np.int64)
-    return ResidueProfile(modulus=v, counts=counts, occupancy=int((counts > 0).sum()))
+    residues = A.elements % v
+    if v <= len(residues):
+        counts = np.bincount(residues, minlength=v).astype(np.int64)
+        return ResidueProfile(modulus=v, counts=counts, occupancy=int((counts > 0).sum()))
+    # more classes than elements: work over the occupied classes only
+    occupied, sizes = np.unique(residues, return_counts=True)
+    counts = np.zeros(v, dtype=np.int64)
+    counts[occupied] = sizes
+    return ResidueProfile(modulus=v, counts=counts, occupancy=len(occupied))
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +263,35 @@ def mod4_restrict(A: IntegerSet) -> IntegerSet:
 # File format: `N=<cap>` header, one element per line, `#` comments
 # ---------------------------------------------------------------------------
 
+_WRITE_SLICE = 1 << 12  # elements formatted per write
+
+
+def _read_plain(path) -> tuple[int, np.ndarray] | None:
+    """(cap, elements) of a file in the form `write_set` writes, parsed in one
+    numpy pass; None for any other file.
+
+    That form is an `N=<digits>` header with a positive cap, then one integer
+    per newline-terminated line: ASCII digits with no leading zero, strictly
+    increasing, at most the cap and below 10^18 (so that none overflows int64).
+    """
+    with open(path, "rb") as fh:
+        header, newline, body = fh.read().partition(b"\n")
+    if not (newline and header.startswith(b"N=") and header[2:].isdigit()):
+        return None
+    cap = int(header[2:])
+    if (cap < 1 or body.translate(None, b"0123456789\n") or body.startswith((b"\n", b"0"))
+            or b"\n\n" in body or b"\n0" in body or (body and not body.endswith(b"\n"))):
+        return None
+    values = np.fromstring(body, dtype=np.int64, sep="\n")
+    if len(values) and (values[-1] > min(cap, 10**18 - 1) or (values[1:] <= values[:-1]).any()):
+        return None
+    return cap, values
+
+
 def read_set(path) -> IntegerSet:
+    plain = _read_plain(path)
+    if plain is not None:
+        return IntegerSet.from_elements(*plain)
     with open(path, encoding="utf-8") as fh:
         cap = None
         elements: list[int] = []
@@ -286,5 +333,6 @@ def write_set(A: IntegerSet, path) -> None:
     """Writes sorted, deduplicated, newline-terminated; round-trips exactly."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"N={A.cap}\n")
-        for e in A.elements:
-            fh.write(f"{int(e)}\n")
+        # in slices, so the text held at once stays small for any set
+        for i in range(0, len(A), _WRITE_SLICE):
+            fh.write("\n".join(map(str, A.elements[i : i + _WRITE_SLICE].tolist())) + "\n")

@@ -87,6 +87,18 @@ class TestResourceRefusals:
         assert "Traceback" not in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("message, line", [
+        ("Unable to allocate 8.00 EiB for an array", "Unable to allocate 8.00 EiB for an array"),
+        ("", "out of memory"),
+    ])
+    def test_memory_error_exits_4(self, tmp_path, monkeypatch, capsys, message, line):
+        def exhausted(N):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli.sets, "squares_up_to", exhausted)
+        assert run("gen", "squares", "--N", "100", "--out", str(tmp_path / "s.txt")) == 4
+        assert capsys.readouterr().err == f"resource limit: {line}\n"
+
     def test_quadratic_huge_linear_coefficient(self, tmp_path):
         out = tmp_path / "q.txt"
         # x^2 + 10^11 x is 0 at x = 0 and -10^11 and at least 10^11 + 1 elsewhere

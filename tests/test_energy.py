@@ -448,6 +448,27 @@ class TestEnergyPaths:
                 assert energy_diff_path(X, Y, method=method).value == expected
                 assert energy_bruteforce(X, Y).value == expected
 
+    @pytest.mark.parametrize("method", ["direct", "fft"])
+    def test_diff_path_counts_positive_differences_only(self, monkeypatch, rng, method):
+        windows = []
+        core = energy._pair_counts
+
+        def spy(xs, ys, lo, hi, method, held=0):
+            windows.append((lo, hi))
+            return core(xs, ys, lo, hi, method, held)
+
+        monkeypatch.setattr(energy, "_pair_counts", spy)
+        pairs = [(make_random_set(rng, 300, 30), make_random_set(rng, 300, 30)) for _ in range(20)]
+        pairs += [(X, X) for X, _ in pairs[:5]]  # X = Y
+        pairs += [(iset(50, [17]), iset(50, [3, 9, 40])), (iset(50, [3, 9, 40]), iset(9, [9]))]
+        for X, Y in pairs:
+            windows.clear()
+            value = energy_diff_path(X, Y, method=method).value
+            m = min(int(X.elements[-1] - X.elements[0]), int(Y.elements[-1] - Y.elements[0]))
+            assert set(windows) == {(1, m)}  # m = 0 for a singleton: nothing counted
+            assert value == energy_sum_path(X, Y, method=method).value
+            assert value == energy_bruteforce(X, Y).value == energy_oracle(list(X), list(Y))
+
     def test_matches_quadruple_oracle(self, rng):
         for _ in range(15):
             X = make_random_set(rng, 40, 8)

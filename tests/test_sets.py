@@ -1,9 +1,13 @@
 import itertools
 import math
+import tracemalloc
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 
+import energysieve.sets as sets
 from energysieve.arith import EPS_HALF, EPS_ZERO, sieve_primes
 from energysieve.errors import ResourceLimitError, SetFileError
 from energysieve.sets import (
@@ -48,6 +52,69 @@ class TestIntegerSet:
         A = IntegerSet.from_elements(10, [1, 2])
         with pytest.raises(ValueError):
             A.elements[0] = 5
+
+    def test_mask_built_once_on_first_membership_test(self):
+        A = IntegerSet.from_elements(100, [3, 50, 100])
+        assert "mask" not in vars(A)
+        assert 50 in A
+        mask = vars(A)["mask"]
+        assert 51 not in A and 100 in A and 101 not in A
+        assert A.mask is mask
+        assert not mask.flags.writeable
+        with pytest.raises(ValueError):
+            mask[4] = True
+        assert list(np.flatnonzero(mask)) == [3, 50, 100] and len(mask) == 101
+
+    def test_construction_checks_the_mask_bytes(self, monkeypatch):
+        counted = []
+        monkeypatch.setattr(sets, "check_allocation", lambda nbytes, what: counted.append(nbytes))
+        IntegerSet.from_elements(1000, [1, 5])
+        assert counted == [1001]
+        counted.clear()
+        squares_up_to(10**6)
+        assert 10**6 + 1 in counted
+
+    @pytest.mark.parametrize("build", [
+        lambda: squares_up_to(10**7),
+        lambda: sidon_set(int(sieve_primes(2236).primes[-1]), 10**7),  # 2p^2 + p <= 1e7
+    ])
+    def test_sparse_sets_allocate_no_mask(self, build):
+        tracemalloc.start()
+        try:
+            A = build()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert A.cap == 10**7 and len(A) > 2000
+        assert peak < 2**20
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32, np.uint16, np.uint64])
+    def test_array_path_matches_python_path(self, rng, dtype):
+        for size in (0, 1, 2, 50, 400):
+            values = [rng.randint(1, 1000) for _ in range(size)]  # unsorted, with repeats
+            for given in (values, sorted(values), sorted(set(values))):
+                A = IntegerSet.from_elements(1000, np.array(given, dtype=dtype))
+                B = IntegerSet.from_elements(1000, given)
+                assert A.elements.dtype == B.elements.dtype == np.int64
+                assert list(A.elements) == list(B.elements) == sorted(set(values))
+                assert not A.elements.flags.writeable
+
+    @pytest.mark.parametrize("values", [[5, 2, 5, 9], [2, 5, 9]])
+    def test_array_path_leaves_its_input_alone(self, values):
+        given = np.array(values)
+        A = IntegerSet.from_elements(10, given)
+        assert list(given) == values and given.flags.writeable
+        assert list(A) == [2, 5, 9] and A.elements is not given
+
+    @pytest.mark.parametrize("values", [[0, 5], [11], [5, -3, 2], [12, 0, 4], [-9, 40]])
+    def test_out_of_range_same_error_on_both_paths(self, values):
+        messages = []
+        for elements in (values, np.array(values), np.array(sorted(values)), iter(values)):
+            with pytest.raises(ValueError) as err:
+                IntegerSet.from_elements(10, elements)
+            messages.append(str(err.value))
+        bad = min(values) if min(values) < 1 else max(values)
+        assert messages == [f"element {bad} outside [1, 10]"] * 4
 
 
 class TestSquares:
@@ -218,6 +285,18 @@ class TestOccupancy:
         assert occupancy(squares_up_to(10**4), 7).occupancy == 4
 
 
+    @pytest.mark.parametrize("size", [0, 1, 7, 40])
+    def test_matches_bincount_form(self, rng, size):
+        A = IntegerSet.from_elements(5000, rng.sample(range(1, 5001), size))
+        for v in sorted({1, 2, max(1, size - 1), max(1, size), size + 1, 3 * size + 5, 4999, 10007}):
+            oracle = np.bincount(A.elements % v, minlength=v).astype(np.int64)
+            prof = occupancy(A, v)
+            assert prof.counts.dtype == np.int64 and len(prof.counts) == v
+            assert (prof.counts == oracle).all()
+            assert prof.occupancy == int((oracle > 0).sum())
+            assert not prof.counts.flags.writeable
+
+
 class TestMod4Restrict:
     def test_tie_breaks_to_smallest_class(self):
         out = mod4_restrict(IntegerSet.from_elements(16, [1, 4, 9, 16]))
@@ -283,10 +362,13 @@ class TestResidueAvoiding:
 
 class TestSetFiles:
     def test_round_trip(self, tmp_path, rng):
-        for _ in range(20):
-            A = make_random_set(rng, 300, 40)
+        extra = [IntegerSet.from_elements(7, []), squares_up_to(10**8)]  # 10^4 elements: several slices
+        for A in [make_random_set(rng, 300, 40) for _ in range(20)] + extra:
             path = tmp_path / "set.txt"
             write_set(A, path)
+            # the bytes of the former line-by-line writer
+            assert path.read_bytes() == (f"N={A.cap}\n" + "".join(f"{e}\n" for e in A)).encode()
+            assert sets._read_plain(path) is not None
             B = read_set(path)
             assert B.cap == A.cap
             assert list(B) == list(A)
@@ -336,3 +418,73 @@ class TestSetFiles:
         path.write_text("")
         with pytest.raises(SetFileError):
             read_set(path)
+
+
+def parse_outcome(path, plain: bool):
+    """What read_set makes of a file: the set, or the error; and its warnings.
+    With plain=False the single-pass parser is bypassed."""
+    with warnings.catch_warnings(record=True) as caught, \
+            mock.patch.object(sets, "_read_plain", sets._read_plain if plain else lambda p: None):
+        warnings.simplefilter("always")
+        try:
+            A = read_set(path)
+            result = ("set", A.cap, list(A))
+        except Exception as exc:  # the outcomes are compared, whatever they are
+            result = ("error", type(exc), str(exc), getattr(exc, "line", None))
+    return result, [str(w.message) for w in caught]
+
+
+def test_plain_parser_agrees_with_line_parser(tmp_path, monkeypatch):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    path = tmp_path / "set.txt"
+    # huge caps are then read (no mask is built) instead of refused, so values
+    # beyond int64 reach the parsers
+    monkeypatch.setenv("ENERGYSIEVE_MEMORY_CAP", str(10**21))
+
+    # sorted, distinct, one per line: plain unless a value is 0, over the cap or
+    # at least 10^18
+    plain = st.one_of(st.integers(1, 10**6), st.integers(10**17, 10**20)).flatmap(
+        lambda cap: st.lists(st.integers(0, cap + 1), max_size=30).map(
+            lambda values: f"N={cap}\n" + "".join(f"{v}\n" for v in sorted(set(values)))))
+    number = st.one_of(
+        st.integers(-5, 300),
+        st.sampled_from([2**63 - 1, 2**63, 10**18 - 1, 10**18, 10**19, 10**30]),
+    )
+    token = st.one_of(
+        number.map(str),
+        number.map(lambda v: "00" + str(v)),                 # leading zeros
+        number.map(lambda v: "+" + str(v)),
+        st.sampled_from(["1_0", "2_5_0", "_5", "5_", "0", "00", "-0", "x7", "1.5", "", "#c",
+                         "3 4", "9\t", "\t12", " 8 ", "7 # note", "N=50", "N=", "\u0661\u0662"]),
+    )
+    header = st.one_of(
+        st.integers(-1, 400).map(lambda c: f"N={c}"),
+        st.sampled_from(["N=+90", "N=9_0", "N=090", "N= 90", "N=abc", "N=90 # cap", "# top"]),
+    )
+    messy = st.builds(
+        lambda head, lines, eol, last: eol.join(head + lines) + (eol if last else ""),
+        st.one_of(st.just([]), header.map(lambda h: [h])),  # a missing header, or one
+        st.lists(token, max_size=12),
+        st.sampled_from(["\n", "\r\n"]),
+        st.booleans(),
+    )
+
+    @hypothesis.settings(max_examples=400, deadline=None, derandomize=True,
+                         suppress_health_check=list(hypothesis.HealthCheck))
+    @hypothesis.given(st.one_of(plain, messy))
+    @hypothesis.example(f"N={10**19}\n5\n{10**19 - 1}\n")  # one value past int64
+    @hypothesis.example(f"N={2**63}\n{2**63 - 1}\n")         # int64's largest
+    @hypothesis.example("N=0\n")
+    @hypothesis.example("N=5\n\n")  # numpy alone reads a blank body as [0]
+    @hypothesis.example("N=0\n1\n")
+    def check(text):
+        path.write_bytes(text.encode("utf-8"))
+        assert parse_outcome(path, plain=True) == parse_outcome(path, plain=False), text
+
+    check()
+    # a file as write_set writes it takes the single pass; a leading zero does not
+    path.write_text("N=100\n3\n7\n99\n")
+    assert sets._read_plain(path)[0] == 100 and list(sets._read_plain(path)[1]) == [3, 7, 99]
+    path.write_text("N=100\n3\n07\n99\n")
+    assert sets._read_plain(path) is None
