@@ -5,6 +5,10 @@ occupancy ceiling: on a prime power it takes the value p^(k-1) * (p/2 + eps(p)),
 where eps is a nonnegative, uniformly bounded weight per prime.  Everything
 here is exact: the ceiling is evaluated in rational arithmetic whenever eps is
 rational, and floats appear only in the partial-sum reports.
+
+`sieve_primes` is the one source of primes.  `factorize` (and through it
+`delta` and `is_squarefree`) and `singular_series` take their primes from it
+and keep the tables they sieved, so no caller handles a prime table.
 """
 
 from __future__ import annotations
@@ -31,7 +35,6 @@ __all__ = [
     "SeriesTable",
     "sieve_primes",
     "factorize",
-    "table_for",
     "delta",
     "delta_prime_power",
     "is_squarefree",
@@ -48,9 +51,8 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class PrimeTable:
-    """All primes <= limit, ascending."""
+    """Primes, ascending."""
 
-    limit: int
     primes: np.ndarray
 
     def __post_init__(self):
@@ -62,43 +64,46 @@ class PrimeTable:
     def __iter__(self) -> Iterator[int]:
         return (int(p) for p in self.primes)
 
-    def __contains__(self, n: int) -> bool:
-        i = int(np.searchsorted(self.primes, n))
-        return i < len(self.primes) and int(self.primes[i]) == n
+
+_SEGMENT = 1 << 20  # values sieved at a time
 
 
-def sieve_primes(limit: int, *, segment_size: int = 1 << 20) -> PrimeTable:
+def sieve_primes(limit: int) -> PrimeTable:
     """Segmented sieve of Eratosthenes over [2, limit]."""
     if limit < 0:
         raise ValueError("limit must be nonnegative")
     if limit > SIEVE_LIMIT_CAP:
         raise ResourceLimitError(f"sieve limit {limit} exceeds cap {SIEVE_LIMIT_CAP}")
-    if segment_size < 8:
-        raise ValueError("segment_size must be at least 8")
     if limit < 2:
-        return PrimeTable(limit, np.empty(0, dtype=np.int64))
+        return PrimeTable(np.empty(0, dtype=np.int64))
 
     root = math.isqrt(limit)
+    # the base and segment flags, and 16 bytes per prime: the chunks (each made
+    # in place) and their concatenation are both alive at the end;
+    # pi(x) < 1.26 x / ln x (Rosser and Schoenfeld 1962)
+    count = int(1.26 * limit / math.log(limit)) + 1
+    check_allocation(root + 1 + min(_SEGMENT, limit) + 16 * count, f"primes up to {limit}")
     base = np.ones(root + 1, dtype=bool)
     base[:2] = False
     for p in range(2, math.isqrt(root) + 1):
         if base[p]:
             base[p * p :: p] = False
-    base_primes = np.flatnonzero(base).astype(np.int64)
+    base_primes = np.flatnonzero(base)
 
     chunks = [base_primes]
     lo = root + 1
     while lo <= limit:
-        hi = min(lo + segment_size - 1, limit)
+        hi = min(lo + _SEGMENT - 1, limit)
         seg = np.ones(hi - lo + 1, dtype=bool)
-        for p in base_primes:
-            p = int(p)
+        for p in base_primes.tolist():
             start = max(p * p, ((lo + p - 1) // p) * p)
             if start <= hi:
                 seg[start - lo :: p] = False
-        chunks.append(np.flatnonzero(seg).astype(np.int64) + lo)
+        found = np.flatnonzero(seg)
+        found += lo
+        chunks.append(found)
         lo = hi + 1
-    return PrimeTable(limit, np.concatenate(chunks))
+    return PrimeTable(np.concatenate(chunks))
 
 
 # ---------------------------------------------------------------------------
@@ -119,17 +124,22 @@ class Factorization:
         return out
 
 
-def factorize(n: int, primes: PrimeTable) -> Factorization:
-    """Trial division against the table; needs limit >= n or limit^2 >= n."""
+@lru_cache(maxsize=8)
+def _primes_to(limit: int) -> np.ndarray:
+    return sieve_primes(limit).primes
+
+
+def factorize(n: int) -> Factorization:
+    """Trial division by the primes up to a power of two >= sqrt(n), sieved once
+    per such bound and kept."""
     if n < 1:
         raise ValueError("n must be positive")
-    if primes.limit < n and primes.limit * primes.limit < n:
-        raise ValueError(
-            f"prime table up to {primes.limit} cannot certify a factorization of {n}"
-        )
+    limit = 64
+    while limit * limit < n:
+        limit <<= 1
     factors: list[tuple[int, int]] = []
     rest = n
-    for p in primes.primes:
+    for p in _primes_to(limit):
         p = int(p)
         if p * p > rest:
             break
@@ -140,7 +150,7 @@ def factorize(n: int, primes: PrimeTable) -> Factorization:
                 k += 1
             factors.append((p, k))
     if rest > 1:
-        # rest has no prime factor <= sqrt(rest) within the table, so it is prime
+        # rest has no prime factor <= sqrt(rest), so it is prime
         factors.append((rest, 1))
     return Factorization(n, tuple(factors))
 
@@ -226,44 +236,23 @@ def delta_prime_power(p: int, k: int, eps: EpsilonSpec) -> Fraction:
     return Fraction(p) ** (k - 1) * (Fraction(p, 2) + eps.at(p))
 
 
-def _delta_product(v: int, eps: EpsilonSpec, primes: PrimeTable) -> Fraction:
+@lru_cache(maxsize=65536)
+def _delta(v: int, eps: EpsilonSpec) -> Fraction:
     out = Fraction(1)
-    for p, k in factorize(v, primes).factors:
+    for p, k in factorize(v).factors:
         out *= delta_prime_power(p, k, eps)
     return out
 
 
-@lru_cache(maxsize=65536)
-def _delta_cached(v: int, eps: EpsilonSpec, limit: int) -> Fraction:
-    return _delta_product(v, eps, _shared_table(limit))
-
-
-@lru_cache(maxsize=8)
-def _shared_table(limit: int) -> PrimeTable:
-    return sieve_primes(limit)
-
-
-def table_for(n: int) -> PrimeTable:
-    """A cached prime table adequate to factorize n (limit^2 >= n)."""
-    limit = 64
-    while limit * limit < n:
-        limit <<= 1
-    return _shared_table(limit)
-
-
-def delta(v: int, eps: EpsilonSpec, primes: PrimeTable | None = None) -> Fraction:
+def delta(v: int, eps: EpsilonSpec) -> Fraction:
     """Multiplicative extension of the prime-power ceiling; delta(1) = 1."""
     if v < 1:
         raise ValueError("v must be positive")
-    if v == 1:
-        return Fraction(1)
-    if primes is None:
-        return _delta_cached(v, eps, table_for(v).limit)
-    return _delta_product(v, eps, primes)
+    return _delta(v, eps)
 
 
-def is_squarefree(n: int, primes: PrimeTable) -> bool:
-    return all(k == 1 for _, k in factorize(n, primes).factors)
+def is_squarefree(n: int) -> bool:
+    return all(k == 1 for _, k in factorize(n).factors)
 
 
 # ---------------------------------------------------------------------------
@@ -376,7 +365,7 @@ def singular_series(eps: EpsilonSpec = EPS_ZERO, trunc_prime: int = 10**5) -> fl
     if trunc_prime < 2:
         raise ValueError("truncation bound must be at least 2")
     out = 1.0
-    for p in _shared_table(trunc_prime).primes.tolist():
+    for p in _primes_to(trunc_prime).tolist():
         e = eps.at(p)
         num, den = e.numerator, e.denominator
         # delta(p) = p/2 + eps(p) = (p den + 2 num) / (2 den); int true division

@@ -17,11 +17,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import EPS_HALF, EpsilonSpec, delta_prime_power, sieve_primes
-from .energy import _dot, energy_sum_path, rep_sum
+from .arith import EPS_HALF, EpsilonSpec, sieve_primes
+from .energy import _exact_dot, energy_sum_path, rep_sum
 from .errors import InvariantViolationError
 from .sets import IntegerSet, is_sidon, mod4_restrict, occupancy, sidon_set, squares_up_to
-from .sieve import DifferenceTable, divisor_sum_direct
+from .sieve import DifferenceTable, _under_ceiling, divisor_sum_direct
 
 __all__ = [
     "DecompositionReport",
@@ -179,7 +179,7 @@ def quadratic_hits(A: IntegerSet, N: int) -> QuadraticHitsReport:
         raise InvariantViolationError(
             f"witness scan found {len(witnesses)} hits, table says {count}"
         )
-    energy = _dot(rep.counts, rep.counts)
+    energy = _exact_dot([(rep.counts, rep.counts)], min(len(A), len(S)) ** 2)
     return QuadraticHitsReport(
         shift=shift,
         count=count,
@@ -215,14 +215,7 @@ def sidon_report(
     S = squares_up_to(N)
     energy = energy_sum_path(X, S).value
     bound = len(S) * (len(X) + len(S))
-    occ = []
-    hyp = True
-    for p in sieve_primes(prime_bound):
-        p = int(p)
-        o = occupancy(X, p).occupancy
-        occ.append((p, o))
-        if o > delta_prime_power(p, 1, eps):
-            hyp = False
+    occ = tuple((p, occupancy(X, p).occupancy) for p in sieve_primes(prime_bound))
     return SidonEnergyReport(
         cap=N,
         card=len(X),
@@ -230,8 +223,8 @@ def sidon_report(
         energy=energy,
         linear_bound=bound,
         holds=energy <= bound,
-        occupancies=tuple(occ),
-        hypothesis_ok=hyp,
+        occupancies=occ,
+        hypothesis_ok=_under_ceiling(X, ((p, 1) for p, _ in occ), eps),
     )
 
 

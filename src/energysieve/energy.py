@@ -6,7 +6,8 @@ identity (correlate the x-x and y-y counts), and a quadruple-counting brute
 force.  The routes share no identity-level logic, so exact agreement between
 them is a meaningful check, and all counting is integer-exact: the transform
 backend is verified by rounding-distance and falls back to direct counting if
-the verification fails.
+the verification fails.  Every sum of products goes through one accumulator,
+`_exact_dot`, which the caller gives a proven bound on each product.
 """
 
 from __future__ import annotations
@@ -178,17 +179,13 @@ def _count_fft(
     nx, ny = len(xs), len(ys)
     if counts.min() < 0 or counts.sum() != nx * ny:
         return None
-    moment = lo * nx * ny + _dot(counts, np.arange(length, dtype=np.int64))
-    if moment != ny * _exact_sum(xs) + nx * _exact_sum(ys):
+    # a count is at most min(nx, ny), an index below length, an element m in size
+    m = max(abs(int(xs[0])), abs(int(xs[-1])), abs(int(ys[0])), abs(int(ys[-1])))
+    moment = _exact_dot([(counts, np.arange(length, dtype=np.int64))], min(nx, ny) * length)
+    sums = _exact_dot([(xs, np.full(nx, ny)), (ys, np.full(ny, nx))], m * max(nx, ny))
+    if lo * nx * ny + moment != sums:
         return None
     return counts
-
-
-def _exact_sum(v: np.ndarray) -> int:
-    """Sum of a sorted integer array, in Python integers if int64 could overflow."""
-    if max(abs(int(v[0])), abs(int(v[-1]))) * len(v) < 2**62:
-        return int(v.sum())
-    return sum(int(x) for x in v)
 
 
 def _fft_bytes(xs: np.ndarray, ys: np.ndarray, size: int) -> int:
@@ -291,22 +288,24 @@ def rep_diff(X: IntegerSet, Y: IntegerSet, *, method: str = "auto") -> RepFuncti
 
 
 # ---------------------------------------------------------------------------
-# Exact accumulator (checked against 64-bit overflow)
+# Exact accumulator
 # ---------------------------------------------------------------------------
 
-def _dot(a: np.ndarray, b: np.ndarray) -> int:
-    if len(a) == 0:
-        return 0
-    if int(a.max()) * int(b.max()) * len(a) < 2**62:
-        return int(np.dot(a, b))
-    return sum(int(x) * int(y) for x, y in zip(a, b) if x and y)
+def _exact_dot(pairs, bound: int) -> int:
+    """Exact sum of a . b over aligned int64 arrays (a, b) with |a[i] b[i]| <= bound.
 
-
-def _block_dots(pairs, bound: int) -> int:
-    """Sum of a . b over aligned blocks (a, b) whose entries multiply to at most
-    `bound`: np.dot when no block of _BLOCK values can overflow int64, else _dot."""
-    dot = np.dot if _BLOCK * bound < 2**63 else _dot
-    return sum(int(dot(a, b)) for a, b in pairs)
+    np.dot runs over slices of at most (2^63 - 1) // bound entries, whose sum
+    cannot overflow int64.  If a single product can reach 2^63, the entries
+    are multiplied as Python integers instead.
+    """
+    if bound >= 2**63:
+        return sum(int(np.dot(a.astype(object), b.astype(object))) for a, b in pairs)
+    step = (2**63 - 1) // max(bound, 1)
+    return sum(
+        int(np.dot(a[i : i + step], b[i : i + step]))
+        for a, b in pairs
+        for i in range(0, len(a), step)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +317,7 @@ def energy_sum_path(X: IntegerSet, Y: IntegerSet, *, method: str = "auto") -> En
     xs, ys = X.elements, Y.elements
     _, blocks, _ = _pair_counts(xs, ys, *_sum_window(xs, ys), method)
     # a sum count is at most min(|X|, |Y|)
-    value = _block_dots(((c, c) for _, c in blocks), min(len(xs), len(ys)) ** 2)
+    value = _exact_dot(((c, c) for _, c in blocks), min(len(xs), len(ys)) ** 2)
     return _report(value, "sum-identity", X, Y)
 
 
@@ -340,7 +339,7 @@ def energy_diff_path(X: IntegerSet, Y: IntegerSet, *, method: str = "auto") -> E
             _, ry, _ = _pair_counts(ys, -ys[::-1], 1, m, method, held=held)
             pairs = ((a, b) for (_, a), (_, b) in zip(rx, ry))
         # a difference count of X is at most |X|, of Y at most |Y|
-        value = len(xs) * len(ys) + 2 * _block_dots(pairs, len(xs) * len(ys))
+        value = len(xs) * len(ys) + 2 * _exact_dot(pairs, len(xs) * len(ys))
     return _report(value, "diff-identity", X, Y)
 
 

@@ -17,7 +17,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .arith import EpsilonSpec, factorize, sieve_primes, table_for
+from .arith import EpsilonSpec, factorize, sieve_primes
 from .errors import SetFileError
 from .limits import check_allocation
 
@@ -168,7 +168,7 @@ def sidon_set(p: int, N: int) -> IntegerSet:
     dropped (a subset of a Sidon set is Sidon).  Fits entirely when
     2p^2 + p <= N.
     """
-    if p < 2 or factorize(p, table_for(p)).factors != ((p, 1),):
+    if p < 2 or factorize(p).factors != ((p, 1),):
         raise ValueError(f"{p} is not prime")
     if N < 1:
         raise ValueError("N must be positive")

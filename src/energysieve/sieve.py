@@ -19,16 +19,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .arith import (
-    EPS_ZERO,
-    EpsilonSpec,
-    delta,
-    delta_prime_power,
-    factorize,
-    sieve_primes,
-    table_for,
-)
-from .energy import _pair_counts
+from .arith import EPS_ZERO, EpsilonSpec, delta, delta_prime_power, factorize, sieve_primes
+from .energy import _exact_dot, _pair_counts
 from .sets import IntegerSet, ResidueProfile, occupancy
 
 __all__ = [
@@ -63,26 +55,26 @@ def composite_moduli_check(A: IntegerSet, v: int, eps: EpsilonSpec) -> SieveChec
     if v < 1:
         raise ValueError("modulus must be positive")
     counts = occupancy(A, v).counts
-    rhs = int(np.dot(counts, counts))
-    dv = delta(v, eps)
     card = len(A)
+    rhs = _exact_dot([(counts, counts)], card * card)  # a class count is at most |A|
+    dv = delta(v, eps)
     lhs = Fraction(card * card) / dv
-
-    hypothesis_ok = True
-    if v > 1:
-        for p, k in factorize(v, table_for(v)).factors:
-            pk = p**k
-            if occupancy(A, pk).occupancy > delta_prime_power(p, k, eps):
-                hypothesis_ok = False
-                break
     return SieveCheckResult(
         modulus=v,
         card=card,
         delta_value=dv,
         lhs=lhs,
         rhs=rhs,
-        hypothesis_ok=hypothesis_ok,
+        hypothesis_ok=_under_ceiling(A, factorize(v).factors, eps),
         holds=lhs <= rhs,
+    )
+
+
+def _under_ceiling(A: IntegerSet, prime_powers, eps: EpsilonSpec) -> bool:
+    """The occupancy hypothesis: A occupies at most delta_prime_power(p, k, eps)
+    classes modulo p^k, for each (p, k) in turn until one fails."""
+    return all(
+        occupancy(A, p**k).occupancy <= delta_prime_power(p, k, eps) for p, k in prime_powers
     )
 
 
@@ -262,17 +254,12 @@ def divisor_growth_report(A: IntegerSet, N: int, eps: EpsilonSpec = EPS_ZERO) ->
     card = len(A)
     scale = card * card * math.log(N)
     limit = math.isqrt(N)
-    hyp = True
-    for p in sieve_primes(limit):
-        if occupancy(A, int(p)).occupancy > delta_prime_power(int(p), 1, eps):
-            hyp = False
-            break
     return DivisorGrowthReport(
         cap=N,
         card=card,
         total=total,
         scale=scale,
         ratio=total / scale if scale > 0 else 0.0,
-        hypothesis_ok=hyp,
+        hypothesis_ok=_under_ceiling(A, ((p, 1) for p in sieve_primes(limit)), eps),
         hypothesis_checked_to=limit,
     )

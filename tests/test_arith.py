@@ -74,12 +74,27 @@ class TestSievePrimes:
         assert table == trial_division_primes(100)
         assert len(table) == 25
 
-    def test_segmented_equals_plain(self):
-        for segment_size in (64, 1000, 1 << 14):
-            assert list(sieve_primes(10**4, segment_size=segment_size)) == plain_sieve(10**4)
+    def test_crosses_default_segments(self):
+        # three segments of 2^20 values past sqrt(3e6)
+        assert list(sieve_primes(3 * 10**6)) == plain_sieve(3 * 10**6)
 
-    def test_large_segments_agree(self):
-        assert list(sieve_primes(10**6, segment_size=1 << 12)) == plain_sieve(10**6)
+    def test_counted_bytes_cover_peak(self, monkeypatch):
+        import energysieve.arith as arith
+
+        counted = []
+        monkeypatch.setattr(arith, "check_allocation", lambda nbytes, what: counted.append(nbytes))
+        tracemalloc.start()
+        try:
+            arith.sieve_primes(3 * 10**6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= counted[0]
+
+    def test_cap_refuses_before_sieving(self, monkeypatch):
+        monkeypatch.setenv(MEMORY_CAP_ENV, str(10**6))
+        with pytest.raises(ResourceLimitError):
+            sieve_primes(10**6)
 
     def test_limit_cap(self):
         with pytest.raises(ResourceLimitError):
@@ -96,26 +111,21 @@ class TestFactorize:
         [(12, ((2, 2), (3, 1))), (1, ()), (97, ((97, 1),)), (360, ((2, 3), (3, 2), (5, 1)))],
     )
     def test_examples(self, n, expected):
-        assert factorize(n, sieve_primes(100)).factors == expected
+        assert factorize(n).factors == expected
 
     def test_random_reconstruction(self, rng):
-        table = sieve_primes(101)
         for _ in range(300):
             n = rng.randint(1, 10**4)
-            fac = factorize(n, table)
+            fac = factorize(n)
             assert fac.value() == n
             for p, k in fac.factors:
                 assert k >= 1
                 assert all(p % d for d in range(2, math.isqrt(p) + 1))
             assert [p for p, _ in fac.factors] == sorted(p for p, _ in fac.factors)
 
-    def test_insufficient_table(self):
-        with pytest.raises(ValueError):
-            factorize(49, sieve_primes(5))
-
     def test_nonpositive(self):
         with pytest.raises(ValueError):
-            factorize(0, sieve_primes(10))
+            factorize(0)
 
 
 class TestDelta:
@@ -149,13 +159,12 @@ class TestDelta:
 class TestSquarefree:
     @pytest.mark.parametrize("n,expected", [(10, True), (12, False), (1, True), (49, False)])
     def test_examples(self, n, expected):
-        assert is_squarefree(n, sieve_primes(100)) is expected
+        assert is_squarefree(n) is expected
 
     def test_against_divisibility_scan(self):
-        table = sieve_primes(50)
         for n in range(1, 2000):
             oracle = all(n % (d * d) for d in range(2, math.isqrt(n) + 1))
-            assert is_squarefree(n, table) is oracle
+            assert is_squarefree(n) is oracle
 
 
 def spf_oracle(limit):

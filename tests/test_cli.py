@@ -11,8 +11,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from energysieve import cli, correlation, energy
+from energysieve import arith, cli, correlation, energy
 from energysieve.energy import EnergyReport
+from energysieve.limits import MEMORY_CAP_ENV, check_allocation
 from energysieve.sets import read_set, sidon_set, is_sidon
 
 
@@ -86,6 +87,34 @@ class TestResourceRefusals:
                    "--out", str(out)) == 4
         assert "Traceback" not in capsys.readouterr().err
         assert not out.exists()
+
+    def test_sidon_prime_sieve_over_small_cap(self, tmp_path, monkeypatch, capsys):
+        # certifying p sieves the primes up to 2^30: about 1 GB, counted first
+        monkeypatch.setenv(MEMORY_CAP_ENV, str(10**6))
+        out = tmp_path / "sidon.txt"
+        assert run("gen", "sidon", "--p", str(10**18 + 3), "--N", "100", "--out", str(out)) == 4
+        assert capsys.readouterr().err.startswith("resource limit: primes up to 1073741824")
+        assert not out.exists()
+
+    def test_sidon_prime_sieve_within_default_cap(self, tmp_path, monkeypatch):
+        monkeypatch.delenv(MEMORY_CAP_ENV, raising=False)
+        out = tmp_path / "sidon.txt"
+        # sieving to 2^21 crosses two segments
+        assert run("gen", "sidon", "--p", "4398046511093", "--N", "100", "--out", str(out)) == 0
+        assert list(read_set(out)) == [1]
+
+        # the sieve to 2^30 for 10^18 + 3 takes about ten seconds: stop once the
+        # default cap has admitted its count
+        class Admitted(Exception):
+            pass
+
+        def admit(nbytes, what):
+            check_allocation(nbytes, what)
+            raise Admitted
+
+        monkeypatch.setattr(arith, "check_allocation", admit)
+        with pytest.raises(Admitted):
+            sidon_set(10**18 + 3, 100)
 
     @pytest.mark.parametrize("message, line", [
         ("Unable to allocate 8.00 EiB for an array", "Unable to allocate 8.00 EiB for an array"),

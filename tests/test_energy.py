@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import tracemalloc
 from collections import Counter
@@ -15,7 +16,7 @@ from energysieve.energy import (
     rep_diff,
     rep_sum,
     sumset,
-    _dot,
+    _exact_dot,
 )
 from energysieve.errors import ResourceLimitError
 from energysieve.sets import IntegerSet, squares_up_to
@@ -159,14 +160,56 @@ class TestBackends:
 
     def test_checked_accumulator_big_counts(self):
         big = np.full(5, 2**32, dtype=np.int64)
-        assert _dot(big, big) == 5 * (2**64)
+        # entries multiply to 2^64: a single product overflows int64
+        assert _exact_dot([(big, big)], 2**64) == 5 * (2**64)
 
     def test_block_sums_fall_back_when_a_block_could_overflow(self):
         big = np.full(5, 2**32, dtype=np.int64)
-        # entries multiply to 2^64: the per-call bound selects the checked _dot
-        assert energy._block_dots([(big, big), (big[:2], big[:2])], 2**64) == 7 * 2**64
+        assert _exact_dot([(big, big), (big[:2], big[:2])], 2**64) == 7 * 2**64
         small = np.arange(5, dtype=np.int64)
-        assert energy._block_dots([(small, small)], 16) == 30
+        assert _exact_dot([(small, small)], 16) == 30
+
+
+def dot_oracle(pairs):
+    return sum(int(x) * int(y) for a, b in pairs for x, y in zip(a, b))
+
+
+class TestExactDot:
+    """The accumulator against Python-integer sums of products, with `==`."""
+
+    def test_bound_just_below_and_at_2_63(self):
+        # 2^31 * (2^32 - 1) < 2^63 and 2^32 * 2^31 = 2^63: slices of one and of
+        # one entry, then Python integers
+        for a, b in [(2**31, 2**32 - 1), (2**32, 2**31)]:
+            pairs = [(np.full(7, a, dtype=np.int64), np.full(7, b, dtype=np.int64))]
+            assert _exact_dot(pairs, a * b) == dot_oracle(pairs) == 7 * a * b
+
+    def test_slices_cut_a_block(self, rng):
+        # a bound of root^2 leaves 3 entries per slice, so blocks of 10 and 4 are
+        # cut; ten products of root^2 would overflow int64 in one np.dot
+        root = math.isqrt((2**63 - 1) // 3)
+        full = np.full(10, root, dtype=np.int64)
+        pairs = [(full, full)] + [
+            tuple(np.array([rng.randint(-root, root) for _ in range(n)], dtype=np.int64)
+                  for _ in range(2))
+            for n in (10, 4, 3, 1)
+        ]
+        assert _exact_dot(pairs, root * root) == dot_oracle(pairs)
+
+    def test_negative_entries_of_reflected_sets(self, rng):
+        X = make_random_set(rng, 10**6, 50)
+        Y = make_random_set(rng, 10**6, 50)
+        n = min(len(X), len(Y))
+        pairs = [(X.elements[:n], -Y.elements[::-1][:n]), (-X.elements[::-1], -X.elements[::-1])]
+        assert _exact_dot(pairs, 10**12) == dot_oracle(pairs)
+        big = [(np.array([-(2**62), 3], dtype=np.int64), np.array([4, -(2**62)], dtype=np.int64))]
+        assert _exact_dot(big, 2**64) == dot_oracle(big) == -(2**64) - 3 * 2**62
+
+    def test_empty(self):
+        empty = np.zeros(0, dtype=np.int64)
+        assert _exact_dot([], 10) == 0
+        for bound in (0, 10, 2**63):
+            assert _exact_dot([(empty, empty)], bound) == 0
 
 
 class TestWindowedCore:
