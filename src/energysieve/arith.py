@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -129,21 +128,33 @@ def _primes_to(limit: int) -> np.ndarray:
     return sieve_primes(limit).primes
 
 
+_FACTOR_SEGMENT = 1 << 16  # primes tested against n at a time
+
+
 def factorize(n: int) -> Factorization:
     """Trial division by the primes up to a power of two >= sqrt(n), sieved once
-    per such bound and kept."""
+    per such bound and kept.
+
+    The primes are tested a segment at a time in int64: a table exists only up
+    to SIEVE_LIMIT_CAP = 2^31, so n <= 2^62 whenever one does.  A prime that
+    divides what is left of n at a segment's start also divides it after the
+    smaller primes are divided out, so each hit is divided out in turn.
+    """
     if n < 1:
         raise ValueError("n must be positive")
     limit = 64
     while limit * limit < n:
         limit <<= 1
+    primes = _primes_to(limit)
     factors: list[tuple[int, int]] = []
     rest = n
-    for p in _primes_to(limit):
-        p = int(p)
-        if p * p > rest:
+    for i in range(0, len(primes), _FACTOR_SEGMENT):
+        segment = primes[i : i + _FACTOR_SEGMENT]
+        if int(segment[0]) ** 2 > rest:
             break
-        if rest % p == 0:
+        for p in segment[rest % segment == 0].tolist():
+            if p * p > rest:
+                break
             k = 0
             while rest % p == 0:
                 rest //= p
@@ -263,10 +274,17 @@ def is_squarefree(n: int) -> bool:
 # last step of the delta table: delta(n) as float64, the squarefree mask, the
 # int64 cofactor, the float64 factor of the cofactor and the bool mask of
 # cofactors > 1.  The term columns built afterwards keep at most three 8-byte
-# arrays and the mask live at once.
+# arrays and the mask live at once, which leaves room for the few arrays of one
+# `_prefix_sums` block.
 _PARTIAL_SUM_BYTES = 8 + 1 + 8 + 8 + 1
-# n-values converted to Python floats at a time for math.fsum
-_FSUM_BLOCK = 1 << 12
+# terms split and binned at a time by _prefix_sums
+_PREFIX_BLOCK = 1 << 12
+# terms binned between two folds of the bins into one integer: each bin then
+# sums fewer than 2^26 halves of a mantissa below 2^27, below 2^53
+_FOLD_TERMS = 1 << 26
+# frexp exponents of finite float64 run from -1073 (the least subnormal) to 1024
+_MIN_EXPONENT = -1073
+_EXPONENT_BINS = 1024 - _MIN_EXPONENT + 1
 _MAX_SQUARE_ROOT = math.isqrt(np.iinfo(np.int64).max)
 
 
@@ -308,20 +326,49 @@ def _delta_table(x: int, eps: EpsilonSpec) -> tuple[np.ndarray, np.ndarray]:
     return d, squarefree
 
 
-def _fsum(terms: np.ndarray) -> float:
-    """math.fsum of a float64 array, converted to Python floats a block at a time."""
-    return math.fsum(
-        chain.from_iterable(
-            terms[i : i + _FSUM_BLOCK].tolist() for i in range(0, len(terms), _FSUM_BLOCK)
-        )
-    )
+def _prefix_sums(terms: np.ndarray, ends: Sequence[int]) -> tuple[float, ...]:
+    """math.fsum(terms[:end]) for each end in ends, visiting each term once.
+
+    Each finite float64 term is M * 2^(e - 53) with M = frexp mantissa * 2^53 an
+    integer, |M| < 2^53.  M splits into a high half below 2^27 in magnitude and a
+    low half in [0, 2^26); each half is summed per exponent by a float64
+    bincount, which is exact while every bin stays below 2^53.  At each end and
+    every _FOLD_TERMS terms the bins are folded into one Python integer, the
+    exact sum in units of 2^(_MIN_EXPONENT - 53), and cleared.  One int true
+    division rounds it correctly, as math.fsum rounds, so the values are
+    identical.
+    """
+    total = 0
+    bins = np.zeros((2, _EXPONENT_BINS))
+    binned = 0
+    out: dict[int, float] = {}
+    start = 0
+    for end in sorted(set(ends)):
+        while start < end:
+            stop = min(end, start + _PREFIX_BLOCK, start + _FOLD_TERMS - binned)
+            mantissa, exponent = np.frexp(terms[start:stop])
+            mantissa = np.ldexp(mantissa, 53)
+            high = np.floor(np.ldexp(mantissa, -26))
+            mantissa -= np.ldexp(high, 26)
+            exponent -= _MIN_EXPONENT
+            bins[0] += np.bincount(exponent, weights=high, minlength=_EXPONENT_BINS)
+            bins[1] += np.bincount(exponent, weights=mantissa, minlength=_EXPONENT_BINS)
+            binned += stop - start
+            start = stop
+            if binned == _FOLD_TERMS or start == end:
+                for b in np.flatnonzero(bins.any(axis=0)).tolist():
+                    total += (int(bins[0, b]) << (b + 26)) + (int(bins[1, b]) << b)
+                bins[:] = 0
+                binned = 0
+        out[end] = total / (1 << (53 - _MIN_EXPONENT))
+    return tuple(out[end] for end in ends)
 
 
 def _partial_sums(xs: Sequence[int], eps: EpsilonSpec) -> tuple[tuple[float, ...], ...]:
     """For each x in xs: M(x), T(x) over squarefree n, and T(x) over all n <= x.
 
-    math.fsum is correctly rounded, so each value is the float nearest the
-    exact sum of its terms, whatever the order they are added in.
+    Each value is the float nearest the exact sum of its terms, as math.fsum
+    gives it, whatever the order they are added in.
     """
     top = max(xs)
     if top > _MAX_SQUARE_ROOT:
@@ -335,11 +382,8 @@ def _partial_sums(xs: Sequence[int], eps: EpsilonSpec) -> tuple[tuple[float, ...
     m = 1.0 / d
     del d
     t = t_all[squarefree]
-    columns = []
-    for x in xs:
-        k = int(np.count_nonzero(squarefree[: x + 1]))
-        columns.append((_fsum(m[:k]), _fsum(t[:k]), _fsum(t_all[1 : x + 1])))
-    return tuple(zip(*columns))
+    ks = [int(np.count_nonzero(squarefree[: x + 1])) for x in xs]
+    return _prefix_sums(m, ks), _prefix_sums(t, ks), _prefix_sums(t_all[1:], xs)
 
 
 def m_partial_sum(x: int, eps: EpsilonSpec = EPS_ZERO) -> float:

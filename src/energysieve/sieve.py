@@ -21,6 +21,7 @@ import numpy as np
 
 from .arith import EPS_ZERO, EpsilonSpec, delta, delta_prime_power, factorize, sieve_primes
 from .energy import _exact_dot, _pair_counts
+from .limits import check_allocation
 from .sets import IntegerSet, ResidueProfile, occupancy
 
 __all__ = [
@@ -195,15 +196,22 @@ def divisor_sum_partition(A: IntegerSet, N: int) -> DivisorSumTrace:
     valid per-v lower bound.
 
     For each v one sort orders A by the key (a mod v) * W + a, where W exceeds
-    every element, so each class is a contiguous ascending run.  The window
-    pairs of a in class h are the keys in [h * W + max(a - v^2 + 1, 0), key of
-    a); the clamp at 0 keeps a window from reaching into class h - 1.  The
-    block pairs are the runs of equal (a mod v, a // v^2).
+    every element, so each class is a contiguous ascending run; a mod v is
+    a - (a // v) * v and the class base (a mod v) * W is key // W * W.  The
+    window pairs of a are the keys in [max(key - v^2 + 1, base), key of a): the
+    clamp at the base keeps a window from reaching into class h - 1.  The block
+    pairs are the runs of equal base + (key - base) // v^2, that is of equal
+    (a mod v, a // v^2); each element counts the run members before it.
     """
     radius = math.isqrt(N)
     elems = A.elements
     width = max(N, int(elems[-1]) if len(elems) else 0) + 1
-    index = np.arange(len(elems))
+    n = len(elems)
+    # index, then per modulus the key, the class base, the window queries and
+    # their search result; the run keys reuse the queries' array, and the run
+    # starts and their change mask replace the base and the search result
+    check_allocation(8 * 5 * n, f"partition scan of {n} elements")
+    index = np.arange(n)
     rows: list[DivisorSumRow] = []
     total = 0
     part_total = 0
@@ -212,15 +220,8 @@ def divisor_sum_partition(A: IntegerSet, N: int) -> DivisorSumTrace:
         j_count = max(1, N // vsq)
         window = 0
         partition = 0
-        if len(elems) >= 2:
-            key = np.sort(elems % v * width + elems)
-            residue, a = np.divmod(key, width)
-            lo = np.searchsorted(key, residue * width + np.maximum(a - vsq + 1, 0), side="left")
-            window = int((index - lo).sum())
-            block = residue * (width // vsq + 1) + a // vsq
-            starts = np.flatnonzero(np.diff(block)) + 1
-            m = np.diff(starts, prepend=0, append=len(block))
-            partition = int((m * (m - 1) // 2).sum())
+        if n >= 2:
+            window, partition = _class_pairs(elems, index, width, v)
         rows.append(
             DivisorSumRow(
                 v=v, j_count=j_count, window_count=window, partition_lower_bound=partition
@@ -229,6 +230,33 @@ def divisor_sum_partition(A: IntegerSet, N: int) -> DivisorSumTrace:
         total += window
         part_total += partition
     return DivisorSumTrace(cap=N, rows=tuple(rows), total=total, partition_total=part_total)
+
+
+def _class_pairs(elems: np.ndarray, index: np.ndarray, width: int, v: int) -> tuple[int, int]:
+    """(window pairs, block pairs) of the sorted elements at modulus v, as
+    described in `divisor_sum_partition`; index is arange(len(elems))."""
+    vsq = v * v
+    pairs = len(elems) * (len(elems) - 1) // 2
+    key = elems // v
+    key *= -v
+    key += elems
+    key *= width
+    key += elems
+    key.sort()
+    base = key // width
+    base *= width
+    query = key - (vsq - 1)
+    np.maximum(query, base, out=query)
+    window = pairs - int(np.searchsorted(key, query, side="left").sum())
+    run = np.subtract(key, base, out=query)
+    run //= vsq
+    run += base
+    del base
+    # the start of i's run is the last j <= i whose run key differs from its
+    # predecessor's, or 0; element 0 adds nothing
+    starts = np.where(np.not_equal(run[1:], run[:-1]), index[1:], 0)
+    np.maximum.accumulate(starts, out=starts)
+    return window, pairs - int(starts.sum())
 
 
 @dataclass(frozen=True)

@@ -43,6 +43,23 @@ def plain_sieve(limit):
     return [n for n in range(limit + 1) if flags[n]]
 
 
+def trial_division_factors(n):
+    """Oracle: (p, k) pairs by bare trial division over all d."""
+    out = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            k = 0
+            while n % d == 0:
+                n //= d
+                k += 1
+            out.append((d, k))
+        d += 1 if d == 2 else 2
+    if n > 1:
+        out.append((n, 1))
+    return tuple(out)
+
+
 def exact_delta(n, eps):
     """Oracle: delta via bare factorization, exact rationals."""
     out = Fraction(1)
@@ -126,6 +143,18 @@ class TestFactorize:
     def test_nonpositive(self):
         with pytest.raises(ValueError):
             factorize(0)
+
+    @pytest.mark.parametrize("segment", [1, 3, 1 << 16])
+    def test_segments_match_trial_division(self, monkeypatch, rng, segment):
+        import energysieve.arith as arith
+
+        monkeypatch.setattr(arith, "_FACTOR_SEGMENT", segment)
+        # prime powers, a square of a prime, a product of two primes near
+        # sqrt(n), primes and random n up to 10^10
+        ns = [1, 2**33, 3**20, 1009**2, 99991 * 100003, 9999999967, 65537]
+        ns += [rng.randint(1, 10**10) for _ in range(30)]
+        for n in ns:
+            assert factorize(n).factors == trial_division_factors(n)
 
 
 class TestDelta:
@@ -249,6 +278,62 @@ class TestPartialSumsAgainstLoop:
         assert (tab.m_values, tab.t_values, tab.t_all_values) == series_oracle(xs, eps)
 
 
+class TestPrefixSums:
+    """The exact blockwise accumulator against math.fsum, compared with ==."""
+
+    @staticmethod
+    def check(terms, ends):
+        from energysieve.arith import _prefix_sums
+
+        got = _prefix_sums(terms, ends)
+        assert got == tuple(math.fsum(terms[:end].tolist()) for end in ends)
+        return got
+
+    def test_random_magnitudes(self):
+        gen = np.random.default_rng(5)
+        size = 3 * (1 << 12) + 5
+        mags = 10.0 ** gen.uniform(-300, 300, size)
+        signs = gen.choice([-1.0, 1.0], size)
+        ends = [0, 1, 4095, 4096, 4097, 8192, size - 1, size]
+        self.check(mags, ends)
+        self.check(mags * signs, ends)
+
+    def test_cancellation(self):
+        # fsum's classic cases: the exact sums are 2.0, 1e-100 and 0.0
+        self.check(np.array([1e100, 1.0, -1e100, 1.0]), [1, 2, 3, 4])
+        self.check(np.array([1e308, 1e-100, -1e308]), [1, 2, 3])
+        self.check(np.array([0.1] * 10 + [-0.1] * 10), [10, 20])
+
+    def test_subnormals_and_zeros(self):
+        tiny = np.array([5e-324, 0.0, 2.2250738585072014e-308, -0.0, 1e-310, 3e-320, 0.0])
+        self.check(tiny, range(len(tiny) + 1))
+        # subnormal sums that cross into the normal range, and halfway cases
+        self.check(np.array([2.2250738585072009e-308] * 3 + [5e-324]), [1, 2, 3, 4])
+        self.check(np.array([1.0, 2.0**-53, 2.0**-105]), [2, 3])
+
+    def test_block_boundaries(self):
+        gen = np.random.default_rng(9)
+        for size in (1 << 12) - 1, 1 << 12, (1 << 12) + 1, 2 << 12:
+            terms = gen.random(size) * 1e6
+            self.check(terms, [size])
+
+    def test_empty_and_repeated_ends(self):
+        terms = np.array([1.5, 2.25, 1e-3])
+        assert self.check(terms, []) == ()
+        assert self.check(np.empty(0), [0, 0]) == (0.0, 0.0)
+        # ends in any order, repeated: each is served from one pass
+        self.check(terms, [3, 1, 3, 0, 1])
+
+    @pytest.mark.parametrize("fold", [1, 2, 7, 4096])
+    def test_fold_interval(self, monkeypatch, fold):
+        import energysieve.arith as arith
+
+        monkeypatch.setattr(arith, "_FOLD_TERMS", fold)
+        gen = np.random.default_rng(fold)
+        terms = 10.0 ** gen.uniform(-30, 30, 10_000) * gen.choice([-1.0, 1.0], 10_000)
+        self.check(terms, [0, 1, 2, 7, 4095, 4097, 9999, 10_000])
+
+
 class TestPartialSumMemory:
     def test_cap_refuses_series_table(self, monkeypatch):
         monkeypatch.setenv(MEMORY_CAP_ENV, str(10**6))
@@ -275,7 +360,7 @@ class TestPartialSumMemory:
         finally:
             tracemalloc.stop()
         # what the per-entry count leaves out is a few small fixed buffers:
-        # the primes up to sqrt(x) and one block of Python floats for fsum
+        # the primes up to sqrt(x) and the exponent bins of the prefix sums
         assert peak <= max(counted) + 2**16
 
 
@@ -369,6 +454,13 @@ class TestSeriesTable:
     def test_bad_grid(self):
         with pytest.raises(ValueError):
             series_table([], EPS_ZERO)
+
+    def test_benchmark_scale_values(self):
+        # the nine partial sums of the benchmark's divisor-series reference
+        tab = series_table([10**4, 10**5, 10**6], EPS_HALF)
+        assert tab.m_values == (16.450035914045735, 22.847798736558286, 30.248770521530663)
+        assert tab.t_values == (123443199.40237677, 14511801545.872808, 1668613863236.6626)
+        assert tab.t_all_values == (206925556.44097006, 24813051629.468285, 2893785563365.401)
 
 
 class TestEpsilonSpec:

@@ -116,6 +116,13 @@ class TestResourceRefusals:
         with pytest.raises(Admitted):
             sidon_set(10**18 + 3, 100)
 
+    def test_divisor_sum_partition_over_small_cap(self, tmp_path, monkeypatch, capsys):
+        path = tmp_path / "full.txt"
+        path.write_text("N=100000\n" + "".join(f"{a}\n" for a in range(1, 10**5 + 1)))
+        monkeypatch.setenv(MEMORY_CAP_ENV, str(10**6))
+        assert run("sieve", str(path), "--divisor-sum") == 4
+        assert capsys.readouterr().err.startswith("resource limit: partition scan of 100000")
+
     @pytest.mark.parametrize("message, line", [
         ("Unable to allocate 8.00 EiB for an array", "Unable to allocate 8.00 EiB for an array"),
         ("", "out of memory"),

@@ -242,6 +242,9 @@ class TestDivisorSums:
             (400, [1, 2, 400]),                  # windows at a < v^2 need the clamp
             (1000, list(range(1, 1001))),        # every class full
             (1000, [7, 507, 1000]),              # one pair 500 apart, one element at N
+            (10**4, [5000, 5001, 5003, 5010]),   # v^2 exceeds the span of A from v = 4
+            (10**5, [1, 27721, 55441, 83161]),   # one class mod every v | lcm(1..12)
+            (10**4, [100, 2500, 9801, 9900, 10**4]),  # the largest element is N = 100^2
         ],
     )
     def test_partition_rows_match_scan_edges(self, cap, elements):
@@ -250,6 +253,35 @@ class TestDivisorSums:
         assert partition_rows(trace) == partition_scan_oracle(A, cap)
         assert trace.rows[0].v == 1
         assert trace.total == divisor_sum_direct(A, cap)
+
+    def test_benchmark_scale_totals(self):
+        # the squares of the benchmark's divisor-series workload
+        trace = divisor_sum_partition(squares_up_to(2 * 10**6), 2 * 10**6)
+        assert (trace.total, trace.partition_total) == (3127318, 2294093)
+
+    def test_partition_counted_bytes_cover_peak(self, monkeypatch):
+        import tracemalloc
+
+        A = IntegerSet.from_elements(10**5, range(1, 10**5 + 1))
+        counted = []
+        monkeypatch.setattr(sieve_module, "check_allocation",
+                            lambda nbytes, what: counted.append(nbytes))
+        tracemalloc.start()
+        try:
+            divisor_sum_partition(A, 10**4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert counted and peak <= max(counted) + 2**16
+
+    def test_partition_cap_refuses(self, monkeypatch):
+        from energysieve.errors import ResourceLimitError
+        from energysieve.limits import MEMORY_CAP_ENV
+
+        monkeypatch.setenv(MEMORY_CAP_ENV, str(10**6))
+        A = IntegerSet.from_elements(10**5, range(1, 10**5 + 1))
+        with pytest.raises(ResourceLimitError):
+            divisor_sum_partition(A, 10**5)
 
     def test_radius_override(self):
         S = squares_up_to(100)
