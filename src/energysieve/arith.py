@@ -207,11 +207,9 @@ class EpsilonSpec:
         """Key-value text config: lines `p=value` plus `default=value`.
 
         Values are rationals `a/b` or decimals; blank lines and `#` comments
-        are skipped.
+        are skipped.  A key given twice (`3` and `03` are one key) is an error.
         """
-        default = Fraction(0)
-        seen_default = False
-        overrides: list[tuple[int, Fraction]] = []
+        entries: dict = {}
         with open(path, encoding="utf-8") as fh:
             for lineno, raw in enumerate(fh, start=1):
                 line = raw.split("#", 1)[0].strip()
@@ -225,16 +223,16 @@ class EpsilonSpec:
                     value = Fraction(val.strip())
                 except (ValueError, ZeroDivisionError) as exc:
                     raise ValueError(f"{path}:{lineno}: bad value {val.strip()!r}") from exc
-                if key == "default":
-                    default = value
-                    seen_default = True
-                elif key.isdigit():
-                    overrides.append((int(key), value))
-                else:
+                if key != "default" and not key.isdigit():
                     raise ValueError(f"{path}:{lineno}: bad key {key!r}")
-        if not seen_default and not overrides:
+                name = key if key == "default" else int(key)
+                if name in entries:
+                    raise ValueError(f"{path}:{lineno}: repeated key {key!r}")
+                entries[name] = value
+        if not entries:
             raise ValueError(f"{path}: empty epsilon config")
-        return cls(default=default, overrides=tuple(sorted(overrides)))
+        default = entries.pop("default", Fraction(0))
+        return cls(default=default, overrides=tuple(sorted(entries.items())))
 
 
 EPS_ZERO = EpsilonSpec.constant(0)

@@ -69,13 +69,6 @@ class RepFunction:
         """Values n with r(n) > 0, ascending."""
         return np.flatnonzero(self.counts) + self.offset
 
-    def to_csv(self, path) -> None:
-        """Header `n,count`; one row per nonzero count."""
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("n,count\n")
-            for i in np.flatnonzero(self.counts):
-                fh.write(f"{self.offset + int(i)},{int(self.counts[i])}\n")
-
 
 @dataclass(frozen=True)
 class EnergyReport:

@@ -181,23 +181,17 @@ def sidon_set(p: int, N: int) -> IntegerSet:
 def is_sidon(X: IntegerSet) -> bool:
     """True iff every nonzero difference of X occurs at most once.
 
-    Checked through the equivalent condition that all pairwise sums
-    x_i + x_j (i <= j) are distinct: sorted, no two neighbours are equal.
+    Checked as r_{X-X}(d) <= 1 on [1, span of X], block by block through the
+    pair-counting core `energy._pair_counts`, which counts its own working set
+    against the cap; the first block with a larger count ends the check.
     """
+    from .energy import _pair_counts  # `energy` imports this module
+
     xs = X.elements
-    n = len(xs)
-    if n < 2:
+    if len(xs) < 2:
         return True
-    m = n * (n + 1) // 2
-    # the sums (sorted in place, so no copy) and the equal-neighbour mask
-    check_allocation(9 * m, f"Sidon check over {m} pair sums")
-    sums = np.empty(m, dtype=np.int64)
-    pos = 0
-    for i in range(n):
-        np.add(xs[i], xs[i:], out=sums[pos : pos + n - i])
-        pos += n - i
-    sums.sort()
-    return not (sums[1:] == sums[:-1]).any()
+    _, blocks, _ = _pair_counts(xs, -xs[::-1], 1, int(xs[-1] - xs[0]), "auto")
+    return all(counts.max() <= 1 for _, counts in blocks)
 
 
 def residue_avoiding_random(

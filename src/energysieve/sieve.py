@@ -5,9 +5,9 @@ if every prime-power class count of A stays under the multiplicative ceiling,
 then |A|^2 / delta(v) <= sum over classes h mod v of |A(v;h)|^2, checked in
 exact rational arithmetic.  Second, the divisor sum
 sum_{1 <= u < v <= sqrt(N)} r_{A-A}(uv), computed both by direct product
-enumeration against a difference table (counted by the energy module's
-pair-counting core) and by an independent congruence-window scan that uses
-no table; the two totals agree exactly, pair for pair.
+enumeration against r_{A-A}, streamed block by block from the energy module's
+pair-counting core, and by an independent congruence-window scan that shares
+no counting with it; the two totals agree exactly, pair for pair.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .arith import EPS_ZERO, EpsilonSpec, delta, delta_prime_power, factorize, sieve_primes
-from .energy import _exact_dot, _pair_counts
+from .energy import _BLOCK, _exact_dot, _pair_counts
 from .limits import check_allocation
 from .sets import IntegerSet, ResidueProfile, occupancy
 
@@ -105,49 +105,58 @@ def gallagher_bound(profiles: Sequence[ResidueProfile], N: int) -> float | None:
 
 
 # ---------------------------------------------------------------------------
-# Difference table
+# Difference counts, streamed
 # ---------------------------------------------------------------------------
 
 class DifferenceTable:
-    """r_{A-A}(d) for 1 <= d <= max_diff, counted once by `energy._pair_counts`.
+    """Sums of r_{A-A}(d) over [1, min(max_diff, span of A)], streamed block by
+    block from `energy._pair_counts`; no count is stored.
 
-    Kept as a dense table, or as each block's nonzero entries when the table
-    would be larger than that sparse form can be: 2 or 4 bytes per d against
-    12 per positive difference.  A count is at most |A| - 1, so the dense
-    table is uint16 up to |A| = 65536 and int32 beyond.
+    `lookup` takes enumerators: values(D, E) returns the int64 differences in
+    [D, E] to sum r at, with multiplicity.  Each consumer's are products uv of
+    distinct pairs u < v, so u < R = isqrt(max_diff) + 1, and a block of L
+    differences holds at most sum_{u < R} (L/u + 1) <= L (1 + ln R) + R of them.
     """
 
     def __init__(self, A: IntegerSet, max_diff: int):
-        self.max_diff = max_diff
-        xs = A.elements
-        pairs = len(xs) * (len(xs) - 1) // 2
-        dtype = np.uint16 if len(xs) <= 1 << 16 else np.int32
-        table_bytes = np.dtype(dtype).itemsize * (max_diff + 1)
-        self.dense = table_bytes <= 12 * pairs
-        hi = min(max_diff, int(xs[-1] - xs[0])) if pairs else 0
-        # dense: the table; sparse: the kept parts and then their concatenation
-        held = table_bytes if self.dense else 24 * pairs
-        _, blocks, _ = _pair_counts(xs, -xs[::-1], 1, hi, "auto", held=held)
-        if self.dense:
-            self._dense = np.zeros(max_diff + 1, dtype=dtype)
-            for offset, counts in blocks:
-                self._dense[offset : offset + len(counts)] = counts
-            return
-        parts = [(np.flatnonzero(c) + offset, c[c > 0].astype(np.int32)) for offset, c in blocks]
-        self._values = np.concatenate([np.zeros(0, dtype=np.int64)] + [v for v, _ in parts])
-        self._counts = np.concatenate([np.zeros(0, dtype=np.int32)] + [c for _, c in parts])
+        self.elements = A.elements
+        self.hi = min(max_diff, int(A.elements[-1] - A.elements[0])) if len(A) > 1 else 0
+        self.rows = math.isqrt(max(max_diff, 0)) + 1
 
-    def lookup(self, ds: np.ndarray) -> np.ndarray:
-        """int64 counts for an array of candidate differences in [1, max_diff]."""
-        if self.dense:
-            return self._dense[ds].astype(np.int64)
-        if len(self._values) == 0:
-            return np.zeros(len(ds), dtype=np.int64)
-        idx = np.minimum(np.searchsorted(self._values, ds), len(self._values) - 1)
-        hit = self._values[idx] == ds
-        out = np.zeros(len(ds), dtype=np.int64)
-        out[hit] = self._counts[idx[hit]]
-        return out
+    def lookup(self, *products) -> tuple[int, ...]:
+        """sum of r(d) over the values of each enumerator, from one counting pass."""
+        xs = self.elements
+        per_block = int(min(_BLOCK, self.hi) * (1 + math.log(self.rows))) + self.rows
+        # per value: the values and a temporary, then the offsets and the
+        # gathered counts; per row, the enumerators' row arrays
+        held = 16 * per_block + 80 * self.rows
+        _, blocks, _ = _pair_counts(xs, -xs[::-1], 1, self.hi, "auto", held=held)
+        totals = [0] * len(products)
+        for start, counts in blocks:
+            for i, values in enumerate(products):
+                ds = values(start, start + len(counts) - 1)
+                ds -= start
+                totals[i] += int(counts[ds].sum())
+        return tuple(totals)
+
+
+def _ragged(first: np.ndarray, last: np.ndarray, step: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """first[i], first[i] + step, ... up to last[i], row after row, as one int64
+    array; and the row lengths (0 where last[i] < first[i])."""
+    lens = np.maximum((last - first) // step + 1, 0)
+    starts = np.cumsum(lens) - lens
+    out = np.arange(int(lens.sum()), dtype=np.int64) * step
+    out += np.repeat(first - step * starts, lens)
+    return out, lens
+
+
+def _isqrt(x: np.ndarray) -> np.ndarray:
+    """floor(sqrt(x)) of nonnegative int64 values below 2^62, exactly: the float
+    root is off by at most one either way."""
+    r = np.sqrt(x.astype(np.float64)).astype(np.int64)
+    r -= r * r > x
+    r += (r + 1) * (r + 1) <= x
+    return r
 
 
 # ---------------------------------------------------------------------------
@@ -158,14 +167,14 @@ def divisor_sum_direct(A: IntegerSet, N: int, *, radius: int | None = None) -> i
     """sum over 1 <= u < v <= radius of r_{A-A}(uv); radius defaults to isqrt(N)."""
     if radius is None:
         radius = math.isqrt(N)
-    if radius < 2 or len(A) < 2:
-        return 0
-    table = DifferenceTable(A, radius * radius)
-    total = 0
-    for u in range(1, radius):
-        prods = u * np.arange(u + 1, radius + 1, dtype=np.int64)
-        total += int(table.lookup(prods).sum())
-    return total
+    u = np.arange(1, radius, dtype=np.int64)
+
+    def products(D: int, E: int) -> np.ndarray:  # uv in [D, E]
+        v, lens = _ragged(np.maximum(u + 1, -(-D // u)), np.minimum(radius, E // u))
+        v *= np.repeat(u, lens)
+        return v
+
+    return DifferenceTable(A, radius * radius).lookup(products)[0]
 
 
 @dataclass(frozen=True)

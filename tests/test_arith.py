@@ -497,3 +497,17 @@ class TestEpsilonSpec:
         bad.write_text("7=1/0\n")
         with pytest.raises(ValueError):
             EpsilonSpec.from_file(bad)
+
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("default=1/2\n3=1/2\n# again\n3=1\n", 4),
+            ("3=1/2\n03=1/2\n", 2),
+            ("default=1/2\n5=1\ndefault=1\n", 3),
+        ],
+    )
+    def test_config_file_repeated_key(self, tmp_path, text, line):
+        cfg = tmp_path / "eps.txt"
+        cfg.write_text(text)
+        with pytest.raises(ValueError, match=f"eps.txt:{line}: repeated key"):
+            EpsilonSpec.from_file(cfg)

@@ -209,6 +209,14 @@ class TestSieve:
         assert out[0] == "v,card,delta,lhs,rhs,hypothesis_ok,holds"
         assert out[1] == "3,4,2,8,10,true,true"
 
+    @pytest.mark.parametrize("text", ["default=1/2\n3=1/2\n3=1\n", "default=1/2\ndefault=1\n"])
+    def test_check_v_repeated_eps_key_exit2(self, tmp_path, capsys, text):
+        path = write_squares(tmp_path, 16)
+        cfg = tmp_path / "eps.txt"
+        cfg.write_text(text)
+        assert run("sieve", str(path), "--check-v", "3", "--eps", str(cfg)) == 2
+        assert "repeated key" in capsys.readouterr().err
+
     def test_divisor_sum(self, tmp_path, capsys):
         path = write_squares(tmp_path, 16)
         assert run("sieve", str(path), "--divisor-sum") == 0

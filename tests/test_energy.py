@@ -129,14 +129,6 @@ class TestRepFunctions:
         assert rep.total() == 0
         assert rep.at(1) == 0
 
-    def test_csv(self, tmp_path):
-        rep = rep_sum(iset(2, [1, 2]), iset(2, [1, 2]))
-        path = tmp_path / "rep.csv"
-        rep.to_csv(path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "n,count"
-        assert lines[1:] == ["2,1", "3,2", "4,1"]
-
 
 class TestBackends:
     def test_fft_matches_direct(self, rng):

@@ -240,11 +240,11 @@ class TestSidon:
     def test_is_sidon_counted_bytes_cover_peak(self, monkeypatch):
         import tracemalloc
 
-        import energysieve.sets as sets
+        import energysieve.energy as energy
 
         X = sidon_set(1009, 10**7)
         counted = []
-        monkeypatch.setattr(sets, "check_allocation", lambda nbytes, what: counted.append(nbytes))
+        monkeypatch.setattr(energy, "check_allocation", lambda nbytes, what: counted.append(nbytes))
         tracemalloc.start()
         try:
             assert is_sidon(X)
@@ -252,6 +252,51 @@ class TestSidon:
         finally:
             tracemalloc.stop()
         assert peak <= max(counted) + 2**16
+
+    def test_is_sidon_counted_bytes_cover_peak_fft(self, monkeypatch):
+        import energysieve.energy as energy
+
+        # dense enough that the transform is cheaper: one block of r_{X-X}
+        # fails, after the whole transform
+        rng = np.random.default_rng(3)
+        X = IntegerSet.from_elements(200_000, np.flatnonzero(rng.random(200_001) < 0.115)[1:])
+        counted, backends = [], []
+        count = energy._pair_counts
+
+        def spy(*args, **kwargs):
+            out = count(*args, **kwargs)
+            backends.append(out[0])
+            return out
+
+        monkeypatch.setattr(energy, "_pair_counts", spy)
+        monkeypatch.setattr(energy, "check_allocation", lambda nbytes, what: counted.append(nbytes))
+        tracemalloc.start()
+        try:
+            assert not is_sidon(X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert backends == ["fft"]
+        assert peak <= max(counted) + 2**16
+
+    def test_is_sidon_stops_at_first_failing_block(self, monkeypatch):
+        import energysieve.energy as energy
+
+        # 2 - 1 = 3 - 2 repeats in the first block; the span has eight blocks
+        X = IntegerSet.from_elements(10**6, [1, 2, 3, 10**6])
+        taken = []
+        count = energy._pair_counts
+
+        def spy(*args, **kwargs):
+            backend, blocks, resident = count(*args, **kwargs)
+            return backend, (taken.append(offset) or (offset, c) for offset, c in blocks), resident
+
+        monkeypatch.setattr(energy, "_pair_counts", spy)
+        assert not is_sidon(X)
+        assert taken == [1]
+        taken.clear()
+        assert is_sidon(IntegerSet.from_elements(10**6, [1, 2, 4, 10**6]))
+        assert len(taken) == 8
 
 
 class TestOccupancy:

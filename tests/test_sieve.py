@@ -289,65 +289,60 @@ class TestDivisorSums:
         half = divisor_sum_direct(S, 100, radius=5)
         assert 0 <= half <= full
 
-    def test_sparse_table_matches_dense(self, rng):
-        import numpy as np
-
-        A = make_random_set(rng, 1000, 60)
-        dense = DifferenceTable(A, 1000)
-        # a dense table of 10^6 entries outweighs the sparse form of |A| <= 60
-        sparse = DifferenceTable(A, 10**6)
-        assert dense.dense and not sparse.dense
-        probe = np.arange(1, 1001, dtype=np.int64)
-        assert (dense.lookup(probe) == sparse.lookup(probe)).all()
-
-    @pytest.mark.parametrize("dense", [True, False])
+    @pytest.mark.parametrize("cut", [True, False])
     @pytest.mark.parametrize("size", [800, 2500])
-    def test_counted_bytes_cover_peak(self, monkeypatch, dense, size):
-        import random
+    def test_counted_bytes_cover_peak(self, monkeypatch, cut, size):
         import tracemalloc
 
         import energysieve.energy as energy
 
-        A = IntegerSet.from_elements(10**7, random.Random(size).sample(range(1, 10**7 + 1), size))
+        A = random_set(size, 10**7)
         counted = []
         monkeypatch.setattr(energy, "check_allocation", lambda nbytes, what: counted.append(nbytes))
-        # dense: one block of 5 * 10^5 entries; sparse (a table of 10^8 would
-        # outweigh it): every difference, three blocks
-        max_diff = 5 * 10**5 if dense else 10**8
+        # cut: differences up to 707^2, four blocks; else up to 10^8 (radius
+        # 10^4), the whole span
+        N = 5 * 10**5 if cut else 10**8
         tracemalloc.start()
         try:
-            table = DifferenceTable(A, max_diff)
+            divisor_sum_direct(A, N)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert table.dense == dense
         assert peak <= max(counted) + 2**16
 
-
-    @pytest.mark.parametrize("size, dtype", [(65536, np.uint16), (65537, np.int32)])
-    def test_table_dtype_counted_bytes_cover_peak(self, monkeypatch, size, dtype):
+    @pytest.mark.parametrize("size", [65536, 65537])
+    def test_large_set_exact(self, monkeypatch, size):
         import tracemalloc
 
         import energysieve.energy as energy
 
-        # {1, ..., size}: r(d) = size - d, so r(1) = size - 1 is the largest
-        # count the dtype must hold (65535 in uint16, 65536 needs int32)
+        # {1, ..., size}: r(d) = size - d, so r(1) = size - 1 outgrows uint16
+        # at size 65537
         A = IntegerSet.from_elements(size, range(1, size + 1))
         counted = []
         monkeypatch.setattr(energy, "check_allocation", lambda nbytes, what: counted.append(nbytes))
-        max_diff = 10**7  # the table outweighs the transform's working set
+        ends = np.array([1, size - 1], dtype=np.int64)
+
+        def ends_in(D, E):
+            return ends[(ends >= D) & (ends <= E)].copy()
+
         tracemalloc.start()
         try:
-            table = DifferenceTable(A, max_diff)
+            got = DifferenceTable(A, 10**7).lookup(every_difference, ends_in)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert table.dense and table._dense.dtype == dtype
+        assert got == (size * (size - 1) // 2, size)
         assert peak <= max(counted) + 2**16
-        probe = np.append(np.arange(1, size + 2, dtype=np.int64), max_diff)
-        got = table.lookup(probe)
-        assert got.dtype == np.int64
-        assert (got == np.maximum(size - probe, 0)).all()
+        # sum over u < v <= 3162, uv < size, of size - uv, one u at a time
+        radius = math.isqrt(10**7)
+        want = 0
+        for u in range(1, radius):
+            top = min(radius, (size - 1) // u)
+            if top > u:
+                k = top - u
+                want += k * size - u * (top * (top + 1) // 2 - u * (u + 1) // 2)
+        assert divisor_sum_direct(A, 10**7) == want
 
 
 class DifferenceTableOracle:
@@ -401,38 +396,185 @@ class DifferenceTableOracle:
         return out
 
 
+def former_routes(A, N):
+    """Routes (ii) and (iii) of `energy_decomposition` and `divisor_sum_direct`,
+    as the per-row loops that read the former stored table, here the oracle."""
+    root = radius = math.isqrt(N)
+    table = DifferenceTableOracle(A, N)
+
+    def r(values):
+        return int(table.lookup(values).sum()) if len(values) else 0
+
+    square = sum(r(np.arange(m + 1, root + 1, dtype=np.int64) ** 2 - m * m) for m in range(1, root))
+    factor = sum(r(u * np.arange(u + 2, 2 * root - u + 1, 2, dtype=np.int64)) for u in range(1, root))
+    divisor = sum(r(u * np.arange(u + 1, radius + 1, dtype=np.int64)) for u in range(1, radius))
+    return square, factor, divisor
+
+
+def block_bound(length, rows):
+    """The values an enumerator may give for a block of L differences:
+    L (1 + ln R) + R, R = isqrt(max_diff) + 1."""
+    return int(length * (1 + math.log(rows))) + rows
+
+
+def random_set(size, cap=10**6):
+    import random
+
+    return IntegerSet.from_elements(cap, random.Random(size).sample(range(1, cap + 1), size))
+
+
+def every_difference(D, E):
+    return np.arange(D, E + 1, dtype=np.int64)
+
+
 class TestDifferenceTable:
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: random_set(1),        # no differences: an empty window
+            lambda: random_set(2),
+            lambda: random_set(30),
+            lambda: random_set(1000),
+            lambda: squares_up_to(10**4),
+            lambda: squares_up_to(10**6),
+            lambda: squares_up_to(4 * 10**6),
+        ],
+        ids=["random1", "random2", "random30", "random1000", "sq1e4", "sq1e6", "sq4e6"],
+    )
+    # the whole span in several blocks, a cut second block, a cut first
+    # block, the smallest N with values on every route, and one value
+    @pytest.mark.parametrize("N", [None, 150_001, 1000, 4, 1])
+    def test_consumers_match_former_loops(self, make, N):
+        from energysieve.correlation import energy_decomposition
+
+        A = make()
+        N = A.cap if N is None else N
+        rep = energy_decomposition(A, N)
+        square, factor, divisor = former_routes(A, N)
+        base = len(A) * math.isqrt(N)
+        assert (rep.via_square_pairs, rep.via_factor_pairs) == (base + 2 * square, base + 2 * factor)
+        assert divisor_sum_direct(A, N) == divisor
+
     @pytest.mark.parametrize(
         "cap, size, max_diff",
         [
-            (10**6, 1000, 10**6),     # dense, the whole span: several blocks
-            (10**6, 1000, 150_001),   # dense, cuts the second block
-            (10**6, 1000, 1),         # dense, one value
-            (10**6, 30, 10**6),       # sparse, several blocks
+            (10**6, 1000, 10**6),     # the whole span: several blocks, the last cut
+            (10**6, 1000, 150_001),   # cuts the second block
+            (10**6, 1000, 1000),      # cuts the first block
+            (10**6, 1000, 1),         # one value
+            (10**6, 1000, 0),         # an empty window
+            (10**6, 30, 10**6),
             (10**6, 30, 5 * 10**5 + 3),
             (10**6, 1, 10**6),        # no differences
             (10**6, 2, 10**6),
         ],
     )
     def test_random_sets_match_oracle(self, cap, size, max_diff):
-        import random
-
-        A = IntegerSet.from_elements(cap, random.Random(size).sample(range(1, cap + 1), size))
-        table = DifferenceTable(A, max_diff)
-        oracle = DifferenceTableOracle(A, max_diff)
-        assert table.dense == (size > 30)
-        probe = np.arange(1, max_diff + 1, dtype=np.int64)
-        got = table.lookup(probe)
-        assert got.dtype == np.int64
-        assert (got == oracle.lookup(probe)).all()
+        self.check_windows(random_set(size, cap), max_diff)
 
     @pytest.mark.parametrize("N", [10**4, 10**6, 4 * 10**6])
     def test_squares_match_oracle(self, N):
         S = squares_up_to(N)
-        for max_diff in (N, N // 3, 12):
-            probe = np.arange(1, max_diff + 1, dtype=np.int64)
-            assert (DifferenceTable(S, max_diff).lookup(probe) ==
-                    DifferenceTableOracle(S, max_diff).lookup(probe)).all()
+        for max_diff in (N, N // 3, 12, 1, 0):
+            self.check_windows(S, max_diff)
+
+    @staticmethod
+    def check_windows(A, max_diff):
+        """Every difference, and every seventh twice over, summed in one pass."""
+        oracle = DifferenceTableOracle(A, max_diff)
+        probe = np.arange(1, max_diff + 1, dtype=np.int64)
+        sample = probe[::7]
+
+        def sampled(D, E):
+            return sample[(sample >= D) & (sample <= E)].copy()
+
+        got = DifferenceTable(A, max_diff).lookup(every_difference, sampled, sampled)
+        want = int(oracle.lookup(probe).sum()), int(oracle.lookup(sample).sum())
+        assert got == (want[0], want[1], want[1])
+
+    def test_isqrt_exact(self):
+        # around k^2 for k up to 2^31 - 1, where the float root can be off by one
+        k = np.array([1, 2, 3, 1000, 31623, 2**26 + 1, 2**30 - 1, 2**30, 2**31 - 1], dtype=np.int64)
+        x = np.concatenate([k * k - 1, k * k, k * k + 1, k * k + 2 * k, [0, 2, 3]])
+        assert sieve_module._isqrt(x).tolist() == [math.isqrt(int(v)) for v in x]
+
+    @pytest.mark.parametrize("backend", ["direct", "fft"])
+    def test_lookup_counted_bytes_cover_peak(self, monkeypatch, backend):
+        import tracemalloc
+
+        import energysieve.energy as energy
+        from energysieve.correlation import energy_decomposition
+
+        if backend == "fft":
+            rng = np.random.default_rng(3)
+            A = IntegerSet.from_elements(200_000, np.flatnonzero(rng.random(200_001) < 0.115)[1:])
+        else:
+            A = random_set(2500, 10**7)
+        counted, peaks, backends = [], [], []
+        monkeypatch.setattr(energy, "check_allocation", lambda nbytes, what: counted.append(nbytes))
+        count = energy._pair_counts
+
+        def spy(*args, **kwargs):
+            out = count(*args, **kwargs)
+            backends.append(out[0])
+            return out
+
+        monkeypatch.setattr(sieve_module, "_pair_counts", spy)
+        lookup = DifferenceTable.lookup
+
+        def measured(self, *products):
+            counted.clear()
+            tracemalloc.start()
+            try:
+                out = lookup(self, *products)
+                peaks.append((tracemalloc.get_traced_memory()[1], max(counted)))
+            finally:
+                tracemalloc.stop()
+            return out
+
+        monkeypatch.setattr(DifferenceTable, "lookup", measured)
+        energy_decomposition(A, A.cap)
+        divisor_sum_direct(A, A.cap)
+        assert backends == [backend, backend]
+        for peak, bound in peaks:
+            assert peak <= bound + 2**16
+
+    @pytest.mark.parametrize(
+        "make, N",
+        [
+            (lambda: squares_up_to(10**6), 10**6),
+            (lambda: random_set(1000), 10**6),
+            (lambda: IntegerSet.from_elements(10**6, range(1, 10**6 + 1, 3)), 10**6),
+            (lambda: random_set(1000), 10**5),
+        ],
+        ids=["sq1e6", "random1000", "step3", "random1000-N1e5"],
+    )
+    def test_values_per_block_within_bound(self, monkeypatch, make, N):
+        from energysieve.correlation import energy_decomposition
+
+        lookup = DifferenceTable.lookup
+        blocks = []
+
+        def checked(self, *products):
+            assert self.rows == math.isqrt(N) + 1  # max_diff is N or isqrt(N)^2
+
+            def check(values):
+                def inner(D, E):
+                    ds = values(D, E)
+                    assert ds.dtype == np.int64 and len(ds) <= block_bound(E - D + 1, self.rows)
+                    assert len(ds) == 0 or (D <= ds.min() and ds.max() <= E)
+                    blocks.append(len(ds))
+                    return ds
+
+                return inner
+
+            return lookup(self, *map(check, products))
+
+        monkeypatch.setattr(DifferenceTable, "lookup", checked)
+        A = make()
+        energy_decomposition(A, N)
+        divisor_sum_direct(A, N)
+        assert max(blocks) > 0
 
     def test_dense_set_uses_the_transform(self, monkeypatch):
         import energysieve.energy as energy
@@ -448,10 +590,9 @@ class TestDifferenceTable:
             return out
 
         monkeypatch.setattr(sieve_module, "_pair_counts", spy)
-        table = DifferenceTable(A, A.cap)
-        assert backends == ["fft"] and table.dense
-        probe = np.arange(1, A.cap + 1, dtype=np.int64)
-        assert table.lookup(probe).sum() == len(A) * (len(A) - 1) // 2
+        total = DifferenceTable(A, A.cap).lookup(every_difference)
+        assert backends == ["fft"]
+        assert total == (len(A) * (len(A) - 1) // 2,)
 
 
 class TestGrowthReport:
