@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import fields
@@ -41,14 +42,18 @@ def _parse_grid(text: str) -> list[int]:
         part = part.strip()
         if not part:
             continue
-        try:
-            out.append(int(float(part)))
-        except OverflowError:
-            raise ValueError(f"grid value {part!r} is not finite") from None
+        # float's syntax and range first: "6/2" stays an error and Fraction's 10**exp stays small
+        approx = float(part)
+        if not math.isfinite(approx):
+            raise ValueError(f"grid value {part!r} is not finite")
+        if approx < 2:
+            raise ValueError("grid values must be at least 2: rows divide by log N")
+        value = Fraction(part)
+        if value.denominator != 1:
+            raise ValueError(f"grid value {part!r} is not an integer")
+        out.append(int(value))
     if not out:
         raise ValueError("empty sweep grid")
-    if any(n < 2 for n in out):
-        raise ValueError("grid values must be at least 2: rows divide by log N")
     return sorted(set(out))
 
 

@@ -225,7 +225,7 @@ def sidon_report(
         linear_bound=bound,
         holds=energy <= bound,
         occupancies=occ,
-        hypothesis_ok=_under_ceiling(X, ((p, 1) for p, _ in occ), eps),
+        hypothesis_ok=_under_ceiling((((p, 1), count) for p, count in occ), eps),
     )
 
 

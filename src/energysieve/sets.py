@@ -102,17 +102,10 @@ class ResidueProfile:
 
 def occupancy(A: IntegerSet, v: int) -> ResidueProfile:
     """Exact per-class counts of A modulo v and the number of occupied classes."""
-    if v < 1:
-        raise ValueError("modulus must be positive")
-    residues = A.elements % v
-    if v <= len(residues):
-        counts = np.bincount(residues, minlength=v).astype(np.int64)
-        return ResidueProfile(modulus=v, counts=counts, occupancy=int((counts > 0).sum()))
-    # more classes than elements: work over the occupied classes only
-    occupied, sizes = np.unique(residues, return_counts=True)
-    counts = np.zeros(v, dtype=np.int64)
-    counts[occupied] = sizes
-    return ResidueProfile(modulus=v, counts=counts, occupancy=len(occupied))
+    if not 1 <= v < 2**63:
+        raise ValueError(f"modulus must be in [1, 2^63), got {v}")
+    counts = np.bincount(A.elements % v, minlength=v)
+    return ResidueProfile(modulus=v, counts=counts, occupancy=int(np.count_nonzero(counts)))
 
 
 # ---------------------------------------------------------------------------
@@ -214,9 +207,9 @@ def residue_avoiding_random(
         raise ValueError("N must be positive")
     if strategy not in ("qr", "uniform"):
         raise ValueError(f"unknown strategy {strategy!r}")
-    # the keep mask, and per prime the int64 values and residues and their
-    # gathered bits
-    check_allocation(18 * (N + 1), f"residue filter of [1, {N}]")
+    # the keep mask and a tiled class mask per prime; then, with the keep mask,
+    # the survivors' int64 indices and the set's copy of them
+    check_allocation(17 * (N + 1), f"residue filter of [1, {N}]")
     rng = random.Random(seed)
     keep = np.ones(N + 1, dtype=bool)
     keep[0] = False
@@ -230,7 +223,7 @@ def residue_avoiding_random(
             allowed = sorted(rng.sample(range(p), size))
         ok = np.zeros(p, dtype=bool)
         ok[allowed] = True
-        keep &= ok[np.arange(N + 1) % p]
+        keep &= np.tile(ok, -(-(N + 1) // p))[: N + 1]  # ok[n % p] for n = 0..N
     out = IntegerSet.from_elements(N, np.flatnonzero(keep))
     if len(out) == 0:
         warnings.warn(
@@ -247,10 +240,8 @@ def mod4_restrict(A: IntegerSet) -> IntegerSet:
     """
     if len(A) == 0:
         raise ValueError("set must be nonempty")
-    residues = A.elements % 4
-    counts = np.bincount(residues, minlength=4)
-    best = int(np.argmax(counts))  # argmax returns the smallest index on ties
-    return IntegerSet.from_elements(A.cap, A.elements[residues == best])
+    best = int(np.argmax(occupancy(A, 4).counts))  # argmax returns the smallest index on ties
+    return IntegerSet.from_elements(A.cap, A.elements[A.elements % 4 == best])
 
 
 # ---------------------------------------------------------------------------

@@ -66,17 +66,17 @@ def composite_moduli_check(A: IntegerSet, v: int, eps: EpsilonSpec) -> SieveChec
         delta_value=dv,
         lhs=lhs,
         rhs=rhs,
-        hypothesis_ok=_under_ceiling(A, factorize(v).factors, eps),
+        hypothesis_ok=_under_ceiling(
+            (((p, k), occupancy(A, p**k).occupancy) for p, k in factorize(v).factors), eps
+        ),
         holds=lhs <= rhs,
     )
 
 
-def _under_ceiling(A: IntegerSet, prime_powers, eps: EpsilonSpec) -> bool:
-    """The occupancy hypothesis: A occupies at most delta_prime_power(p, k, eps)
-    classes modulo p^k, for each (p, k) in turn until one fails."""
-    return all(
-        occupancy(A, p**k).occupancy <= delta_prime_power(p, k, eps) for p, k in prime_powers
-    )
+def _under_ceiling(occupied, eps: EpsilonSpec) -> bool:
+    """The occupancy hypothesis: for each ((p, k), classes occupied modulo p^k)
+    in turn, until one fails, at most delta_prime_power(p, k, eps) classes."""
+    return all(count <= delta_prime_power(p, k, eps) for (p, k), count in occupied)
 
 
 def gallagher_bound(profiles: Sequence[ResidueProfile], N: int) -> float | None:
@@ -297,6 +297,8 @@ def divisor_growth_report(A: IntegerSet, N: int, eps: EpsilonSpec = EPS_ZERO) ->
         total=total,
         scale=scale,
         ratio=total / scale if scale > 0 else 0.0,
-        hypothesis_ok=_under_ceiling(A, ((p, 1) for p in sieve_primes(limit)), eps),
+        hypothesis_ok=_under_ceiling(
+            (((p, 1), occupancy(A, p).occupancy) for p in sieve_primes(limit)), eps
+        ),
         hypothesis_checked_to=limit,
     )

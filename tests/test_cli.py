@@ -217,6 +217,13 @@ class TestSieve:
         assert run("sieve", str(path), "--check-v", "3", "--eps", str(cfg)) == 2
         assert "repeated key" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("v", [2**63 - 1, 2**63])
+    def test_check_v_beyond_int64_exit2(self, tmp_path, capsys, v):
+        path = write_squares(tmp_path, 16)
+        capsys.readouterr()
+        assert run("sieve", str(path), "--check-v", str(v)) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
     def test_divisor_sum(self, tmp_path, capsys):
         path = write_squares(tmp_path, 16)
         assert run("sieve", str(path), "--divisor-sum") == 0
@@ -269,6 +276,20 @@ class TestSweep:
     def test_infinite_grid_exit2(self):
         for grid in ("inf", "1e400", "1e3,-inf", "nan"):
             assert run("sweep", "ramanujan", "--grid", grid) == 2
+
+    @pytest.mark.parametrize("grid", ["1000.7", "2.9", "1e3,2.5e0", "6/2", "0e99999999999"])
+    def test_grid_value_not_an_integer_exit2(self, grid, capsys):
+        assert run("sweep", "ramanujan", "--grid", grid) == 2
+        assert capsys.readouterr().out == ""
+
+    def test_grid_exponent_forms_still_parse(self):
+        assert cli._parse_grid("1e6, 1.2e7,1E3,100,1e3") == [100, 1000, 10**6, 12 * 10**6]
+
+    @pytest.mark.parametrize("grid, first_cut", [("1e3,9007199254740993", 2**53 + 1),
+                                                 ("1e3,1e30", 10**30)])
+    def test_truncated_at_is_exact(self, grid, first_cut, capsys):
+        assert run("sweep", "ramanujan", "--grid", grid, "--format", "json") == 4
+        assert json.loads(capsys.readouterr().out)["truncated_at"] == first_cut
 
     def test_row_below_floor_exit3(self, monkeypatch):
         real = correlation.energy_decomposition

@@ -1,8 +1,11 @@
 import math
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from energysieve.arith import EPS_HALF
+from energysieve import correlation, sets, sieve
+from energysieve.arith import EPS_HALF, EPS_ZERO, EpsilonSpec, delta_prime_power
 from energysieve.correlation import (
     energy_decomposition,
     energy_lower_bound,
@@ -195,6 +198,27 @@ class TestSidonReport:
         assert [p for p, _ in rep.occupancies] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
 
 
+    @pytest.mark.parametrize("X, N", [(sidon_set(11, 300), 300), (sidon_set(23, 10**4), 10**4),
+                                      (IntegerSet.from_elements(100, [2, 4, 8, 16, 32]), 100)])
+    @pytest.mark.parametrize("eps", [EPS_ZERO, EPS_HALF, EpsilonSpec.constant(Fraction(3))])
+    def test_one_occupancy_pass_per_prime(self, monkeypatch, X, N, eps):
+        moduli = []
+
+        def spy(A, v):
+            moduli.append(int(v))
+            return sets.occupancy(A, v)
+
+        monkeypatch.setattr(correlation, "occupancy", spy)
+        monkeypatch.setattr(sieve, "occupancy", spy)
+        rep = sidon_report(X, N, eps, prime_bound=30)
+        primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+        assert moduli == primes
+        assert rep.occupancies == tuple((p, sets.occupancy(X, p).occupancy) for p in primes)
+        assert rep.hypothesis_ok == all(
+            occupied <= delta_prime_power(p, 1, eps) for p, occupied in rep.occupancies
+        )
+
+
 class TestRamanujanRatio:
     def test_n16(self):
         assert ramanujan_ratio(16) == pytest.approx(28 / (16 * math.log(16)), abs=1e-12)
@@ -207,6 +231,17 @@ class TestRamanujanRatio:
     def test_too_small(self):
         with pytest.raises(ValueError):
             ramanujan_ratio(3)
+
+    def test_second_order_constant(self):
+        # E(S,S)/(N log N) = c + c1/log N + o(1/log N), with c = 1/4 +
+        # 4 int_1^2 ((pi/2 - 2 arccos t^(-1/2)) / (2 pi))^2 dt and c1 = 0.775...;
+        # t = 1 + s^2 turns arccos t^(-1/2) into arctan s, a smooth integrand
+        s, w = np.polynomial.legendre.leggauss(20)
+        s, w = (s + 1) / 2, w / 2
+        c = 0.25 + 8 * float(np.dot(w, s * ((math.pi / 2 - 2 * np.arctan(s)) / (2 * math.pi)) ** 2))
+        assert c == pytest.approx(0.280922, abs=1e-6)
+        for N in (10**4, 10**5, 10**6):
+            assert 0.769 <= (ramanujan_row(N).ratio_log - c) * math.log(N) <= 0.777, N
 
 
 class TestRows:

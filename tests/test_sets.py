@@ -1,14 +1,16 @@
 import itertools
 import math
+import random
 import tracemalloc
 import warnings
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
 import pytest
 
 import energysieve.sets as sets
-from energysieve.arith import EPS_HALF, EPS_ZERO, sieve_primes
+from energysieve.arith import EPS_HALF, EPS_ZERO, EpsilonSpec, sieve_primes
 from energysieve.errors import ResourceLimitError, SetFileError
 from energysieve.sets import (
     IntegerSet,
@@ -299,6 +301,25 @@ class TestSidon:
         assert len(taken) == 8
 
 
+def residue_filter_oracle(N, eps, prime_bound, seed, strategy):
+    """The former filter: the same allowed classes, each prime's bits gathered
+    as ok[np.arange(N + 1) % p]; the survivors' values."""
+    rng = random.Random(seed)
+    keep = np.ones(N + 1, dtype=bool)
+    keep[0] = False
+    for p in sieve_primes(prime_bound).primes:
+        p = int(p)
+        size = max(1, min(int(math.floor(p / 2 + eps.at(p))), p))
+        if strategy == "qr":
+            allowed = sorted({(x * x) % p for x in range(p)})[:size]
+        else:
+            allowed = sorted(rng.sample(range(p), size))
+        ok = np.zeros(p, dtype=bool)
+        ok[allowed] = True
+        keep &= ok[np.arange(N + 1) % p]
+    return np.flatnonzero(keep)
+
+
 class TestOccupancy:
     def test_example(self):
         prof = occupancy(IntegerSet.from_elements(16, [1, 4, 9, 16]), 3)
@@ -393,6 +414,36 @@ class TestResidueAvoiding:
                 p = int(p)
                 allowed = math.floor(p / 2 + eps.at(p))
                 assert occupancy(A, p).occupancy <= max(1, allowed)
+
+    @pytest.mark.parametrize("strategy", ["qr", "uniform"])
+    @pytest.mark.parametrize("P", [2, 3, 7, 13, 31])
+    def test_matches_former_gather_filter(self, strategy, P):
+        q = int(sieve_primes(P).primes[-1])
+        for N in sorted({1, max(1, q - 1), q, 10**4}):
+            for eps in (EPS_ZERO, EPS_HALF):
+                for seed in range(3):
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("ignore")
+                        A = residue_avoiding_random(N, eps, P, seed, strategy=strategy)
+                    oracle = residue_filter_oracle(N, eps, P, seed, strategy)
+                    assert A.cap == N
+                    assert A.elements.tolist() == oracle.tolist(), (N, eps, seed)
+
+    @pytest.mark.parametrize("eps", [EPS_HALF, EpsilonSpec.constant(Fraction(20))])
+    def test_counted_bytes_cover_peak(self, monkeypatch, eps):
+        # a large eps allows every class, so every value survives: the worst case
+        N = 10**6
+        counted = {}
+        monkeypatch.setattr(sets, "check_allocation",
+                            lambda nbytes, what: counted.setdefault(what, nbytes))
+        tracemalloc.start()
+        try:
+            A = residue_avoiding_random(N, eps, 31, seed=0, strategy="uniform")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (len(A) == N) == (eps is not EPS_HALF)
+        assert peak <= counted[f"residue filter of [1, {N}]"] + 2**16
 
     def test_empty_result_warns(self):
         # tiny interval, many congruence conditions: nothing survives
