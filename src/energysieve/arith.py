@@ -241,8 +241,9 @@ EPS_ONE = EpsilonSpec.constant(1)
 
 
 def delta_prime_power(p: int, k: int, eps: EpsilonSpec) -> Fraction:
-    """Ceiling value on p^k: p^(k-1) * (p/2 + eps(p))."""
-    return Fraction(p) ** (k - 1) * (Fraction(p, 2) + eps.at(p))
+    """Ceiling value on p^k: p^(k-1) * (p/2 + eps(p)), normalised once."""
+    e = eps.at(p)
+    return Fraction(p ** (k - 1) * (p * e.denominator + 2 * e.numerator), 2 * e.denominator)
 
 
 @lru_cache(maxsize=65536)

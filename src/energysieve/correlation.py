@@ -18,10 +18,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arith import EPS_HALF, EpsilonSpec, sieve_primes
-from .energy import _exact_dot, energy_sum_path, rep_sum
+from .energy import _exact_dot, _ragged, energy_sum_path, rep_sum
 from .errors import InvariantViolationError
 from .sets import IntegerSet, is_sidon, mod4_restrict, occupancy, sidon_set, squares_up_to
-from .sieve import DifferenceTable, _isqrt, _ragged, _under_ceiling, divisor_sum_direct
+from .sieve import DifferenceTable, _isqrt, _under_ceiling, divisor_sum_direct
 
 __all__ = [
     "DecompositionReport",

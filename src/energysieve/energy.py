@@ -107,38 +107,46 @@ def _report(value: int, method: str, X: IntegerSet, Y: IntegerSet) -> EnergyRepo
 # ---------------------------------------------------------------------------
 
 def _direct_blocks(xs: np.ndarray, ys: np.ndarray, lo: int, hi: int):
-    """Counts of x + y over [lo, hi] in blocks of _BLOCK values.  One `searchsorted`
-    per x gives its y range in the block (at most _BLOCK distinct y); the rows
-    are gathered in groups of at most _BLOCK pairs, each counted by one bincount.
-    When `ys is xs` only the pairs x < y are gathered, and r(n) = 2c(n) + [n = 2x].
-    """
-    after = np.arange(1, len(xs) + 1) if ys is xs else None  # index of the first y > x
+    """Counts of x + y over [lo, hi] in blocks of _BLOCK values.  Row x of a block
+    is ys[left:right], at most _BLOCK y; each block's left edges are the last one's
+    right edges, so one `searchsorted` per block, and one before, finds them all.
+    Rows are gathered by `_ragged` in groups of at most _BLOCK pairs, one bincount
+    each.  When `ys is xs` edges clamp to the first y > x, so only pairs x < y are
+    gathered, and r(n) = 2c(n) + [n = 2x]."""
+    left = np.maximum(np.searchsorted(ys, lo - xs), np.arange(1, len(xs) + 1) if ys is xs else 0)
     for start in range(lo, hi + 1, _BLOCK):
         length = min(_BLOCK, hi + 1 - start)
-        left = np.searchsorted(ys, start - xs)
         right = np.searchsorted(ys, start + length - xs)
-        if after is not None:
-            np.maximum(left, after, out=left)
-            np.maximum(right, left, out=right)
-        lens = right - left
-        ends = np.cumsum(lens)
+        np.maximum(right, left, out=right)  # moves an edge only when ys is xs
+        ends = np.cumsum(right - left)
         counts = None
         i = done = 0
         while done < ends[-1]:
             j = int(np.searchsorted(ends, done + _BLOCK, side="right"))
-            rows = lens[i:j]
-            idx = np.repeat(left[i:j] - ends[i:j] + rows, rows) + np.arange(done, ends[j - 1])
-            sums = ys[idx] + np.repeat(xs[i:j] - start, rows)
+            idx, rows = _ragged(left[i:j], right[i:j] - 1)
+            sums = ys[idx]
+            sums += np.repeat(xs[i:j] - start, rows)
             group = np.bincount(sums, minlength=length)
             counts = group if counts is None else np.add(counts, group, out=counts)
             i, done = j, int(ends[j - 1])
         if counts is None:
             counts = np.zeros(length, dtype=np.int64)
-        if after is not None:
+        if ys is xs:
             counts *= 2
             a, b = np.searchsorted(xs, [(start + 1) // 2, (start + length + 1) // 2])  # 2x in the block
             counts[2 * xs[a:b] - start] += 1
         yield start, counts
+        left = right
+
+
+def _ragged(first: np.ndarray, last: np.ndarray, step: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """first[i], first[i] + step, ... up to last[i], row after row, as one int64
+    array; and the row lengths (0 where last[i] < first[i])."""
+    lens = np.maximum((last - first) // step + 1, 0)
+    starts = np.cumsum(lens) - lens
+    out = np.arange(int(lens.sum()), dtype=np.int64) * step
+    out += np.repeat(first - step * starts, lens)
+    return out, lens
 
 
 def _indicator(v: np.ndarray) -> np.ndarray:
@@ -241,9 +249,9 @@ def _pair_counts(xs: np.ndarray, ys: np.ndarray, lo: int, hi: int, method: str,
             blocks = ((lo + i, window[i : i + _BLOCK]) for i in range(0, len(window), _BLOCK))
             return "fft", blocks, counts.nbytes
         backend = "fft-fallback"
-    # counts, a bincount result and the caller's previous block; a group's
-    # indices, sums and their temporaries; eight arrays over the rows
-    nbytes = 24 * min(_BLOCK, hi - lo + 1) + 48 * min(_BLOCK, pairs) + 64 * len(xs)
+    # counts, a bincount result and the caller's previous block; a group's indices
+    # and row starts, the last group's indices and sums; eight arrays over the rows
+    nbytes = 24 * min(_BLOCK, hi - lo + 1) + 32 * min(_BLOCK, pairs) + 64 * len(xs)
     check_allocation(held + nbytes, "direct pair counting")
     return backend, _direct_blocks(xs, ys, lo, hi), nbytes
 

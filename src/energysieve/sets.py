@@ -102,8 +102,9 @@ class ResidueProfile:
 
 def occupancy(A: IntegerSet, v: int) -> ResidueProfile:
     """Exact per-class counts of A modulo v and the number of occupied classes."""
-    if not 1 <= v < 2**63:
-        raise ValueError(f"modulus must be in [1, 2^63), got {v}")
+    if not 1 <= v < 2**60:  # 8v bytes of counts must be addressable
+        raise ValueError(f"modulus must be in [1, 2^60), got {v}")
+    check_allocation(8 * (v + len(A)), f"occupancy table modulo {v}")  # residues and counts
     counts = np.bincount(A.elements % v, minlength=v)
     return ResidueProfile(modulus=v, counts=counts, occupancy=int(np.count_nonzero(counts)))
 

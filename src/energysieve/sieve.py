@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .arith import EPS_ZERO, EpsilonSpec, delta, delta_prime_power, factorize, sieve_primes
-from .energy import _BLOCK, _exact_dot, _pair_counts
+from .energy import _BLOCK, _exact_dot, _pair_counts, _ragged
 from .limits import check_allocation
 from .sets import IntegerSet, ResidueProfile, occupancy
 
@@ -66,9 +66,9 @@ def composite_moduli_check(A: IntegerSet, v: int, eps: EpsilonSpec) -> SieveChec
         delta_value=dv,
         lhs=lhs,
         rhs=rhs,
-        hypothesis_ok=_under_ceiling(
-            (((p, k), occupancy(A, p**k).occupancy) for p, k in factorize(v).factors), eps
-        ),
+        hypothesis_ok=_under_ceiling(  # classes h = r (mod p^k) make column r of counts
+            (((p, k), np.count_nonzero(counts.reshape(-1, p**k).any(axis=0)))
+             for p, k in factorize(v).factors), eps),
         holds=lhs <= rhs,
     )
 
@@ -138,16 +138,6 @@ class DifferenceTable:
                 ds -= start
                 totals[i] += int(counts[ds].sum())
         return tuple(totals)
-
-
-def _ragged(first: np.ndarray, last: np.ndarray, step: int = 1) -> tuple[np.ndarray, np.ndarray]:
-    """first[i], first[i] + step, ... up to last[i], row after row, as one int64
-    array; and the row lengths (0 where last[i] < first[i])."""
-    lens = np.maximum((last - first) // step + 1, 0)
-    starts = np.cumsum(lens) - lens
-    out = np.arange(int(lens.sum()), dtype=np.int64) * step
-    out += np.repeat(first - step * starts, lens)
-    return out, lens
 
 
 def _isqrt(x: np.ndarray) -> np.ndarray:

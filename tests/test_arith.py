@@ -168,6 +168,16 @@ class TestDelta:
         assert delta_prime_power(2, 3, EPS_HALF) == Fraction(2) ** 2 * Fraction(3, 2)
         assert delta(8, EPS_HALF) == 6
 
+    def test_prime_power_equals_former_expression(self, tmp_path):
+        cfg = tmp_path / "eps.txt"
+        cfg.write_text("default=3/7\n2=0\n3=5/4\n97=0.125\n")
+        specs = [EpsilonSpec.constant(e) for e in (0, Fraction(1, 2), 1, Fraction(2, 3))]
+        for eps in specs + [EpsilonSpec.from_file(cfg)]:
+            for p in trial_division_primes(100):
+                for k in range(1, 5):
+                    former = Fraction(p) ** (k - 1) * (Fraction(p, 2) + eps.at(p))
+                    assert delta_prime_power(p, k, eps) == former
+
     def test_against_oracle(self, rng):
         for eps in (EPS_ZERO, EPS_HALF, EPS_ONE):
             for _ in range(100):

@@ -224,6 +224,17 @@ class TestSieve:
         assert run("sieve", str(path), "--check-v", str(v)) == 2
         assert capsys.readouterr().err.startswith("error:")
 
+    def test_check_v_table_over_cap_exit4(self, tmp_path, monkeypatch, capsys):
+        path = tmp_path / "three.txt"
+        path.write_text("N=10\n1\n2\n3\n")
+        monkeypatch.setenv(MEMORY_CAP_ENV, str(2**24))
+        capsys.readouterr()
+        assert run("sieve", str(path), "--check-v", str(10**9 + 7)) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("resource limit: occupancy table modulo 1000000007 needs")
+        assert len(captured.err.splitlines()) == 1 and "Traceback" not in captured.err
+
     def test_divisor_sum(self, tmp_path, capsys):
         path = write_squares(tmp_path, 16)
         assert run("sieve", str(path), "--divisor-sum") == 0

@@ -54,6 +54,38 @@ def count_direct_oracle(xs, ys, lo, length):
     return counts
 
 
+def former_direct_blocks(xs, ys, lo, hi):
+    """The direct kernel as it was: both edges searched in every block, the pair
+    index built inline."""
+    after = np.arange(1, len(xs) + 1) if ys is xs else None
+    for start in range(lo, hi + 1, energy._BLOCK):
+        length = min(energy._BLOCK, hi + 1 - start)
+        left = np.searchsorted(ys, start - xs)
+        right = np.searchsorted(ys, start + length - xs)
+        if after is not None:
+            np.maximum(left, after, out=left)
+            np.maximum(right, left, out=right)
+        lens = right - left
+        ends = np.cumsum(lens)
+        counts = None
+        i = done = 0
+        while done < ends[-1]:
+            j = int(np.searchsorted(ends, done + energy._BLOCK, side="right"))
+            rows = lens[i:j]
+            idx = np.repeat(left[i:j] - ends[i:j] + rows, rows) + np.arange(done, ends[j - 1])
+            sums = ys[idx] + np.repeat(xs[i:j] - start, rows)
+            group = np.bincount(sums, minlength=length)
+            counts = group if counts is None else np.add(counts, group, out=counts)
+            i, done = j, int(ends[j - 1])
+        if counts is None:
+            counts = np.zeros(length, dtype=np.int64)
+        if after is not None:
+            counts *= 2
+            a, b = np.searchsorted(xs, [(start + 1) // 2, (start + length + 1) // 2])
+            counts[2 * xs[a:b] - start] += 1
+        yield start, counts
+
+
 def streamed(xs, ys, lo, hi, method):
     """The core's blocks over [lo, hi], checked to be consecutive, joined."""
     backend, blocks, _ = energy._pair_counts(xs, ys, lo, hi, method)
@@ -333,6 +365,111 @@ class TestWindowedCore:
             tracemalloc.stop()
         assert value == expected
         assert peak <= max(counted) + 2**16
+
+
+class TestDirectBlocks:
+    """The direct kernel against its former self, block by block, with `==`."""
+
+    CASES = {
+        "random": lambda rng: (make_random_set(rng, 6 * 10**5, 900), make_random_set(rng, 3 * 10**5, 900)),
+        "squares": lambda rng: (squares_up_to(10**6), squares_up_to(4 * 10**5)),
+        "clusters": lambda rng: (iset(10**6, list(range(1, 60)) + list(range(10**6 - 60, 10**6 + 1))),
+                                 iset(10**6, list(range(1, 40)) + list(range(10**6 - 40, 10**6 + 1)))),
+        "one": lambda rng: (iset(100, [37]), make_random_set(rng, 4 * 10**5, 300)),
+        "two": lambda rng: (iset(10**6, [5, 9 * 10**5]), iset(10**6, [2, 3 * 10**5])),
+    }
+
+    @staticmethod
+    def windows(lo, hi):
+        block = energy._BLOCK
+        return [
+            (lo, hi),                              # every sum
+            (lo + block // 3, hi - block // 5),    # cuts the first and last blocks
+            (lo + block, lo + 2 * block - 1),      # exactly one block
+            (lo + 7, lo + 7),                      # one value
+            (hi, hi),
+        ]
+
+    @staticmethod
+    def assert_same_blocks(xs, ys, lo, hi):
+        got = list(energy._direct_blocks(xs, ys, lo, hi))
+        want = list(former_direct_blocks(xs, ys, lo, hi))
+        assert [offset for offset, _ in got] == [offset for offset, _ in want]
+        for (_, a), (_, b) in zip(got, want):
+            assert a.dtype == b.dtype and (a == b).all()
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    @pytest.mark.parametrize("diff", [False, True])
+    def test_sums_and_differences(self, rng, case, diff):
+        X, Y = self.CASES[case](rng)
+        xs = X.elements
+        ys = -Y.elements[::-1] if diff else Y.elements
+        lo, hi = int(xs[0] + ys[0]), int(xs[-1] + ys[-1])
+        for a, b in self.windows(lo, hi):
+            if lo <= a <= b <= hi:
+                self.assert_same_blocks(xs, ys, a, b)
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_set_paired_with_itself(self, rng, case):
+        xs = self.CASES[case](rng)[0].elements
+        lo, hi = 2 * int(xs[0]), 2 * int(xs[-1])
+        for a, b in self.windows(lo, hi):
+            if lo <= a <= b <= hi:
+                self.assert_same_blocks(xs, xs, a, b)         # the same array
+                self.assert_same_blocks(xs, xs.copy(), a, b)  # an equal one
+
+    def test_far_apart_clusters_leave_blocks_without_pairs(self, rng):
+        xs = self.CASES["clusters"](rng)[0].elements
+        lo, hi = 2 * int(xs[0]), 2 * int(xs[-1])
+        blocks = list(energy._direct_blocks(xs, xs, lo, hi))
+        assert any(not counts.any() for _, counts in blocks)
+        self.assert_same_blocks(xs, xs, lo, hi)
+        self.assert_same_blocks(xs, -xs[::-1], int(xs[0] - xs[-1]), int(xs[-1] - xs[0]))
+
+    @pytest.mark.parametrize("same", [True, False])
+    def test_edges_searched_once_per_block_plus_once(self, monkeypatch, rng, same):
+        X, Y = self.CASES["random"](rng)
+        xs = X.elements
+        ys = xs if same else Y.elements
+        lo, hi = int(xs[0] + ys[0]), int(xs[-1] + ys[-1])
+        searchsorted = np.searchsorted
+        edges = []
+
+        def spy(a, v, *args, **kwargs):
+            if a is ys and np.shape(v) == xs.shape:  # one edge per row
+                edges.append(len(v))
+            return searchsorted(a, v, *args, **kwargs)
+
+        monkeypatch.setattr(np, "searchsorted", spy)
+        blocks = len(list(energy._direct_blocks(xs, ys, lo, hi)))
+        assert blocks > 3 and edges == [len(xs)] * (blocks + 1)
+        edges.clear()
+        assert len(list(former_direct_blocks(xs, ys, lo, hi))) == blocks
+        assert len(edges) == 2 * blocks
+
+
+class TestRagged:
+    @staticmethod
+    def rows(first, last, step):
+        return [list(range(a, b + 1, step)) for a, b in zip(first, last)]
+
+    @pytest.mark.parametrize("step", [1, 2])
+    def test_rows_in_order(self, step):
+        first = np.array([3, 10, -4, 7, 0, 20], dtype=np.int64)
+        last = np.array([8, 9, 1, 7, -1, 25], dtype=np.int64)  # two empty rows
+        out, lens = energy._ragged(first, last, step)
+        rows = self.rows(first.tolist(), last.tolist(), step)
+        assert out.dtype == np.int64
+        assert out.tolist() == [v for row in rows for v in row]
+        assert lens.tolist() == [len(row) for row in rows]
+
+    @pytest.mark.parametrize("step", [1, 2])
+    def test_all_rows_empty(self, step):
+        out, lens = energy._ragged(np.array([5, 9]), np.array([4, 2]), step)
+        assert out.tolist() == [] and out.dtype == np.int64
+        assert lens.tolist() == [0, 0]
+        out, lens = energy._ragged(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), step)
+        assert out.tolist() == [] and lens.tolist() == []
 
 
 class TestDispatch:

@@ -362,6 +362,27 @@ class TestOccupancy:
             assert prof.occupancy == int((oracle > 0).sum())
             assert not prof.counts.flags.writeable
 
+    @pytest.mark.parametrize("size, v", [(3, 10**6 + 3), (1000, 10**5), (5000, 2**10 * 3**7)])
+    def test_counted_bytes_cover_peak(self, monkeypatch, rng, size, v):
+        A = IntegerSet.from_elements(10**5, rng.sample(range(1, 10**5 + 1), size))
+        counted = []
+        monkeypatch.setattr(sets, "check_allocation", lambda nbytes, what: counted.append(nbytes))
+        tracemalloc.start()
+        try:
+            prof = occupancy(A, v)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert counted == [8 * (v + size)] and prof.counts.sum() == size
+        assert peak <= max(counted) + 2**16
+
+    def test_table_over_cap_raises(self, monkeypatch):
+        A = IntegerSet.from_elements(10, [1, 2, 3])
+        monkeypatch.setenv("ENERGYSIEVE_MEMORY_CAP", str(8 * (1000 + 3)))
+        assert occupancy(A, 1000).occupancy == 3
+        with pytest.raises(ResourceLimitError, match="occupancy table modulo 1001"):
+            occupancy(A, 1001)
+
 
 class TestMod4Restrict:
     def test_tie_breaks_to_smallest_class(self):

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from energysieve.arith import EPS_HALF, EPS_ZERO, sieve_primes
+from energysieve.arith import EPS_HALF, EPS_ZERO, delta_prime_power, factorize, sieve_primes
 from energysieve.sets import (
     IntegerSet,
     occupancy,
@@ -124,6 +124,35 @@ class TestCompositeModuli:
             res = composite_moduli_check(A, v, EPS_HALF)
             if res.hypothesis_ok:
                 assert res.holds
+
+    def test_one_occupancy_per_check(self, monkeypatch):
+        A = squares_up_to(10**4)
+        moduli = []
+        count = sieve_module.occupancy
+
+        def spy(A, v):
+            moduli.append(v)
+            return count(A, v)
+
+        monkeypatch.setattr(sieve_module, "occupancy", spy)
+        for v in (49, 720, 997, 1000):
+            moduli.clear()
+            composite_moduli_check(A, v, EPS_HALF)
+            assert moduli == [v]
+
+    @pytest.mark.parametrize("eps", [EPS_ZERO, EPS_HALF])
+    def test_hypothesis_equals_recount(self, rng, eps):
+        def recounted(A, v):
+            """The hypothesis with A counted afresh modulo each p^k of v."""
+            return all(
+                occupancy(A, p**k).occupancy <= delta_prime_power(p, k, eps)
+                for p, k in factorize(v).factors
+            )
+
+        sets = [squares_up_to(10**4)] + [make_random_set(rng, 5000, 400) for _ in range(2)]
+        for A in sets:
+            for v in range(1, 1001):
+                assert composite_moduli_check(A, v, eps).hypothesis_ok == recounted(A, v), v
 
 
 class TestGallagher:
