@@ -269,15 +269,23 @@ def is_squarefree(n: int) -> bool:
 # Partial sums and the truncated singular series
 # ---------------------------------------------------------------------------
 
-# Bytes per entry n <= x live at the peak of the partial sums, which is the
-# last step of the delta table: delta(n) as float64, the squarefree mask, the
-# int64 cofactor, the float64 factor of the cofactor and the bool mask of
-# cofactors > 1.  The term columns built afterwards keep at most three 8-byte
-# arrays and the mask live at once, which leaves room for the few arrays of one
-# `_prefix_sums` block.
-_PARTIAL_SUM_BYTES = 8 + 1 + 8 + 8 + 1
-# terms split and binned at a time by _prefix_sums
+# values of n sieved and summed at a time by _partial_sums
+_SERIES_SEGMENT = 1 << 17
+# Bytes per value of a segment live at its peak, the last step of its sieve:
+# delta(n) as float64, the squarefree mask, the int64 cofactor, the float64
+# factor of the cofactor and the bool mask of cofactors > 1.  The term columns
+# built afterwards keep at most three 8-byte arrays and the mask live at once.
+_SERIES_BYTES = 8 + 1 + 8 + 8 + 1
+# Bytes held per prime up to sqrt(x) through the pass: its int64 entry in the
+# sieve's output, its Python int and the small float64 array of its factors
+# (an ndarray header near 112 bytes, 8 per factor)
+_BASE_PRIME_BYTES = 256
+# terms split and binned at a time by _ExactSum
 _PREFIX_BLOCK = 1 << 12
+# Bytes per term of one block's scratch: the frexp mantissa and exponent, the
+# scaled mantissa, its high half, one ldexp temporary and bincount's intp copy
+# of the exponents
+_BLOCK_TERM_BYTES = 8 + 4 + 8 + 8 + 8 + 8
 # terms binned between two folds of the bins into one integer: each bin then
 # sums fewer than 2^26 halves of a mantissa below 2^27, below 2^53
 _FOLD_TERMS = 1 << 26
@@ -287,102 +295,168 @@ _EXPONENT_BINS = 1024 - _MIN_EXPONENT + 1
 _MAX_SQUARE_ROOT = math.isqrt(np.iinfo(np.int64).max)
 
 
-def _delta_table(x: int, eps: EpsilonSpec) -> tuple[np.ndarray, np.ndarray]:
-    """delta(n) as float64 and the squarefree mask, indexed by n = 0..x.
-
-    A sieve over the primes p <= sqrt(x), in ascending order: the entries with
-    p^k || n are multiplied by p^(k-1) * (p/2 + eps(p)).  What is left of n is
-    1 or a single prime P > sqrt(x), applied last.  Each entry starts at 1.0
-    and takes its prime-power factors in ascending prime order, which is the
-    float product of the factorization, left to right.  Entry 0 is unused.
-    """
-    d = np.ones(x + 1)
-    squarefree = np.ones(x + 1, dtype=bool)
-    squarefree[0] = False
-    rest = np.arange(x + 1, dtype=np.int64)
-    root = math.isqrt(x)
-    for p in sieve_primes(root).primes:
-        p = int(p)
-        e = float(eps.at(p))
-        # exponent of p in n = j*p is 1 + (exponent of p in j)
-        k = np.ones(x // p, dtype=np.int8)
-        q = p
-        while q * p <= x:
-            k[q - 1 :: q] += 1
-            rest[q::q] //= p
-            q *= p
-        rest[q::q] //= p
-        factors = [1.0] + [p ** (j - 1) * (p / 2.0 + e) for j in range(1, int(k.max()) + 1)]
-        d[p::p] *= np.array(factors)[k]
-        squarefree[p * p :: p * p] = False
-    factor = rest / 2.0
-    factor += float(eps.default)
-    for q, v in reversed(eps.overrides):
-        # the multiples of a prime q > sqrt(x) are exactly the n whose cofactor is q
-        if root < q <= x and rest[q] == q:
-            factor[q::q] = q / 2.0 + float(v)
-    np.multiply(d, factor, out=d, where=rest > 1)
-    return d, squarefree
-
-
-def _prefix_sums(terms: np.ndarray, ends: Sequence[int]) -> tuple[float, ...]:
-    """math.fsum(terms[:end]) for each end in ends, visiting each term once.
+class _ExactSum:
+    """Running sum of float64 terms, read as the float nearest the exact sum.
 
     Each finite float64 term is M * 2^(e - 53) with M = frexp mantissa * 2^53 an
     integer, |M| < 2^53.  M splits into a high half below 2^27 in magnitude and a
     low half in [0, 2^26); each half is summed per exponent by a float64
-    bincount, which is exact while every bin stays below 2^53.  At each end and
+    bincount, which is exact while every bin stays below 2^53.  On each read and
     every _FOLD_TERMS terms the bins are folded into one Python integer, the
     exact sum in units of 2^(_MIN_EXPONENT - 53), and cleared.  One int true
     division rounds it correctly, as math.fsum rounds, so the values are
-    identical.
+    identical, whatever the order the terms come in.
     """
-    total = 0
-    bins = np.zeros((2, _EXPONENT_BINS))
-    binned = 0
-    out: dict[int, float] = {}
-    start = 0
-    for end in sorted(set(ends)):
-        while start < end:
-            stop = min(end, start + _PREFIX_BLOCK, start + _FOLD_TERMS - binned)
+
+    def __init__(self):
+        self.total = 0
+        self.bins = np.zeros((2, _EXPONENT_BINS))
+        self.binned = 0
+
+    def add(self, terms: np.ndarray) -> None:
+        start = 0
+        while start < len(terms):
+            stop = min(len(terms), start + _PREFIX_BLOCK, start + _FOLD_TERMS - self.binned)
             mantissa, exponent = np.frexp(terms[start:stop])
             mantissa = np.ldexp(mantissa, 53)
             high = np.floor(np.ldexp(mantissa, -26))
             mantissa -= np.ldexp(high, 26)
             exponent -= _MIN_EXPONENT
-            bins[0] += np.bincount(exponent, weights=high, minlength=_EXPONENT_BINS)
-            bins[1] += np.bincount(exponent, weights=mantissa, minlength=_EXPONENT_BINS)
-            binned += stop - start
+            self.bins[0] += np.bincount(exponent, weights=high, minlength=_EXPONENT_BINS)
+            self.bins[1] += np.bincount(exponent, weights=mantissa, minlength=_EXPONENT_BINS)
+            self.binned += stop - start
             start = stop
-            if binned == _FOLD_TERMS or start == end:
-                for b in np.flatnonzero(bins.any(axis=0)).tolist():
-                    total += (int(bins[0, b]) << (b + 26)) + (int(bins[1, b]) << b)
-                bins[:] = 0
-                binned = 0
-        out[end] = total / (1 << (53 - _MIN_EXPONENT))
+            if self.binned == _FOLD_TERMS:
+                self._fold()
+
+    def _fold(self) -> None:
+        for b in np.flatnonzero(self.bins.any(axis=0)).tolist():
+            self.total += (int(self.bins[0, b]) << (b + 26)) + (int(self.bins[1, b]) << b)
+        self.bins[:] = 0
+        self.binned = 0
+
+    def value(self) -> float:
+        self._fold()
+        return self.total / (1 << (53 - _MIN_EXPONENT))
+
+
+def _prefix_sums(terms: np.ndarray, ends: Sequence[int]) -> tuple[float, ...]:
+    """math.fsum(terms[:end]) for each end in ends, visiting each term once."""
+    acc = _ExactSum()
+    out: dict[int, float] = {}
+    start = 0
+    for end in sorted(set(ends)):
+        acc.add(terms[start:end])
+        start = end
+        out[end] = acc.value()
     return tuple(out[end] for end in ends)
+
+
+def _delta_segment(
+    lo: int, hi: int, factors: list[tuple[int, np.ndarray]], default: float, beyond: dict[int, float]
+) -> tuple[np.ndarray, np.ndarray]:
+    """delta(n) as float64 and the squarefree mask for n in [lo, hi), lo >= 1.
+
+    A sieve over the primes p <= sqrt(x), in ascending order, each with its
+    factors[k] = p^(k-1) * (p/2 + eps(p)): the entries with p^k || n are
+    multiplied by factors[k].  What is left of n is 1 or a single prime
+    P > sqrt(x), applied last with the factor P/2 + eps(P); `beyond` holds the
+    overridden P/2 + eps(P).  Each entry starts at 1.0 and takes its prime-power
+    factors in ascending prime order, which is the float product of the
+    factorization, left to right.  Since lo >= 1, the first multiple of p^k at
+    or after lo is at least p^k.
+    """
+    d = np.ones(hi - lo)
+    squarefree = np.ones(hi - lo, dtype=bool)
+    rest = np.arange(lo, hi, dtype=np.int64)
+    for p, table in factors:
+        first = -(-lo // p) * p
+        if first >= hi:
+            continue
+        rest[first - lo :: p] //= p
+        q = p * p
+        start = -(-lo // q) * q
+        if start >= hi:  # no multiple of p^2 here: every exponent of p is 1
+            d[first - lo :: p] *= table[1]
+            continue
+        squarefree[start - lo :: q] = False
+        # exponent of p in each multiple of p, counted one power of p at a time;
+        # a power with no multiple here has no higher power with one
+        k = np.ones((hi - 1 - first) // p + 1, dtype=np.int8)
+        while start < hi:
+            k[(start - first) // p :: q // p] += 1
+            rest[start - lo :: q] //= p
+            q *= p
+            start = -(-lo // q) * q
+        d[first - lo :: p] *= table[k]
+    big = rest > 1
+    factor = rest / 2.0
+    del rest
+    factor += default
+    for q, f in beyond.items():
+        start = -(-lo // q) * q
+        if start < hi:
+            factor[start - lo :: q] = f
+    np.multiply(d, factor, out=d, where=big)
+    return d, squarefree
 
 
 def _partial_sums(xs: Sequence[int], eps: EpsilonSpec) -> tuple[tuple[float, ...], ...]:
     """For each x in xs: M(x), T(x) over squarefree n, and T(x) over all n <= x.
 
-    Each value is the float nearest the exact sum of its terms, as math.fsum
-    gives it, whatever the order they are added in.
+    One pass over n = 1..max(xs) in segments of at most _SERIES_SEGMENT values,
+    each x ending one: `_delta_segment` sieves each segment over the primes up to
+    sqrt(max(xs)), and three `_ExactSum`s take its terms 1/delta(n) and
+    n^2/delta(n).  The working set is one segment's, fixed whatever x is.  Each
+    value is the float nearest the exact sum of its terms, as math.fsum gives it.
     """
     top = max(xs)
     if top > _MAX_SQUARE_ROOT:
         raise ResourceLimitError(f"x = {top} is too large: n^2 would overflow int64")
-    check_allocation(_PARTIAL_SUM_BYTES * (top + 1), "delta table and partial-sum terms")
-    d, squarefree = _delta_table(top, eps)
-    t_all = np.arange(top + 1, dtype=np.int64)
-    t_all *= t_all
-    t_all = t_all / d
-    d = d[squarefree]
-    m = 1.0 / d
-    del d
-    t = t_all[squarefree]
-    ks = [int(np.count_nonzero(squarefree[: x + 1])) for x in xs]
-    return _prefix_sums(m, ks), _prefix_sums(t, ks), _prefix_sums(t_all[1:], xs)
+    root = math.isqrt(top)
+    bases = int(1.26 * root / math.log(root)) + 1 if root > 1 else 0  # pi(root), as in sieve_primes
+    sums = [_ExactSum() for _ in range(3)]
+    check_allocation(
+        _SERIES_BYTES * min(_SERIES_SEGMENT, top)
+        + _BASE_PRIME_BYTES * bases
+        + 3 * sums[0].bins.nbytes
+        + _BLOCK_TERM_BYTES * _PREFIX_BLOCK,
+        "delta segment and partial-sum terms",
+    )
+    primes = sieve_primes(root).primes
+    factors = []
+    for p in primes.tolist():
+        f = p / 2.0 + float(eps.at(p))
+        table, power = [1.0], 1
+        while power * p <= top:  # p^(k-1) * (p/2 + eps(p)) for each p^k <= x
+            table.append(power * f)
+            power *= p
+        factors.append((p, np.array(table)))
+    # the overridden primes q > sqrt(x), the first listed override winning: such
+    # a q <= x is prime exactly when no prime up to sqrt(x) divides it
+    beyond: dict[int, float] = {}
+    for q, v in eps.overrides:
+        if root < q <= top and q not in beyond and np.all(q % primes):
+            beyond[q] = q / 2.0 + float(v)
+    default = float(eps.default)
+    at = {}
+    lo = 1
+    for x in sorted(set(xs)):
+        while lo <= x:
+            hi = min(lo + _SERIES_SEGMENT, x + 1)
+            d, squarefree = _delta_segment(lo, hi, factors, default, beyond)
+            t_all = np.arange(lo, hi, dtype=np.int64)
+            t_all *= t_all
+            t_all = t_all / d
+            d = d[squarefree]
+            np.divide(1.0, d, out=d)
+            sums[0].add(d)
+            sums[1].add(t_all[squarefree])
+            sums[2].add(t_all)
+            del d, squarefree, t_all  # before the next segment is sieved
+            lo = hi
+        at[x] = tuple(s.value() for s in sums)
+    return tuple(zip(*(at[x] for x in xs)))
 
 
 def m_partial_sum(x: int, eps: EpsilonSpec = EPS_ZERO) -> float:

@@ -141,11 +141,20 @@ def _direct_blocks(xs: np.ndarray, ys: np.ndarray, lo: int, hi: int):
 
 def _ragged(first: np.ndarray, last: np.ndarray, step: int = 1) -> tuple[np.ndarray, np.ndarray]:
     """first[i], first[i] + step, ... up to last[i], row after row, as one int64
-    array; and the row lengths (0 where last[i] < first[i])."""
-    lens = np.maximum((last - first) // step + 1, 0)
-    starts = np.cumsum(lens) - lens
-    out = np.arange(int(lens.sum()), dtype=np.int64) * step
-    out += np.repeat(first - step * starts, lens)
+    array; and the row lengths (0 where last[i] < first[i]).  A step of 1 takes
+    no step arithmetic."""
+    lens = last - first
+    if step != 1:
+        lens //= step
+    lens += 1
+    np.maximum(lens, 0, out=lens)
+    starts = np.cumsum(lens)
+    out = np.arange(int(starts[-1]) if len(starts) else 0, dtype=np.int64)
+    starts -= lens
+    if step != 1:
+        out *= step
+        starts *= step
+    out += np.repeat(first - starts, lens)
     return out, lens
 
 

@@ -56,6 +56,11 @@ def composite_moduli_check(A: IntegerSet, v: int, eps: EpsilonSpec) -> SieveChec
     if v < 1:
         raise ValueError("modulus must be positive")
     counts = occupancy(A, v).counts
+    factors = factorize(v).factors
+    # the counts and the bool column of classes occupied modulo the largest
+    # p^k || v, which a casting reduction fills through one numpy buffer
+    column = max((p**k for p, k in factors), default=0) + 8 * np.getbufsize()
+    check_allocation(counts.nbytes + column, f"class counts modulo {v} and one prime-power column")
     card = len(A)
     rhs = _exact_dot([(counts, counts)], card * card)  # a class count is at most |A|
     dv = delta(v, eps)
@@ -68,7 +73,7 @@ def composite_moduli_check(A: IntegerSet, v: int, eps: EpsilonSpec) -> SieveChec
         rhs=rhs,
         hypothesis_ok=_under_ceiling(  # classes h = r (mod p^k) make column r of counts
             (((p, k), np.count_nonzero(counts.reshape(-1, p**k).any(axis=0)))
-             for p, k in factorize(v).factors), eps),
+             for p, k in factors), eps),
         holds=lhs <= rhs,
     )
 

@@ -288,6 +288,93 @@ class TestPartialSumsAgainstLoop:
         assert (tab.m_values, tab.t_values, tab.t_all_values) == series_oracle(xs, eps)
 
 
+def whole_table_delta(x, eps):
+    """delta(n) as float64 and the squarefree mask for n = 0..x, sieved over the
+    whole table at once: the route the segment sieve replaced, kept as its
+    exact oracle.  Entry 0 is unused."""
+    d = np.ones(x + 1)
+    squarefree = np.ones(x + 1, dtype=bool)
+    squarefree[0] = False
+    rest = np.arange(x + 1, dtype=np.int64)
+    root = math.isqrt(x)
+    for p in sieve_primes(root).primes:
+        p = int(p)
+        e = float(eps.at(p))
+        # exponent of p in n = j*p is 1 + (exponent of p in j)
+        k = np.ones(x // p, dtype=np.int8)
+        q = p
+        while q * p <= x:
+            k[q - 1 :: q] += 1
+            rest[q::q] //= p
+            q *= p
+        rest[q::q] //= p
+        factors = [1.0] + [p ** (j - 1) * (p / 2.0 + e) for j in range(1, int(k.max()) + 1)]
+        d[p::p] *= np.array(factors)[k]
+        squarefree[p * p :: p * p] = False
+    factor = rest / 2.0
+    factor += float(eps.default)
+    for q, v in reversed(eps.overrides):
+        # the multiples of a prime q > sqrt(x) are exactly the n whose cofactor is q
+        if root < q <= x and rest[q] == q:
+            factor[q::q] = q / 2.0 + float(v)
+    np.multiply(d, factor, out=d, where=rest > 1)
+    return d, squarefree
+
+
+def whole_table_sums(xs, eps):
+    """(M, T, T over all n) at each x, from the whole table and _prefix_sums."""
+    from energysieve.arith import _prefix_sums
+
+    d, squarefree = whole_table_delta(max(xs), eps)
+    t_all = np.arange(len(d), dtype=np.int64)
+    t_all *= t_all
+    t_all = t_all / d
+    ks = [int(np.count_nonzero(squarefree[: x + 1])) for x in xs]
+    m = 1.0 / d[squarefree]
+    return _prefix_sums(m, ks), _prefix_sums(t_all[squarefree], ks), _prefix_sums(t_all[1:], xs)
+
+
+class TestSegmentedPartialSums:
+    """The segment sieve and running sums against the whole-table route, with ==,
+    at and around segment ends: x = 1, s - 1, s, s + 1 and 2s + 1 one at a time
+    (each x ends a segment), then on one grid with several x in one segment."""
+
+    @pytest.mark.parametrize("segment", [7, 64, 1000, None])
+    @pytest.mark.parametrize("eps", [EPS_ZERO, EPS_HALF, EPS_OVERRIDES])
+    def test_equal_to_whole_table(self, monkeypatch, segment, eps):
+        import energysieve.arith as arith
+
+        if segment is not None:
+            monkeypatch.setattr(arith, "_SERIES_SEGMENT", segment)
+        s = arith._SERIES_SEGMENT
+        edges = [1, s - 1, s, s + 1, 2 * s + 1]
+        grid = sorted({*edges, s + 2, s + 3, s + s // 2})
+        want = dict(zip(grid, zip(*whole_table_sums(grid, eps))))
+        for x in edges:
+            assert tuple(c[0] for c in arith._partial_sums((x,), eps)) == want[x], x
+        assert arith._partial_sums(grid, eps) == tuple(zip(*(want[x] for x in grid)))
+
+    def test_peak_fixed_in_x(self):
+        import energysieve.arith as arith
+
+        peaks = []
+        for x in 2 * 10**5, 10**6:
+            tracemalloc.start()
+            try:
+                t_partial_sum(x, EPS_OVERRIDES)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # one full segment's arrays and a few small fixed buffers; the whole
+        # table took 26 bytes per n <= x
+        assert max(peaks) <= arith._SERIES_BYTES * arith._SERIES_SEGMENT + 2**19, peaks
+
+    def test_runs_under_small_cap(self, monkeypatch):
+        monkeypatch.setenv(MEMORY_CAP_ENV, str(16 * 2**20))
+        tab = series_table([10**6], EPS_HALF)
+        assert tab.t_all_values[0] > tab.t_values[0] > 0
+
+
 class TestPrefixSums:
     """The exact blockwise accumulator against math.fsum, compared with ==."""
 

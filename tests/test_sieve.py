@@ -155,6 +155,41 @@ class TestCompositeModuli:
                 assert composite_moduli_check(A, v, eps).hypothesis_ok == recounted(A, v), v
 
 
+class TestCompositeModuliMemory:
+    V = 10**6 + 3  # prime: the column of classes modulo v itself has v bytes
+
+    def test_counted_bytes_cover_peak(self, monkeypatch):
+        import tracemalloc
+
+        import energysieve.sets as sets_module
+
+        counted = []
+        for module in (sieve_module, sets_module):
+            monkeypatch.setattr(module, "check_allocation", lambda nbytes, what: counted.append(nbytes))
+        A = IntegerSet.from_elements(100, [1, 5, 17])
+        factorize(self.V)  # its prime table is sieved once and kept
+        tracemalloc.start()
+        try:
+            composite_moduli_check(A, self.V, EPS_HALF)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the v int64 class counts and the v-byte column of occupied classes
+        assert peak > 9 * self.V
+        assert peak <= max(counted)
+
+    def test_column_counted_against_cap(self, monkeypatch):
+        from energysieve.errors import ResourceLimitError
+        from energysieve.limits import MEMORY_CAP_ENV
+
+        A = IntegerSet.from_elements(100, [1, 5, 17])
+        # admits the class counts and the residues, but not the column as well
+        monkeypatch.setenv(MEMORY_CAP_ENV, str(8 * (self.V + len(A)) + self.V // 2))
+        with pytest.raises(ResourceLimitError, match="prime-power column"):
+            composite_moduli_check(A, self.V, EPS_HALF)
+        assert occupancy(A, self.V).occupancy == 3
+
+
 class TestGallagher:
     def test_inconclusive_when_denominator_nonpositive(self):
         sq = squares_up_to(10**4)
