@@ -340,18 +340,6 @@ class _ExactSum:
         return self.total / (1 << (53 - _MIN_EXPONENT))
 
 
-def _prefix_sums(terms: np.ndarray, ends: Sequence[int]) -> tuple[float, ...]:
-    """math.fsum(terms[:end]) for each end in ends, visiting each term once."""
-    acc = _ExactSum()
-    out: dict[int, float] = {}
-    start = 0
-    for end in sorted(set(ends)):
-        acc.add(terms[start:end])
-        start = end
-        out[end] = acc.value()
-    return tuple(out[end] for end in ends)
-
-
 def _delta_segment(
     lo: int, hi: int, factors: list[tuple[int, np.ndarray]], default: float, beyond: dict[int, float]
 ) -> tuple[np.ndarray, np.ndarray]:

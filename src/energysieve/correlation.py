@@ -261,6 +261,22 @@ class ExperimentRow:
             raise InvariantViolationError("energy below the trivial |A||S| floor")
 
 
+def _row(N: int, card_a: int, card_s: int, energy: int, lower_bound: float, scale: int,
+         start: float) -> ExperimentRow:
+    """The row of a run begun at perf_counter() `start`: ratio_as is
+    energy / (|A||S|) and ratio_log energy / (scale log N), both 0 for empty A."""
+    return ExperimentRow(
+        n=N,
+        card_a=card_a,
+        card_s=card_s,
+        energy=energy,
+        lower_bound=lower_bound,
+        ratio_as=energy / (card_a * card_s) if card_a else 0.0,
+        ratio_log=energy / (scale * math.log(N)) if card_a else 0.0,
+        seconds=time.perf_counter() - start,
+    )
+
+
 def correlation_row(A: IntegerSet, N: int) -> ExperimentRow:
     """Full pipeline on one set: decomposition check, lower bound, ratios.
 
@@ -271,36 +287,16 @@ def correlation_row(A: IntegerSet, N: int) -> ExperimentRow:
     lower = energy_lower_bound(A, N)
     if not lower.holds:
         raise InvariantViolationError(f"half divisor sum exceeds energy at N={N}")
-    energy = report.energy
     card = len(A)
-    return ExperimentRow(
-        n=N,
-        card_a=card,
-        card_s=report.card_s,
-        energy=energy,
-        lower_bound=lower.half_divisor_sum,
-        ratio_as=energy / (card * report.card_s) if card else 0.0,
-        ratio_log=energy / (card * card * math.log(N)) if card else 0.0,
-        seconds=time.perf_counter() - start,
-    )
+    return _row(N, card, report.card_s, report.energy, lower.half_divisor_sum, card * card, start)
 
 
 def ramanujan_row(N: int) -> ExperimentRow:
     """Squares-only row; ratio_log is E(S,S) / (N log N)."""
     start = time.perf_counter()
     S = squares_up_to(N)
-    energy = energy_sum_path(S, S).value
     card = len(S)
-    return ExperimentRow(
-        n=N,
-        card_a=card,
-        card_s=card,
-        energy=energy,
-        lower_bound=0.0,
-        ratio_as=energy / (card * card),
-        ratio_log=energy / (N * math.log(N)),
-        seconds=time.perf_counter() - start,
-    )
+    return _row(N, card, card, energy_sum_path(S, S).value, 0.0, N, start)
 
 
 def largest_sidon_prime(N: int) -> int:
@@ -319,13 +315,4 @@ def sidon_row(N: int) -> ExperimentRow:
     if not rep.holds:
         raise InvariantViolationError(f"Sidon linear bound failed at N={N}, p={p}")
     card = len(X)
-    return ExperimentRow(
-        n=N,
-        card_a=card,
-        card_s=rep.squares_card,
-        energy=rep.energy,
-        lower_bound=float(rep.linear_bound),
-        ratio_as=rep.energy / (card * rep.squares_card),
-        ratio_log=rep.energy / (card * card * math.log(N)),
-        seconds=time.perf_counter() - start,
-    )
+    return _row(N, card, rep.squares_card, rep.energy, float(rep.linear_bound), card * card, start)

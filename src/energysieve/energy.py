@@ -106,14 +106,16 @@ def _report(value: int, method: str, X: IntegerSet, Y: IntegerSet) -> EnergyRepo
 # Pair-sum counting core (differences are sums against a reflected set)
 # ---------------------------------------------------------------------------
 
-def _direct_blocks(xs: np.ndarray, ys: np.ndarray, lo: int, hi: int):
-    """Counts of x + y over [lo, hi] in blocks of _BLOCK values.  Row x of a block
-    is ys[left:right], at most _BLOCK y; each block's left edges are the last one's
-    right edges, so one `searchsorted` per block, and one before, finds them all.
-    Rows are gathered by `_ragged` in groups of at most _BLOCK pairs, one bincount
-    each.  When `ys is xs` edges clamp to the first y > x, so only pairs x < y are
-    gathered, and r(n) = 2c(n) + [n = 2x]."""
-    left = np.maximum(np.searchsorted(ys, lo - xs), np.arange(1, len(xs) + 1) if ys is xs else 0)
+def _direct_blocks(xs: np.ndarray, ys: np.ndarray, lo: int, hi: int, left: np.ndarray):
+    """Counts of x + y over [lo, hi] in blocks of _BLOCK values, given the first
+    edges left = searchsorted(ys, lo - xs).  Row x of a block is ys[left:right],
+    at most _BLOCK y; each block's left edges are the last one's right edges, so
+    one `searchsorted` per block finds them.  Rows are gathered by `_ragged` in
+    groups of at most _BLOCK pairs, one bincount each.  When `ys is xs` edges
+    clamp to the first y > x, so only pairs x < y are gathered, and
+    r(n) = 2c(n) + [n = 2x]."""
+    if ys is xs:
+        left = np.maximum(left, np.arange(1, len(xs) + 1))
     for start in range(lo, hi + 1, _BLOCK):
         length = min(_BLOCK, hi + 1 - start)
         right = np.searchsorted(ys, start + length - xs)
@@ -233,7 +235,8 @@ def _pair_counts(xs: np.ndarray, ys: np.ndarray, lo: int, hi: int, method: str,
     first = int(xs[0] + ys[0])
     length = int(xs[-1] + ys[-1]) - first + 1
     size = 1 << (length - 1).bit_length()
-    pairs = int((np.searchsorted(ys, hi + 1 - xs) - np.searchsorted(ys, lo - xs)).sum())
+    left = np.searchsorted(ys, lo - xs)
+    pairs = int((np.searchsorted(ys, hi + 1 - xs) - left).sum())
     if method == "auto":
         # Estimated costs in nanoseconds, fitted to timings of both backends on
         # squares and random sets (20 shapes, N = 1e5 to 1.2e7, pairs 1e5 to
@@ -251,6 +254,7 @@ def _pair_counts(xs: np.ndarray, ys: np.ndarray, lo: int, hi: int, method: str,
 
     backend = "direct"
     if method == "fft":
+        del left  # not held through the transform's peak; a fallback searches again
         check_allocation(held + _fft_bytes(xs, ys, size), "FFT pair counting")
         counts = _count_fft(xs, ys, first, length, size)
         if counts is not None:
@@ -258,11 +262,12 @@ def _pair_counts(xs: np.ndarray, ys: np.ndarray, lo: int, hi: int, method: str,
             blocks = ((lo + i, window[i : i + _BLOCK]) for i in range(0, len(window), _BLOCK))
             return "fft", blocks, counts.nbytes
         backend = "fft-fallback"
+        left = np.searchsorted(ys, lo - xs)
     # counts, a bincount result and the caller's previous block; a group's indices
     # and row starts, the last group's indices and sums; eight arrays over the rows
     nbytes = 24 * min(_BLOCK, hi - lo + 1) + 32 * min(_BLOCK, pairs) + 64 * len(xs)
     check_allocation(held + nbytes, "direct pair counting")
-    return backend, _direct_blocks(xs, ys, lo, hi), nbytes
+    return backend, _direct_blocks(xs, ys, lo, hi, left), nbytes
 
 
 def _same(xs: np.ndarray, ys: np.ndarray) -> bool:

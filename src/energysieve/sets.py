@@ -17,7 +17,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .arith import EpsilonSpec, factorize, sieve_primes
+from .arith import EpsilonSpec, delta_prime_power, factorize, sieve_primes
 from .errors import SetFileError
 from .limits import check_allocation
 
@@ -67,11 +67,12 @@ class IntegerSet:
             increasing = bool((elements[1:] > elements[:-1]).all())
             arr = elements.copy() if increasing else np.unique(elements)
         else:
-            arr = np.asarray(sorted(set(int(e) for e in elements)), dtype=np.int64)
+            arr = sorted(set(int(e) for e in elements))
         lo, hi = (int(arr[0]), int(arr[-1])) if len(arr) else (1, cap)
-        if lo < 1 or hi > cap:
-            raise ValueError(f"element {lo if lo < 1 else hi} outside [1, {cap}]")
-        return cls(cap=cap, elements=arr.astype(np.int64, copy=False))
+        top = min(cap, 2**63 - 1)  # elements are stored as int64
+        if lo < 1 or hi > top:
+            raise ValueError(f"element {lo if lo < 1 else hi} outside [1, {top}]")
+        return cls(cap=cap, elements=np.asarray(arr, dtype=np.int64))
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -215,8 +216,7 @@ def residue_avoiding_random(
     keep = np.ones(N + 1, dtype=bool)
     keep[0] = False
     for p in sieve_primes(prime_bound):
-        size = int(math.floor(p / 2 + eps.at(p)))
-        size = max(1, min(size, p))
+        size = max(1, min(math.floor(delta_prime_power(p, 1, eps)), p))
         if strategy == "qr":
             qr = sorted({(x * x) % p for x in range(p)})
             allowed = qr[:size]

@@ -322,16 +322,17 @@ def whole_table_delta(x, eps):
 
 
 def whole_table_sums(xs, eps):
-    """(M, T, T over all n) at each x, from the whole table and _prefix_sums."""
-    from energysieve.arith import _prefix_sums
-
+    """(M, T, T over all n) at each x: math.fsum of the whole table's terms up to x."""
     d, squarefree = whole_table_delta(max(xs), eps)
     t_all = np.arange(len(d), dtype=np.int64)
     t_all *= t_all
     t_all = t_all / d
-    ks = [int(np.count_nonzero(squarefree[: x + 1])) for x in xs]
-    m = 1.0 / d[squarefree]
-    return _prefix_sums(m, ks), _prefix_sums(t_all[squarefree], ks), _prefix_sums(t_all[1:], xs)
+    positive = np.arange(len(d)) > 0
+
+    def fsums(terms, keep):  # over the n <= x that keep holds
+        return tuple(math.fsum(terms[: x + 1][keep[: x + 1]].tolist()) for x in xs)
+
+    return fsums(1.0 / d, squarefree), fsums(t_all, squarefree), fsums(t_all, positive)
 
 
 class TestSegmentedPartialSums:
@@ -376,15 +377,22 @@ class TestSegmentedPartialSums:
 
 
 class TestPrefixSums:
-    """The exact blockwise accumulator against math.fsum, compared with ==."""
+    """The exact running sum `_ExactSum` fed in chunks, read after each one
+    against math.fsum of every term added so far, compared with ==."""
 
     @staticmethod
     def check(terms, ends):
-        from energysieve.arith import _prefix_sums
+        """One accumulator fed terms[start:end] for each of the nondecreasing ends."""
+        from energysieve.arith import _ExactSum
 
-        got = _prefix_sums(terms, ends)
-        assert got == tuple(math.fsum(terms[:end].tolist()) for end in ends)
-        return got
+        acc = _ExactSum()
+        got, start = [], 0
+        for end in ends:
+            acc.add(terms[start:end])
+            start = end
+            got.append(acc.value())
+        assert got == [math.fsum(terms[:end].tolist()) for end in ends]
+        return tuple(got)
 
     def test_random_magnitudes(self):
         gen = np.random.default_rng(5)
@@ -413,13 +421,14 @@ class TestPrefixSums:
         for size in (1 << 12) - 1, 1 << 12, (1 << 12) + 1, 2 << 12:
             terms = gen.random(size) * 1e6
             self.check(terms, [size])
+            self.check(terms, [size // 3, size - 1, size])
 
     def test_empty_and_repeated_ends(self):
         terms = np.array([1.5, 2.25, 1e-3])
         assert self.check(terms, []) == ()
         assert self.check(np.empty(0), [0, 0]) == (0.0, 0.0)
-        # ends in any order, repeated: each is served from one pass
-        self.check(terms, [3, 1, 3, 0, 1])
+        # a repeated end adds an empty chunk and reads the same value again
+        self.check(terms, [0, 1, 1, 3, 3])
 
     @pytest.mark.parametrize("fold", [1, 2, 7, 4096])
     def test_fold_interval(self, monkeypatch, fold):
@@ -428,7 +437,12 @@ class TestPrefixSums:
         monkeypatch.setattr(arith, "_FOLD_TERMS", fold)
         gen = np.random.default_rng(fold)
         terms = 10.0 ** gen.uniform(-30, 30, 10_000) * gen.choice([-1.0, 1.0], 10_000)
-        self.check(terms, [0, 1, 2, 7, 4095, 4097, 9999, 10_000])
+        # subnormals of either sign among the normal terms
+        tiny = len(terms[::97])
+        terms[::97] = gen.integers(1, 2**52, tiny) * 5e-324 * gen.choice([-1.0, 1.0], tiny)
+        # chunks that end just before, at and after a fold, and that span several
+        ends = {0, 1, 2, 7, fold - 1, fold, fold + 1, 3 * fold + 2, 4095, 4097, 9999, 10_000}
+        self.check(terms, sorted(end for end in ends if 0 <= end <= len(terms)))
 
 
 class TestPartialSumMemory:

@@ -217,6 +217,18 @@ class TestSieve:
         assert run("sieve", str(path), "--check-v", "3", "--eps", str(cfg)) == 2
         assert "repeated key" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["sieve", "energy"])
+    def test_element_beyond_int64_exit2(self, tmp_path, monkeypatch, capsys, command):
+        # a cap this large passes the memory check; the element cannot be an int64
+        monkeypatch.setenv(MEMORY_CAP_ENV, str(10**24))
+        big, small = tmp_path / "big.txt", tmp_path / "small.txt"
+        big.write_text(f"N={10**20}\n{10**20 - 1}\n")
+        small.write_text("N=10\n1\n4\n")
+        args = {"sieve": [big, "--check-v", "3"], "energy": [small, big, "--method", "sum"]}
+        assert run(command, *map(str, args[command])) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: element {10**20 - 1} outside [1, {2**63 - 1}]\n"
+
     @pytest.mark.parametrize("v", [2**63 - 1, 2**63])
     def test_check_v_beyond_int64_exit2(self, tmp_path, capsys, v):
         path = write_squares(tmp_path, 16)

@@ -391,8 +391,12 @@ class TestDirectBlocks:
         ]
 
     @staticmethod
-    def assert_same_blocks(xs, ys, lo, hi):
-        got = list(energy._direct_blocks(xs, ys, lo, hi))
+    def blocks(xs, ys, lo, hi):
+        """The kernel given its first edges, as `_pair_counts` gives them."""
+        return list(energy._direct_blocks(xs, ys, lo, hi, np.searchsorted(ys, lo - xs)))
+
+    def assert_same_blocks(self, xs, ys, lo, hi):
+        got = self.blocks(xs, ys, lo, hi)
         want = list(former_direct_blocks(xs, ys, lo, hi))
         assert [offset for offset, _ in got] == [offset for offset, _ in want]
         for (_, a), (_, b) in zip(got, want):
@@ -421,7 +425,7 @@ class TestDirectBlocks:
     def test_far_apart_clusters_leave_blocks_without_pairs(self, rng):
         xs = self.CASES["clusters"](rng)[0].elements
         lo, hi = 2 * int(xs[0]), 2 * int(xs[-1])
-        blocks = list(energy._direct_blocks(xs, xs, lo, hi))
+        blocks = self.blocks(xs, xs, lo, hi)
         assert any(not counts.any() for _, counts in blocks)
         self.assert_same_blocks(xs, xs, lo, hi)
         self.assert_same_blocks(xs, -xs[::-1], int(xs[0] - xs[-1]), int(xs[-1] - xs[0]))
@@ -441,8 +445,13 @@ class TestDirectBlocks:
             return searchsorted(a, v, *args, **kwargs)
 
         monkeypatch.setattr(np, "searchsorted", spy)
-        blocks = len(list(energy._direct_blocks(xs, ys, lo, hi)))
+        blocks = len(self.blocks(xs, ys, lo, hi))
         assert blocks > 3 and edges == [len(xs)] * (blocks + 1)
+        edges.clear()
+        # the core searches the first edges once, for its pair count and the kernel,
+        # and the last edges once, for the pair count
+        _, stream, _ = energy._pair_counts(xs, ys, lo, hi, "direct")
+        assert len(list(stream)) == blocks and edges == [len(xs)] * (blocks + 2)
         edges.clear()
         assert len(list(former_direct_blocks(xs, ys, lo, hi))) == blocks
         assert len(edges) == 2 * blocks

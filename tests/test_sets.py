@@ -12,6 +12,7 @@ import pytest
 import energysieve.sets as sets
 from energysieve.arith import EPS_HALF, EPS_ZERO, EpsilonSpec, sieve_primes
 from energysieve.errors import ResourceLimitError, SetFileError
+from energysieve.limits import MEMORY_CAP_ENV
 from energysieve.sets import (
     IntegerSet,
     is_sidon,
@@ -49,6 +50,18 @@ class TestIntegerSet:
             IntegerSet.from_elements(10, [0, 5])
         with pytest.raises(ValueError):
             IntegerSet.from_elements(10, [11])
+
+    def test_elements_beyond_int64_refused(self, monkeypatch):
+        # a cap this large passes the memory check; stored as int64, 2^63 + 1
+        # would wrap to -2^63 + 1
+        monkeypatch.setenv(MEMORY_CAP_ENV, str(10**24))
+        message = f"element {2**63 + 1} outside [1, {2**63 - 1}]"
+        for elements in (np.array([1, 2**63 + 1], dtype=np.uint64), [1, 2**63 + 1]):
+            with pytest.raises(ValueError) as err:
+                IntegerSet.from_elements(2**64, elements)
+            assert str(err.value) == message
+        top = IntegerSet.from_elements(2**64, np.array([2**63 - 1], dtype=np.uint64))
+        assert top.elements.tolist() == [2**63 - 1]
 
     def test_immutable(self):
         A = IntegerSet.from_elements(10, [1, 2])
@@ -302,14 +315,15 @@ class TestSidon:
 
 
 def residue_filter_oracle(N, eps, prime_bound, seed, strategy):
-    """The former filter: the same allowed classes, each prime's bits gathered
-    as ok[np.arange(N + 1) % p]; the survivors' values."""
+    """The former filter: the same allowed classes, their number by the former
+    float rule floor(p/2 + float(eps(p))), each prime's bits gathered as
+    ok[np.arange(N + 1) % p]; the survivors' values."""
     rng = random.Random(seed)
     keep = np.ones(N + 1, dtype=bool)
     keep[0] = False
     for p in sieve_primes(prime_bound).primes:
         p = int(p)
-        size = max(1, min(int(math.floor(p / 2 + eps.at(p))), p))
+        size = max(1, min(int(math.floor(p / 2 + float(eps.at(p)))), p))
         if strategy == "qr":
             allowed = sorted({(x * x) % p for x in range(p)})[:size]
         else:
@@ -441,7 +455,8 @@ class TestResidueAvoiding:
     def test_matches_former_gather_filter(self, strategy, P):
         q = int(sieve_primes(P).primes[-1])
         for N in sorted({1, max(1, q - 1), q, 10**4}):
-            for eps in (EPS_ZERO, EPS_HALF):
+            # the class budget is exact; the oracle keeps the former float rule
+            for eps in (EPS_ZERO, EPS_HALF, EpsilonSpec(Fraction(1, 3), ((5, Fraction(2, 9)),))):
                 for seed in range(3):
                     with warnings.catch_warnings():
                         warnings.simplefilter("ignore")
