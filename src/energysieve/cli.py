@@ -27,12 +27,12 @@ RESOURCE_EXIT = 4
 
 
 def _parse_eps(text: str) -> EpsilonSpec:
-    """A constant like `0.5` or `1/2`, or a path to a key-value config file."""
-    if os.path.exists(text):
-        return EpsilonSpec.from_file(text)
+    """A constant like `0.5` or `1/2`; any other text, a key-value config file."""
     try:
         return EpsilonSpec.constant(Fraction(text))
     except (ValueError, ZeroDivisionError):
+        if os.path.exists(text):
+            return EpsilonSpec.from_file(text)
         raise ValueError(f"bad epsilon {text!r}: not a number and not a file") from None
 
 

@@ -68,6 +68,7 @@ def energy_decomposition(A: IntegerSet, N: int) -> DecompositionReport:
     base = len(A) * len(S)
 
     e_direct = energy_sum_path(A, S).value
+    table = DifferenceTable(A, N)  # counts the rows below before they are made
     m = u = np.arange(1, root, dtype=np.int64)  # v >= u + 2, u + v <= 2 root force u < root
     msq = m * m
 
@@ -84,7 +85,7 @@ def energy_decomposition(A: IntegerSet, N: int) -> DecompositionReport:
         v *= np.repeat(u, lens)
         return v
 
-    off_diag, factor_sum = DifferenceTable(A, N).lookup(square_pairs, factor_pairs)
+    off_diag, factor_sum = table.lookup(square_pairs, factor_pairs)
     e_squares = base + 2 * off_diag
     e_factors = base + 2 * factor_sum
 
@@ -172,7 +173,7 @@ def quadratic_hits(A: IntegerSet, N: int) -> QuadraticHitsReport:
     shift = rep.offset + peak
     count = int(rep.counts[peak])
     witnesses = []
-    for x in range(1, math.isqrt(max(shift - 1, 0)) + 1):
+    for x in range(1, math.isqrt(max(min(N, shift - 1), 0)) + 1):  # x^2 in S, a >= 1
         a = shift - x * x
         if a in A:
             witnesses.append((x, a))

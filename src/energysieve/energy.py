@@ -34,8 +34,12 @@ __all__ = [
 ]
 
 BRUTE_FORCE_GUARD = 10**9
+DIRECT_BLOCK_GUARD = 1 << 16  # blocks a direct pair count may visit: sums up to 2^33 apart
 _CHUNK = 1 << 22
 _BLOCK = 1 << 17  # values per block, pairs per group: the bincount stays in cache
+# pairs under which a cell is cut to its first and last sum; in a fuller cell
+# finding them costs more than the zeros they save
+_SPARSE = _BLOCK >> 7
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,27 +111,55 @@ def _report(value: int, method: str, X: IntegerSet, Y: IntegerSet) -> EnergyRepo
 # ---------------------------------------------------------------------------
 
 def _direct_blocks(xs: np.ndarray, ys: np.ndarray, lo: int, hi: int, left: np.ndarray):
-    """Counts of x + y over [lo, hi] in blocks of _BLOCK values, given the first
-    edges left = searchsorted(ys, lo - xs).  Row x of a block is ys[left:right],
-    at most _BLOCK y; each block's left edges are the last one's right edges, so
-    one `searchsorted` per block finds them.  Rows are gathered by `_ragged` in
-    groups of at most _BLOCK pairs, one bincount each.  When `ys is xs` edges
-    clamp to the first y > x, so only pairs x < y are gathered, and
-    r(n) = 2c(n) + [n = 2x]."""
+    """Counts of x + y over [lo, hi] by the cells [lo + k _BLOCK, lo + (k + 1)
+    _BLOCK), given the first edges left = searchsorted(ys, lo - xs).  Row x of
+    a cell is ys[left:right], at most _BLOCK y; each cell's left edges are the
+    last one's right edges, so one `searchsorted` per cell finds them.  A cell
+    yields its counts, from its first sum to its last if it holds fewer than
+    _SPARSE pairs, and nothing if it holds no sum: the walk then jumps to the
+    cell of the next sum, min(x + ys[right]), so its time follows the sums,
+    not the span of [lo, hi].  Rows are gathered by `_ragged` in groups of at
+    most _BLOCK pairs, one bincount each.  When `ys is xs` edges clamp to the
+    first y > x, so only pairs x < y are gathered, and r(n) = 2c(n) + [n = 2x]."""
     if ys is xs:
         left = np.maximum(left, np.arange(1, len(xs) + 1))
-    for start in range(lo, hi + 1, _BLOCK):
-        length = min(_BLOCK, hi + 1 - start)
-        right = np.searchsorted(ys, start + length - xs)
+    start = lo
+    while start <= hi:
+        end = min(start + _BLOCK, hi + 1)
+        right = np.searchsorted(ys, end - xs)
         np.maximum(right, left, out=right)  # moves an edge only when ys is xs
         ends = np.cumsum(right - left)
+        if ys is xs:
+            a, b = np.searchsorted(xs, [(start + 1) // 2, (end + 1) // 2])  # 2x in the cell
+        first, length = start, end - start
+        if ends[-1] < _SPARSE:
+            full = right > left
+            firsts = xs[full] + ys[left[full]]
+            lasts = xs[full] + ys[right[full] - 1]
+            if ys is xs:
+                firsts = np.append(firsts, 2 * xs[a:b][:1])
+                lasts = np.append(lasts, 2 * xs[a:b][-1:])
+            if len(firsts) == 0:
+                # these edges are also the left edges of the next sum's cell
+                later = right < len(ys)
+                nexts = xs[later] + ys[right[later]]
+                if ys is xs and b < len(xs):
+                    nexts = np.append(nexts, 2 * xs[b])
+                following = int(nexts.min()) if len(nexts) else hi + 1
+                if following > hi:
+                    return
+                start += (following - start) // _BLOCK * _BLOCK
+                left = right
+                continue
+            first = int(firsts.min())
+            length = int(lasts.max()) - first + 1
         counts = None
         i = done = 0
         while done < ends[-1]:
             j = int(np.searchsorted(ends, done + _BLOCK, side="right"))
             idx, rows = _ragged(left[i:j], right[i:j] - 1)
             sums = ys[idx]
-            sums += np.repeat(xs[i:j] - start, rows)
+            sums += np.repeat(xs[i:j] - first, rows)
             group = np.bincount(sums, minlength=length)
             counts = group if counts is None else np.add(counts, group, out=counts)
             i, done = j, int(ends[j - 1])
@@ -135,10 +167,10 @@ def _direct_blocks(xs: np.ndarray, ys: np.ndarray, lo: int, hi: int, left: np.nd
             counts = np.zeros(length, dtype=np.int64)
         if ys is xs:
             counts *= 2
-            a, b = np.searchsorted(xs, [(start + 1) // 2, (start + length + 1) // 2])  # 2x in the block
-            counts[2 * xs[a:b] - start] += 1
-        yield start, counts
+            counts[2 * xs[a:b] - first] += 1
+        yield first, counts
         left = right
+        start = end
 
 
 def _ragged(first: np.ndarray, last: np.ndarray, step: int = 1) -> tuple[np.ndarray, np.ndarray]:
@@ -215,16 +247,19 @@ def _pair_counts(xs: np.ndarray, ys: np.ndarray, lo: int, hi: int, method: str,
                  held: int = 0):
     """r(n) = #{(x, y) : x + y = n} for lo <= n <= hi, two sorted integer arrays.
 
-    Returns (backend, blocks, resident): `blocks` yields (offset, counts) for
-    consecutive blocks of at most _BLOCK values from lo (none if lo > hi);
-    direct blocks are counted as they are taken, FFT blocks are views of the
-    verified transform; `resident` is the bytes they hold meanwhile.  [lo, hi]
-    lies within the range of sums.  `held`, the bytes the caller keeps alive,
-    is counted with the backend's working set against the cap.  `auto` runs
-    the backend with the lower estimated cost; a transform that fails
-    verification falls back to direct counting.  A set paired with itself
-    (equal arrays) is counted once: each unordered pair directly, one
-    spectrum by the transform.
+    Returns (backend, blocks, resident): `blocks` yields (offset, counts) in
+    order, at most one block per cell [lo + k _BLOCK, lo + (k + 1) _BLOCK) of
+    [lo, hi] (none if lo > hi); direct blocks are counted as they are taken,
+    one for each cell that holds a sum (a sparse cell cut to its first and
+    last sum), FFT blocks are views of the verified transform, one for every
+    whole cell; `resident` is the bytes they hold meanwhile.  [lo, hi] lies
+    within the range of sums.  `held`, the bytes the caller keeps alive, is
+    counted with the backend's working set against the cap.  `auto` runs the
+    backend with the lower estimated cost; a transform that fails
+    verification falls back to direct counting.  Direct counting visits at
+    most min(cells, pairs) cells and refuses more than DIRECT_BLOCK_GUARD.  A
+    set paired with itself (equal arrays) is counted once: each unordered
+    pair directly, one spectrum by the transform.
     """
     if method not in ("auto", "direct", "fft"):
         raise ValueError(f"unknown counting method {method!r}")
@@ -263,6 +298,11 @@ def _pair_counts(xs: np.ndarray, ys: np.ndarray, lo: int, hi: int, method: str,
             return "fft", blocks, counts.nbytes
         backend = "fft-fallback"
         left = np.searchsorted(ys, lo - xs)
+    visits = min(-(-(hi - lo + 1) // _BLOCK), pairs)  # a cell with a sum holds a pair
+    if visits > DIRECT_BLOCK_GUARD:
+        raise ResourceLimitError(
+            f"direct pair counting over {visits} blocks exceeds guard {DIRECT_BLOCK_GUARD}"
+        )
     # counts, a bincount result and the caller's previous block; a group's indices
     # and row starts, the last group's indices and sums; eight arrays over the rows
     nbytes = 24 * min(_BLOCK, hi - lo + 1) + 32 * min(_BLOCK, pairs) + 64 * len(xs)
@@ -285,7 +325,7 @@ def _sum_window(xs: np.ndarray, ys: np.ndarray) -> tuple[int, int]:
 def _rep(xs: np.ndarray, ys: np.ndarray, method: str) -> RepFunction:
     lo, hi = _sum_window(xs, ys)
     backend, blocks, _ = _pair_counts(xs, ys, lo, hi, method, held=8 * (hi - lo + 1))
-    counts = np.empty(hi - lo + 1, dtype=np.int64)
+    counts = np.zeros(hi - lo + 1, dtype=np.int64)
     for offset, block in blocks:
         counts[offset - lo : offset - lo + len(block)] = block
     # tight window: endpoints are realized sums, so edges are already nonzero
@@ -352,10 +392,24 @@ def energy_diff_path(X: IntegerSet, Y: IntegerSet, *, method: str = "auto") -> E
             pairs = ((a, a) for _, a in rx)
         else:
             _, ry, _ = _pair_counts(ys, -ys[::-1], 1, m, method, held=held)
-            pairs = ((a, b) for (_, a), (_, b) in zip(rx, ry))
+            pairs = _matched(rx, ry)
         # a difference count of X is at most |X|, of Y at most |Y|
         value = len(xs) * len(ys) + 2 * _exact_dot(pairs, len(xs) * len(ys))
     return _report(value, "diff-identity", X, Y)
+
+
+def _matched(rx, ry):
+    """The counts of two block streams over one window, cut to the values both
+    hold; a value outside one stream's blocks has count 0 there.  A block of
+    either meets at most one of the other, the one in its cell."""
+    ry = iter(ry)
+    at, b = next(ry, (None, None))
+    for offset, a in rx:
+        while at is not None and at + len(b) <= offset:
+            at, b = next(ry, (None, None))
+        if at is not None and at < offset + len(a):
+            first, stop = max(offset, at), min(offset + len(a), at + len(b))
+            yield a[first - offset : stop - offset], b[first - at : stop - at]
 
 
 def energy_bruteforce(X: IntegerSet, Y: IntegerSet) -> EnergyReport:

@@ -1,13 +1,12 @@
 """Integer sets in [1, N]: constructions, residue diagnostics, and file I/O.
 
-A set is a sorted element array (for iteration and windowed scans).  Its 0/1
-membership mask indexed by value (for O(1) lookups) is built on the first
-membership test and kept; neither view is ever mutated.
+A set is one read-only sorted element array, used for iteration, windowed
+scans and membership (a binary search).  Nothing is indexed by value, so a
+set holds 8 bytes per element whatever its cap.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import random
@@ -38,7 +37,7 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class IntegerSet:
-    """Immutable set of integers in [1, cap]: sorted elements and a lazy mask view."""
+    """Immutable set of integers in [1, cap], held as its sorted elements."""
 
     cap: int
     elements: np.ndarray
@@ -46,22 +45,10 @@ class IntegerSet:
     def __post_init__(self):
         self.elements.setflags(write=False)
 
-    @functools.cached_property
-    def mask(self) -> np.ndarray:
-        """Read-only bools over [0, cap], True at the elements; built on first use
-        (its cap + 1 bytes were checked against the cap at construction)."""
-        mask = np.zeros(self.cap + 1, dtype=bool)
-        mask[self.elements] = True
-        mask.setflags(write=False)
-        return mask
-
     @classmethod
     def from_elements(cls, cap: int, elements: Iterable[int]) -> "IntegerSet":
         if cap < 1:
             raise ValueError("cap must be a positive integer")
-        # before the elements are drawn: a generator over a huge range is refused
-        # at once, and the mask that a membership test builds later is approved
-        check_allocation(cap + 1, f"membership mask for cap {cap}")
         if isinstance(elements, np.ndarray) and elements.ndim == 1 and elements.dtype.kind in "iu":
             # increasing input, as the constructions give, is copied but not sorted
             increasing = bool((elements[1:] > elements[:-1]).all())
@@ -79,7 +66,11 @@ class IntegerSet:
 
     def __contains__(self, n) -> bool:
         n = int(n)
-        return 1 <= n <= self.cap and bool(self.mask[n])
+        xs = self.elements
+        # n reaches numpy only inside [first, last], so within int64
+        if not len(xs) or not int(xs[0]) <= n <= int(xs[-1]):
+            return False
+        return bool(xs[np.searchsorted(xs, n)] == n)
 
     def __iter__(self):
         return (int(e) for e in self.elements)
@@ -119,7 +110,7 @@ def squares_up_to(N: int) -> IntegerSet:
     if N < 1:
         raise ValueError("N must be positive")
     r = math.isqrt(N)
-    check_allocation(N + 1 + 8 * r, f"squares up to {N}")  # the mask and the squares
+    check_allocation(16 * r, f"squares up to {N}")  # the squares and their copy
     return IntegerSet.from_elements(N, np.arange(1, r + 1, dtype=np.int64) ** 2)
 
 
@@ -136,10 +127,14 @@ def quadratic_image(a: int, b: int, c: int, N: int) -> IntegerSet:
     else:
         outer, inner = _at_most(-a, -b, -c, -1), _at_most(-a, -b, -c, -N - 1)
     if inner[0] > inner[1]:
-        xs = range(outer[0], outer[1] + 1)
+        xs = [range(outer[0], outer[1] + 1)]
     else:
-        xs = itertools.chain(range(outer[0], inner[0]), range(inner[1] + 1, outer[1] + 1))
-    return IntegerSet.from_elements(N, (a * x * x + b * x + c for x in xs))
+        xs = [range(outer[0], inner[0]), range(inner[1] + 1, outer[1] + 1)]
+    # before the generator is drawn: per x, one int and its share of the set
+    # that from_elements sorts, up to 168 bytes as the set's table grows
+    count = sum(r.stop - r.start for r in xs)  # len() overflows past 2^63
+    check_allocation(168 * count, f"quadratic image over {count} values of x")
+    return IntegerSet.from_elements(N, (a * x * x + b * x + c for x in itertools.chain(*xs)))
 
 
 def _at_most(a: int, b: int, c: int, t: int) -> tuple[int, int]:
@@ -168,7 +163,9 @@ def sidon_set(p: int, N: int) -> IntegerSet:
     if N < 1:
         raise ValueError("N must be positive")
     # element i is at least 2p*i + 1, so only i <= (N - 1) // (2p) can fit
-    i = np.arange(min(p, (N - 1) // (2 * p) + 1), dtype=np.int64)
+    count = min(p, (N - 1) // (2 * p) + 1)
+    check_allocation(40 * count, f"Sidon construction over {count} indices")  # i, vals, scratch
+    i = np.arange(count, dtype=np.int64)
     vals = 2 * p * i + (i * i) % p + 1
     return IntegerSet.from_elements(N, vals[vals <= N])
 

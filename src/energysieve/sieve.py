@@ -21,6 +21,7 @@ import numpy as np
 
 from .arith import EPS_ZERO, EpsilonSpec, delta, delta_prime_power, factorize, sieve_primes
 from .energy import _BLOCK, _exact_dot, _pair_counts, _ragged
+from .errors import ResourceLimitError
 from .limits import check_allocation
 from .sets import IntegerSet, ResidueProfile, occupancy
 
@@ -36,6 +37,9 @@ __all__ = [
     "divisor_sum_partition",
     "divisor_growth_report",
 ]
+
+PARTITION_MODULI_GUARD = 1 << 16  # moduli of one partition scan, one pass each: N < 65537^2
+
 
 @dataclass(frozen=True)
 class SieveCheckResult:
@@ -127,15 +131,17 @@ class DifferenceTable:
         self.elements = A.elements
         self.hi = min(max_diff, int(A.elements[-1] - A.elements[0])) if len(A) > 1 else 0
         self.rows = math.isqrt(max(max_diff, 0)) + 1
+        per_block = int(min(_BLOCK, self.hi) * (1 + math.log(self.rows))) + self.rows
+        # per value: the values and a temporary, then the offsets and the
+        # gathered counts; per row, the enumerators' row arrays (a consumer's
+        # own rows among them, so it makes them after this check)
+        self.held = 16 * per_block + 80 * self.rows
+        check_allocation(self.held, f"difference lookups over {self.rows} rows")
 
     def lookup(self, *products) -> tuple[int, ...]:
         """sum of r(d) over the values of each enumerator, from one counting pass."""
         xs = self.elements
-        per_block = int(min(_BLOCK, self.hi) * (1 + math.log(self.rows))) + self.rows
-        # per value: the values and a temporary, then the offsets and the
-        # gathered counts; per row, the enumerators' row arrays
-        held = 16 * per_block + 80 * self.rows
-        _, blocks, _ = _pair_counts(xs, -xs[::-1], 1, self.hi, "auto", held=held)
+        _, blocks, _ = _pair_counts(xs, -xs[::-1], 1, self.hi, "auto", held=self.held)
         totals = [0] * len(products)
         for start, counts in blocks:
             for i, values in enumerate(products):
@@ -162,6 +168,7 @@ def divisor_sum_direct(A: IntegerSet, N: int, *, radius: int | None = None) -> i
     """sum over 1 <= u < v <= radius of r_{A-A}(uv); radius defaults to isqrt(N)."""
     if radius is None:
         radius = math.isqrt(N)
+    table = DifferenceTable(A, radius * radius)
     u = np.arange(1, radius, dtype=np.int64)
 
     def products(D: int, E: int) -> np.ndarray:  # uv in [D, E]
@@ -169,7 +176,7 @@ def divisor_sum_direct(A: IntegerSet, N: int, *, radius: int | None = None) -> i
         v *= np.repeat(u, lens)
         return v
 
-    return DifferenceTable(A, radius * radius).lookup(products)[0]
+    return table.lookup(products)[0]
 
 
 @dataclass(frozen=True)
@@ -197,7 +204,9 @@ def divisor_sum_partition(A: IntegerSet, N: int) -> DivisorSumTrace:
     exactly when v divides a - b and the difference is under v^2.  Also
     records, per v, the count of same-class pairs falling inside a single
     length-v^2 block of [1, N]; every such pair is a window pair, so this is a
-    valid per-v lower bound.
+    valid per-v lower bound.  Each modulus is one pass in Python (about 27 us
+    on two elements), so a scan over more than PARTITION_MODULI_GUARD moduli,
+    N >= 65537^2, is refused at once.
 
     For each v one sort orders A by the key (a mod v) * W + a, where W exceeds
     every element, so each class is a contiguous ascending run; a mod v is
@@ -212,9 +221,13 @@ def divisor_sum_partition(A: IntegerSet, N: int) -> DivisorSumTrace:
     width = max(N, int(elems[-1]) if len(elems) else 0) + 1
     n = len(elems)
     # index, then per modulus the key, the class base, the window queries and
-    # their search result; the run keys reuse the queries' array, and the run
-    # starts and their change mask replace the base and the search result
-    check_allocation(8 * 5 * n, f"partition scan of {n} elements")
+    # their search result (the run keys, run starts and change mask reuse
+    # their space); and each of the radius rows kept, 154 bytes measured
+    check_allocation(8 * 5 * n + 160 * radius, f"partition scan of {n} elements, {radius} rows")
+    if radius > PARTITION_MODULI_GUARD:
+        raise ResourceLimitError(
+            f"partition scan over {radius} moduli exceeds guard {PARTITION_MODULI_GUARD}"
+        )
     index = np.arange(n)
     rows: list[DivisorSumRow] = []
     total = 0

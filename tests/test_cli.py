@@ -3,9 +3,12 @@ import csv
 import json
 import os
 import re
+import signal
 import subprocess
 import sys
 import tempfile
+import time
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -135,6 +138,29 @@ class TestResourceRefusals:
         assert run("gen", "squares", "--N", "100", "--out", str(tmp_path / "s.txt")) == 4
         assert capsys.readouterr().err == f"resource limit: {line}\n"
 
+    def test_huge_cap_refused_at_once_where_the_work_grows(self, tmp_path, monkeypatch, capsys):
+        # under the default memory cap: 2 * 10^15 values of x; 10^15 and 10^7
+        # moduli; 10^6 and 2 * 10^6 sums, each alone in a cell of 2^17 values
+        monkeypatch.delenv(MEMORY_CAP_ENV, raising=False)
+        huge, wide, one = tmp_path / "huge.txt", tmp_path / "wide.txt", tmp_path / "one.txt"
+        huge.write_text(f"N={10**30}\n5\n")
+        wide.write_text(f"N={10**14}\n1\n{10**14}\n")
+        one.write_text(f"N={10**12}\n5\n")
+        (tmp_path / "wide12.txt").write_text(f"N={10**12}\n1\n{10**12}\n")
+        out = tmp_path / "q.txt"
+        for argv in (["gen", "quadratic", "--N", str(10**30), "--out", str(out)],
+                     ["sieve", str(huge), "--divisor-sum"],
+                     ["sieve", str(wide), "--divisor-sum"],
+                     ["energy", str(one), "--squares"],
+                     ["energy", str(tmp_path / "wide12.txt"), "--squares", "--method", "diff"]):
+            start = time.perf_counter()
+            assert run(*argv) == 4
+            assert time.perf_counter() - start < 5
+            captured = capsys.readouterr()
+            assert captured.out == "" and captured.err.startswith("resource limit: ")
+            assert len(captured.err.splitlines()) == 1
+        assert not out.exists()
+
     def test_quadratic_huge_linear_coefficient(self, tmp_path):
         out = tmp_path / "q.txt"
         # x^2 + 10^11 x is 0 at x = 0 and -10^11 and at least 10^11 + 1 elsewhere
@@ -173,6 +199,31 @@ class TestEnergy:
         path = write_squares(tmp_path, 16)
         assert run("energy", str(path), "--squares", "--method", "brute") == 0
         assert "brute-force,28" in capsys.readouterr().out
+
+    def test_wide_span_counted_by_its_sums(self, tmp_path, monkeypatch, capsys):
+        # 10^12 apart: the sum and difference routes visit the cells with a sum
+        monkeypatch.delenv(MEMORY_CAP_ENV, raising=False)
+        path = tmp_path / "wide.txt"
+        path.write_text(f"N={10**12}\n1\n{10**6}\n{10**12}\n")
+        for method in ("sum", "diff"):
+            start = time.perf_counter()
+            assert run("energy", str(path), str(path), "--method", method) == 0
+            assert time.perf_counter() - start < 5
+            assert capsys.readouterr().out.splitlines()[1].split(",")[1] == "15"
+
+    def test_sparse_sets_under_a_huge_cap(self, tmp_path, monkeypatch, capsys):
+        # under the default memory cap: a set holds its elements, not its cap
+        monkeypatch.delenv(MEMORY_CAP_ENV, raising=False)
+        N = 5 * 10**9
+        A, B = [N - 1000, N - 900, N - 10, N], [N - 2000, N - 963, N - 1]
+        a, b = tmp_path / "a.txt", tmp_path / "b.txt"
+        a.write_text(f"N={N}\n" + "".join(f"{e}\n" for e in A))
+        b.write_text(f"N={N}\n" + "".join(f"{e}\n" for e in B))
+        oracle = sum(c * c for c in Counter(x + y for x in A for y in B).values())
+        assert run("energy", str(a), str(b), "--method", "all") == 0
+        rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
+        assert [r["method"] for r in rows] == ["sum-identity", "diff-identity", "brute-force"]
+        assert {int(r["value"]) for r in rows} == {oracle}
 
     def test_parse_error_exit2(self, tmp_path):
         bad = tmp_path / "bad.txt"
@@ -219,8 +270,7 @@ class TestSieve:
 
     @pytest.mark.parametrize("command", ["sieve", "energy"])
     def test_element_beyond_int64_exit2(self, tmp_path, monkeypatch, capsys, command):
-        # a cap this large passes the memory check; the element cannot be an int64
-        monkeypatch.setenv(MEMORY_CAP_ENV, str(10**24))
+        # a huge cap is read; the element cannot be an int64
         big, small = tmp_path / "big.txt", tmp_path / "small.txt"
         big.write_text(f"N={10**20}\n{10**20 - 1}\n")
         small.write_text("N=10\n1\n4\n")
@@ -254,6 +304,29 @@ class TestSieve:
         rows = list(csv.DictReader(captured.out.splitlines()))
         assert sum(int(r["window_count"]) for r in rows) == 3
         assert "total=3" in captured.err
+
+    @pytest.mark.parametrize("make", [lambda p: p.write_text("default=5\n"), Path.mkdir])
+    def test_numeric_eps_is_never_a_path(self, tmp_path, monkeypatch, capsys, make):
+        # a file or directory named 0 beside the run leaves the default --eps 0 alone
+        path = write_squares(tmp_path, 16)
+        monkeypatch.chdir(tmp_path)
+        make(tmp_path / "0")
+        capsys.readouterr()
+        assert run("sieve", str(path), "--check-v", "3") == 0
+        assert capsys.readouterr().out.splitlines()[1] == "3,4,3/2,32/3,10,false,false"
+        # text that is no number is still a config file when one exists
+        (tmp_path / "abc").write_text("default=5\n")
+        assert run("sieve", str(path), "--check-v", "3", "--eps", "abc") == 0
+        assert capsys.readouterr().out.splitlines()[1] == "3,4,13/2,32/13,10,true,true"
+
+    @pytest.mark.parametrize("text", ["abc", "1/0"])
+    def test_bad_eps_message(self, tmp_path, monkeypatch, capsys, text):
+        path = write_squares(tmp_path, 16)
+        monkeypatch.chdir(tmp_path)
+        capsys.readouterr()
+        assert run("sieve", str(path), "--check-v", "3", "--eps", text) == 2
+        assert capsys.readouterr().err == (
+            f"error: bad epsilon {text!r}: not a number and not a file\n")
 
     def test_gallagher(self, tmp_path, capsys):
         path = write_squares(tmp_path, 10**4, "sq4.txt")
@@ -502,12 +575,14 @@ def test_import_starts_no_process_machinery():
 CLI_VALUES = ["-7", "-1", "0", "1", "2", "3", "16", "100", "30030", "1000000007",
               "9223372036854775808", "1" + "0" * 30, "1e3", "abc", "", "1/2", "inf", "nan"]
 CLI_EPS = ["0", "1/2", "-1", "abc", "1/0", "1e400", "{eps}", "{badeps}", "{missing}"]
+CLI_WALL_LIMIT = 10  # seconds per invocation: a loop no cap check stops fails, not stalls
 CLI_FILES = ["{sq16}", "{sidon}", "{single}", "{missing}", "{bad}", "{empty}", "{outside}",
-             "{huge}", "{binary}", "{dir}"]
+             "{huge}", "{wide}", "{binary}", "{dir}"]
 CLI_OUTS = ["{out}", "{dir}", "{nodir}"]
 CLI_FILE_TEXT = {
     "sq16": "N=16\n1\n4\n9\n16\n", "sidon": "N=60\n1\n13\n27\n48\n58\n", "single": "N=5\n3\n",
     "bad": "N=abc\n1\n", "empty": "", "outside": "N=10\n11\n", "huge": "N=" + "9" * 30 + "\n5\n",
+    "wide": f"N={10**12}\n1\n{10**12}\n",
     "eps": "default=1/2\n3=1\n", "badeps": "default=\nx=1\n",
 }
 
@@ -561,10 +636,28 @@ def test_every_invocation_exits_with_a_contract_code(tmp_path, monkeypatch):
         ),
     ).map(lambda parts: [a.format(**paths) for part in parts for a in part])
 
+    class Stalled(BaseException):
+        """Not an Exception: neither the CLI's handlers nor shrinking catch it."""
+
     @hypothesis.settings(max_examples=150, deadline=None, derandomize=True,
                          suppress_health_check=list(hypothesis.HealthCheck))
     @hypothesis.given(commands)
+    @hypothesis.example(["sieve", paths["huge"], "--divisor-sum"])  # 10^15 moduli
+    @hypothesis.example(["energy", paths["huge"], "--squares"])     # 10^15 squares
+    @hypothesis.example(["sieve", paths["wide"], "--divisor-sum"])  # 10^6 moduli
+    @hypothesis.example(["energy", paths["wide"], "--squares"])     # 2 * 10^6 sums
+    @hypothesis.example(["energy", paths["wide"], paths["wide"]])   # 10^12 apart
     def check(argv):
-        assert run(*argv) in (0, 2, 3, 4), argv
+        def stalled(signum, frame):
+            raise Stalled(f"no exit within {CLI_WALL_LIMIT} s: {argv}")
+
+        previous = signal.signal(signal.SIGALRM, stalled)
+        signal.setitimer(signal.ITIMER_REAL, CLI_WALL_LIMIT)
+        try:
+            code = run(*argv)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+        assert code in (0, 2, 3, 4), argv
 
     check()

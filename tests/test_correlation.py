@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -167,6 +168,33 @@ class TestQuadraticHits:
             assert rep.count == rep_sum(A, squares_up_to(800)).max_count()
             assert rep.chain_mid <= rep.chain_rhs
 
+    @staticmethod
+    def hits_oracle(elements, N):
+        """Every a + x^2 with a in A and 1 <= x^2 <= N, counted outright: the
+        smallest shift of peak count, the count, its witnesses by x, the energy."""
+        xs = range(1, math.isqrt(N) + 1)
+        counts = Counter(a + x * x for a in elements for x in xs)
+        count = max(counts.values())
+        shift = min(n for n, c in counts.items() if c == count)
+        witnesses = tuple((x, shift - x * x) for x in xs if shift - x * x in set(elements))
+        return shift, count, witnesses, sum(c * c for c in counts.values())
+
+    @pytest.mark.parametrize("elements, N", [([3, 14, 23], 30)])
+    def test_witnesses_are_squares_up_to_n(self, elements, N):
+        # 39 = 3 + 36 = 14 + 25 = 23 + 16, but 36 > 30 is no square of S
+        rep = quadratic_hits(IntegerSet.from_elements(N, elements), N)
+        assert (rep.shift, rep.count, rep.witnesses) == (39, 2, ((4, 23), (5, 14)))
+
+    def test_against_oracle_on_random_small_sets(self, rng):
+        cases = [([3, 14, 23], 30)]
+        for _ in range(300):
+            cap = rng.randint(1, 80)
+            cases.append((rng.sample(range(1, cap + 1), rng.randint(1, min(cap, 8))), cap))
+        for elements, N in cases:
+            rep = quadratic_hits(IntegerSet.from_elements(N, elements), N)
+            got = (rep.shift, rep.count, rep.witnesses, rep.chain_mid)
+            assert got == self.hits_oracle(elements, N), (elements, N)
+
 
 class TestSidonReport:
     def test_generated(self):
@@ -261,6 +289,18 @@ class TestRows:
         row = ramanujan_row(16)
         assert row.energy == 28
         assert row.ratio_log == pytest.approx(28 / (16 * math.log(16)))
+
+    @pytest.mark.parametrize("N", [10**4, 10**5, 10**6])
+    @pytest.mark.parametrize("coeffs", [(1, 0, 0), (2, 0, 1), (1, 1, 0), (5, 0, 0)])
+    def test_extremal_family_rows(self, coeffs, N):
+        # the paper's extremal sets: quadratic images, |A| about sqrt(N / a);
+        # only exact facts, no trend and no constant
+        A = quadratic_image(*coeffs, N)
+        row = correlation_row(A, N)  # raises if a route disagrees or the bound fails
+        report = energy_decomposition(A, N)
+        assert row.card_a == len(A) and row.energy == report.energy
+        assert report.energy == report.via_square_pairs == report.via_factor_pairs
+        assert row.lower_bound <= energy_lower_bound(A, N).energy <= row.energy
 
     def test_sidon_row(self):
         row = sidon_row(3000)

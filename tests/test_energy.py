@@ -87,16 +87,23 @@ def former_direct_blocks(xs, ys, lo, hi):
 
 
 def streamed(xs, ys, lo, hi, method):
-    """The core's blocks over [lo, hi], checked to be consecutive, joined."""
+    """The core's blocks over [lo, hi], checked to come in order, at most one
+    per cell lo + k _BLOCK: each whole cell from the transform, each cell
+    with a sum from direct counting; placed in a window of zeros."""
     backend, blocks, _ = energy._pair_counts(xs, ys, lo, hi, method)
-    parts = []
+    joined = np.zeros(max(hi - lo + 1, 0), dtype=np.int64)
     at = lo
     for offset, counts in blocks:
-        assert offset == at and 0 < len(counts) <= energy._BLOCK
-        at += len(counts)
-        parts.append(counts)
-    assert at == max(lo, hi + 1)
-    return backend, np.concatenate([np.zeros(0, dtype=np.int64)] + parts)
+        cell = lo + (offset - lo) // energy._BLOCK * energy._BLOCK
+        assert at <= cell and offset + len(counts) <= min(cell + energy._BLOCK, hi + 1)
+        if backend == "fft":
+            assert offset == at == cell and len(counts) == min(energy._BLOCK, hi + 1 - cell)
+        else:
+            assert counts.any()
+        joined[offset - lo : offset - lo + len(counts)] = counts
+        at = cell + energy._BLOCK
+    assert backend != "fft" or at >= hi + 1
+    return backend, joined
 
 
 class TestRepFunctions:
@@ -396,8 +403,18 @@ class TestDirectBlocks:
         return list(energy._direct_blocks(xs, ys, lo, hi, np.searchsorted(ys, lo - xs)))
 
     def assert_same_blocks(self, xs, ys, lo, hi):
+        """The former kernel's blocks less those without a sum, and cut to their
+        first and last sum where they hold fewer than _SPARSE pairs (x < y when
+        `ys is xs`: a count 2c(n) + [n = 2x] is odd at each 2x)."""
         got = self.blocks(xs, ys, lo, hi)
-        want = list(former_direct_blocks(xs, ys, lo, hi))
+        want = []
+        for offset, counts in former_direct_blocks(xs, ys, lo, hi):
+            held = np.flatnonzero(counts)
+            pairs = counts.sum() if ys is not xs else (counts.sum() - (counts % 2).sum()) // 2
+            if len(held) and pairs < energy._SPARSE:
+                want.append((offset + held[0], counts[held[0] : held[-1] + 1]))
+            elif len(held):
+                want.append((offset, counts))
         assert [offset for offset, _ in got] == [offset for offset, _ in want]
         for (_, a), (_, b) in zip(got, want):
             assert a.dtype == b.dtype and (a == b).all()
@@ -425,8 +442,11 @@ class TestDirectBlocks:
     def test_far_apart_clusters_leave_blocks_without_pairs(self, rng):
         xs = self.CASES["clusters"](rng)[0].elements
         lo, hi = 2 * int(xs[0]), 2 * int(xs[-1])
-        blocks = self.blocks(xs, xs, lo, hi)
-        assert any(not counts.any() for _, counts in blocks)
+        # sums near 2, 10^6 and 2 10^6: three of sixteen cells, each with over
+        # _SPARSE pairs, so whole
+        block = energy._BLOCK
+        assert [(offset, len(counts)) for offset, counts in self.blocks(xs, xs, lo, hi)] == [
+            (lo, block), (lo + 7 * block, block), (lo + 15 * block, hi + 1 - lo - 15 * block)]
         self.assert_same_blocks(xs, xs, lo, hi)
         self.assert_same_blocks(xs, -xs[::-1], int(xs[0] - xs[-1]), int(xs[-1] - xs[0]))
 
@@ -455,6 +475,53 @@ class TestDirectBlocks:
         edges.clear()
         assert len(list(former_direct_blocks(xs, ys, lo, hi))) == blocks
         assert len(edges) == 2 * blocks
+
+    def test_empty_cells_cost_one_search_each_jump(self, monkeypatch):
+        # one sum in every third cell: beside the first edges, the walk searches
+        # the cells with a sum and the empty cell after each but the last,
+        # never the cell between
+        xs = np.array([5], dtype=np.int64)
+        ys = np.arange(1, 668, dtype=np.int64) * 3 * energy._BLOCK
+        lo, hi = 5 + int(ys[0]), 5 + int(ys[-1])
+        searchsorted = np.searchsorted
+        edges = []
+
+        def spy(a, v, *args, **kwargs):
+            if a is ys and np.shape(v) == xs.shape:
+                edges.append(len(v))
+            return searchsorted(a, v, *args, **kwargs)
+
+        monkeypatch.setattr(np, "searchsorted", spy)
+        blocks = self.blocks(xs, ys, lo, hi)
+        assert [(offset, list(counts)) for offset, counts in blocks] == [
+            (5 + int(y), [1]) for y in ys]
+        assert len(edges) == 1 + len(ys) + len(ys) - 1
+
+    def test_visits_over_the_guard_refused_before_counting(self):
+        # one sum in each of guard + 1 cells, 2^33 values apart and more
+        xs = np.array([5], dtype=np.int64)
+        ys = np.arange(1, energy.DIRECT_BLOCK_GUARD + 2, dtype=np.int64) * 3 * energy._BLOCK
+        lo, hi = 5 + int(ys[0]), 5 + int(ys[-1])
+        with pytest.raises(ResourceLimitError, match=f"over {len(ys)} blocks exceeds guard"):
+            energy._pair_counts(xs, ys, lo, hi, "direct")
+        # as many cells, but only a few sums: visited by the sums
+        _, blocks, _ = energy._pair_counts(xs, ys[[0, -1]], lo, hi, "direct")
+        assert [offset for offset, _ in blocks] == [lo, hi]
+
+    @pytest.mark.parametrize("swap", [False, True])
+    @pytest.mark.parametrize("methods",
+                             [("direct", "fft"), ("fft", "direct"), ("direct", "direct")])
+    def test_matched_streams_meet_where_both_hold_counts(self, rng, methods, swap):
+        # a few differences (cut blocks, when direct) against many (whole cells)
+        X, Y = iset(10**6, [5, 17, 40, 9 * 10**5, 10**6]), make_random_set(rng, 10**6, 3000)
+        if swap:
+            X, Y = Y, X
+        m = min(int(X.elements[-1] - X.elements[0]), int(Y.elements[-1] - Y.elements[0]))
+        rx, ry = (energy._pair_counts(Z.elements, -Z.elements[::-1], 1, m, method)[1]
+                  for Z, method in zip((X, Y), methods))
+        got = sum(int(np.dot(a, b)) for a, b in energy._matched(rx, ry))
+        fx, fy = (streamed(Z.elements, -Z.elements[::-1], 1, m, "direct")[1] for Z in (X, Y))
+        assert got == int(np.dot(fx, fy)) > 0
 
 
 class TestRagged:

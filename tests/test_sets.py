@@ -12,7 +12,6 @@ import pytest
 import energysieve.sets as sets
 from energysieve.arith import EPS_HALF, EPS_ZERO, EpsilonSpec, sieve_primes
 from energysieve.errors import ResourceLimitError, SetFileError
-from energysieve.limits import MEMORY_CAP_ENV
 from energysieve.sets import (
     IntegerSet,
     is_sidon,
@@ -35,15 +34,13 @@ def sidon_oracle(elements):
 
 
 class TestIntegerSet:
-    def test_views_agree(self, rng):
+    def test_membership_agrees_with_elements(self, rng):
         for _ in range(50):
             A = make_random_set(rng, rng.randint(1, 500), 60)
-            assert list(np.flatnonzero(A.mask)) == list(A.elements)
             assert len(A) == len(A.elements)
-            for e in list(A)[:5]:
-                assert e in A
-            assert 0 not in A
-            assert A.cap + 3 not in A
+            assert [n for n in range(-2, A.cap + 4) if n in A] == list(A.elements)
+            assert np.int64(A.elements[0]) in A and 2**63 not in A and -(2**70) not in A
+        assert 1 not in IntegerSet.from_elements(10, [])
 
     def test_range_validation(self):
         with pytest.raises(ValueError):
@@ -51,10 +48,8 @@ class TestIntegerSet:
         with pytest.raises(ValueError):
             IntegerSet.from_elements(10, [11])
 
-    def test_elements_beyond_int64_refused(self, monkeypatch):
-        # a cap this large passes the memory check; stored as int64, 2^63 + 1
-        # would wrap to -2^63 + 1
-        monkeypatch.setenv(MEMORY_CAP_ENV, str(10**24))
+    def test_elements_beyond_int64_refused(self):
+        # stored as int64, 2^63 + 1 would wrap to -2^63 + 1
         message = f"element {2**63 + 1} outside [1, {2**63 - 1}]"
         for elements in (np.array([1, 2**63 + 1], dtype=np.uint64), [1, 2**63 + 1]):
             with pytest.raises(ValueError) as err:
@@ -68,26 +63,25 @@ class TestIntegerSet:
         with pytest.raises(ValueError):
             A.elements[0] = 5
 
-    def test_mask_built_once_on_first_membership_test(self):
-        A = IntegerSet.from_elements(100, [3, 50, 100])
-        assert "mask" not in vars(A)
-        assert 50 in A
-        mask = vars(A)["mask"]
-        assert 51 not in A and 100 in A and 101 not in A
-        assert A.mask is mask
-        assert not mask.flags.writeable
-        with pytest.raises(ValueError):
-            mask[4] = True
-        assert list(np.flatnonzero(mask)) == [3, 50, 100] and len(mask) == 101
+    def test_membership_allocates_nothing_by_value(self):
+        A = IntegerSet.from_elements(10**12, [3, 10**6, 10**12])
+        assert not hasattr(A, "mask")
+        tracemalloc.start()
+        try:
+            found = [n in A for n in (3, 10**6, 10**12, 4, 10**9, 0, 10**12 + 1, 2**63, 10**30)]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert found == [True] * 3 + [False] * 6
+        assert peak < 2**16
 
-    def test_construction_checks_the_mask_bytes(self, monkeypatch):
+    def test_construction_counts_no_table_by_value(self, monkeypatch):
         counted = []
         monkeypatch.setattr(sets, "check_allocation", lambda nbytes, what: counted.append(nbytes))
-        IntegerSet.from_elements(1000, [1, 5])
-        assert counted == [1001]
-        counted.clear()
+        A = IntegerSet.from_elements(10**30, [1, 5])
+        assert counted == [] and 5 in A
         squares_up_to(10**6)
-        assert 10**6 + 1 in counted
+        assert counted == [16 * 1000]  # the squares and their copy, not the cap
 
     @pytest.mark.parametrize("build", [
         lambda: squares_up_to(10**7),
@@ -102,6 +96,35 @@ class TestIntegerSet:
             tracemalloc.stop()
         assert A.cap == 10**7 and len(A) > 2000
         assert peak < 2**20
+
+    @pytest.mark.parametrize("build", [
+        # 19,700 distinct values, just past the 19,661 at which a set's
+        # 32,768-slot table grows: the worst peak per x
+        lambda: quadratic_image(3, 1, 2, 3 * 9850**2),
+        lambda: quadratic_image(1, 0, 0, 10**9),                 # two x per value
+        lambda: quadratic_image(-1, 0, 10**10, 10**10),          # two x ranges
+        lambda: sidon_set(2999, 2 * 2999**2 + 2999),
+        lambda: sidon_set(int(sieve_primes(2236).primes[-1]), 10**7),
+    ])
+    def test_constructions_count_their_peak(self, monkeypatch, build):
+        counted = []
+        monkeypatch.setattr(sets, "check_allocation", lambda nbytes, what: counted.append(nbytes))
+        tracemalloc.start()
+        try:
+            A = build()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(A) > 2000 and peak <= max(counted) + 2**16
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: quadratic_image(1, 0, 0, 10**30), "quadratic image over 2000000000000000 values"),
+        (lambda: quadratic_image(3, 1, 2, 10**40), "quadratic image over"),  # past 2^63 values
+        (lambda: sidon_set(1000000007, 10**30), "Sidon construction over 1000000007 indices"),
+    ])
+    def test_huge_constructions_refused_before_drawing(self, build, message):
+        with pytest.raises(ResourceLimitError, match=message):
+            build()
 
     @pytest.mark.parametrize("dtype", [np.int64, np.int32, np.uint16, np.uint64])
     def test_array_path_matches_python_path(self, rng, dtype):
@@ -297,7 +320,8 @@ class TestSidon:
     def test_is_sidon_stops_at_first_failing_block(self, monkeypatch):
         import energysieve.energy as energy
 
-        # 2 - 1 = 3 - 2 repeats in the first block; the span has eight blocks
+        # 2 - 1 = 3 - 2 repeats in the first block; the span has eight cells,
+        # of which the first and last hold differences
         X = IntegerSet.from_elements(10**6, [1, 2, 3, 10**6])
         taken = []
         count = energy._pair_counts
@@ -311,7 +335,7 @@ class TestSidon:
         assert taken == [1]
         taken.clear()
         assert is_sidon(IntegerSet.from_elements(10**6, [1, 2, 4, 10**6]))
-        assert len(taken) == 8
+        assert taken == [1, 10**6 - 4]
 
 
 def residue_filter_oracle(N, eps, prime_bound, seed, strategy):
@@ -566,13 +590,11 @@ def parse_outcome(path, plain: bool):
     return result, [str(w.message) for w in caught]
 
 
-def test_plain_parser_agrees_with_line_parser(tmp_path, monkeypatch):
+def test_plain_parser_agrees_with_line_parser(tmp_path):
     hypothesis = pytest.importorskip("hypothesis")
     st = pytest.importorskip("hypothesis.strategies")
     path = tmp_path / "set.txt"
-    # huge caps are then read (no mask is built) instead of refused, so values
-    # beyond int64 reach the parsers
-    monkeypatch.setenv("ENERGYSIEVE_MEMORY_CAP", str(10**21))
+    # huge caps are read, not refused, so values beyond int64 reach the parsers
 
     # sorted, distinct, one per line: plain unless a value is 0, over the cap or
     # at least 10^18

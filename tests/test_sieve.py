@@ -347,6 +347,43 @@ class TestDivisorSums:
         with pytest.raises(ResourceLimitError):
             divisor_sum_partition(A, 10**5)
 
+    @pytest.mark.parametrize("route", [divisor_sum_partition, divisor_sum_direct])
+    def test_rows_counted_cover_peak_on_a_tiny_set(self, monkeypatch, route):
+        import tracemalloc
+
+        import energysieve.energy as energy
+
+        # two elements and 10^4 rows: the rows are the working set
+        A = IntegerSet.from_elements(10**8, [5, 7])
+        counted = []
+        for module in (sieve_module, energy):
+            monkeypatch.setattr(module, "check_allocation",
+                                lambda nbytes, what: counted.append(nbytes))
+        tracemalloc.start()
+        try:
+            route(A, 10**8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak > 8 * 10**4 and peak <= max(counted) + 2**16
+
+    @pytest.mark.parametrize("route", [divisor_sum_partition, divisor_sum_direct])
+    def test_rows_refused_before_the_scan(self, route):
+        from energysieve.errors import ResourceLimitError
+
+        # isqrt(10^30) = 10^15 rows; nothing is allocated or looped over first
+        with pytest.raises(ResourceLimitError, match="rows"):
+            route(IntegerSet.from_elements(10**30, [5]), 10**30)
+
+    def test_moduli_over_the_guard_refused_before_the_scan(self, monkeypatch):
+        from energysieve.errors import ResourceLimitError
+
+        guard = sieve_module.PARTITION_MODULI_GUARD
+        N = (guard + 1) ** 2  # rows the cap admits, one modulus too many
+        monkeypatch.setattr(sieve_module, "_class_pairs", None)  # never reached
+        with pytest.raises(ResourceLimitError, match=f"over {guard + 1} moduli exceeds guard"):
+            divisor_sum_partition(IntegerSet.from_elements(N, [1, N]), N)
+
     def test_radius_override(self):
         S = squares_up_to(100)
         full = divisor_sum_direct(S, 100)
