@@ -6,8 +6,6 @@ from .arith import (
     EPS_ONE,
     EPS_ZERO,
     EpsilonSpec,
-    Factorization,
-    PrimeTable,
     SeriesTable,
     delta,
     delta_prime_power,
@@ -47,7 +45,6 @@ from .energy import (
 from .errors import InvariantViolationError, ResourceLimitError, SetFileError
 from .sets import (
     IntegerSet,
-    ResidueProfile,
     is_sidon,
     mod4_restrict,
     occupancy,

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -25,8 +25,6 @@ from .errors import ResourceLimitError
 from .limits import SIEVE_LIMIT_CAP, check_allocation
 
 __all__ = [
-    "PrimeTable",
-    "Factorization",
     "EpsilonSpec",
     "EPS_ZERO",
     "EPS_HALF",
@@ -48,39 +46,23 @@ __all__ = [
 # Prime generation
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
-class PrimeTable:
-    """Primes, ascending."""
-
-    primes: np.ndarray
-
-    def __post_init__(self):
-        self.primes.setflags(write=False)
-
-    def __len__(self) -> int:
-        return len(self.primes)
-
-    def __iter__(self) -> Iterator[int]:
-        return (int(p) for p in self.primes)
-
-
 _SEGMENT = 1 << 20  # values sieved at a time
 
 
-def sieve_primes(limit: int) -> PrimeTable:
-    """Segmented sieve of Eratosthenes over [2, limit]."""
+def sieve_primes(limit: int) -> np.ndarray:
+    """The primes in [2, limit], ascending, as a read-only int64 array: a
+    segmented sieve of Eratosthenes.  Iterate it through `.tolist()`, so that
+    exact arithmetic gets Python ints."""
     if limit < 0:
         raise ValueError("limit must be nonnegative")
     if limit > SIEVE_LIMIT_CAP:
         raise ResourceLimitError(f"sieve limit {limit} exceeds cap {SIEVE_LIMIT_CAP}")
-    if limit < 2:
-        return PrimeTable(np.empty(0, dtype=np.int64))
 
     root = math.isqrt(limit)
     # the base and segment flags, and 16 bytes per prime: the chunks (each made
     # in place) and their concatenation are both alive at the end;
     # pi(x) < 1.26 x / ln x (Rosser and Schoenfeld 1962)
-    count = int(1.26 * limit / math.log(limit)) + 1
+    count = int(1.26 * limit / math.log(max(limit, 2))) + 1
     check_allocation(root + 1 + min(_SEGMENT, limit) + 16 * count, f"primes up to {limit}")
     base = np.ones(root + 1, dtype=bool)
     base[:2] = False
@@ -102,37 +84,27 @@ def sieve_primes(limit: int) -> PrimeTable:
         found += lo
         chunks.append(found)
         lo = hi + 1
-    return PrimeTable(np.concatenate(chunks))
+    primes = np.concatenate(chunks)
+    primes.setflags(write=False)
+    return primes
 
 
 # ---------------------------------------------------------------------------
-# Factorization
+# Factoring
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Factorization:
-    """n as a product of prime powers; factors ascending, exponents >= 1."""
-
-    n: int
-    factors: tuple[tuple[int, int], ...]
-
-    def value(self) -> int:
-        out = 1
-        for p, k in self.factors:
-            out *= p**k
-        return out
-
 
 @lru_cache(maxsize=8)
 def _primes_to(limit: int) -> np.ndarray:
-    return sieve_primes(limit).primes
+    return sieve_primes(limit)
 
 
 _FACTOR_SEGMENT = 1 << 16  # primes tested against n at a time
 
 
-def factorize(n: int) -> Factorization:
-    """Trial division by the primes up to a power of two >= sqrt(n), sieved once
+def factorize(n: int) -> tuple[tuple[int, int], ...]:
+    """n as its prime powers (p, k), p ascending and k >= 1; () for n = 1.
+
+    Trial division by the primes up to a power of two >= sqrt(n), sieved once
     per such bound and kept.
 
     The primes are tested a segment at a time in int64: a table exists only up
@@ -163,7 +135,7 @@ def factorize(n: int) -> Factorization:
     if rest > 1:
         # rest has no prime factor <= sqrt(rest), so it is prime
         factors.append((rest, 1))
-    return Factorization(n, tuple(factors))
+    return tuple(factors)
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +221,7 @@ def delta_prime_power(p: int, k: int, eps: EpsilonSpec) -> Fraction:
 @lru_cache(maxsize=65536)
 def _delta(v: int, eps: EpsilonSpec) -> Fraction:
     out = Fraction(1)
-    for p, k in factorize(v).factors:
+    for p, k in factorize(v):
         out *= delta_prime_power(p, k, eps)
     return out
 
@@ -262,7 +234,7 @@ def delta(v: int, eps: EpsilonSpec) -> Fraction:
 
 
 def is_squarefree(n: int) -> bool:
-    return all(k == 1 for _, k in factorize(n).factors)
+    return all(k == 1 for _, k in factorize(n))
 
 
 # ---------------------------------------------------------------------------
@@ -411,7 +383,7 @@ def _partial_sums(xs: Sequence[int], eps: EpsilonSpec) -> tuple[tuple[float, ...
         + _BLOCK_TERM_BYTES * _PREFIX_BLOCK,
         "delta segment and partial-sum terms",
     )
-    primes = sieve_primes(root).primes
+    primes = sieve_primes(root)
     factors = []
     for p in primes.tolist():
         f = p / 2.0 + float(eps.at(p))

@@ -10,16 +10,15 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from dataclasses import fields
 from fractions import Fraction
 
 from . import correlation, energy, sets, sieve
-from .arith import EpsilonSpec, sieve_primes
+from .arith import EpsilonSpec
 from .errors import InvariantViolationError, ResourceLimitError, SetFileError
-from .limits import max_sweep_n
+from .limits import exact_int, max_sweep_n
 
 USAGE_EXIT = 2
 INVARIANT_EXIT = 3
@@ -42,16 +41,10 @@ def _parse_grid(text: str) -> list[int]:
         part = part.strip()
         if not part:
             continue
-        # float's syntax and range first: "6/2" stays an error and Fraction's 10**exp stays small
-        approx = float(part)
-        if not math.isfinite(approx):
-            raise ValueError(f"grid value {part!r} is not finite")
-        if approx < 2:
+        value = exact_int(part, "grid value")
+        if value < 2:
             raise ValueError("grid values must be at least 2: rows divide by log N")
-        value = Fraction(part)
-        if value.denominator != 1:
-            raise ValueError(f"grid value {part!r} is not an integer")
-        out.append(int(value))
+        out.append(value)
     if not out:
         raise ValueError("empty sweep grid")
     return sorted(set(out))
@@ -155,8 +148,7 @@ def _cmd_sieve(args) -> int:
         (row,) = _records(columns, [res])
         _emit(args, columns, [row], row)
     elif args.gallagher is not None:
-        profiles = [sets.occupancy(A, int(p)) for p in sieve_primes(args.gallagher).primes]
-        bound = sieve.gallagher_bound(profiles, A.cap)
+        bound = sieve.gallagher_bound(A, args.gallagher)
         row = {"Q": args.gallagher, "N": A.cap, "card": len(A), "bound": bound}
         _emit(args, list(row), [row], row)
     else:

@@ -217,7 +217,9 @@ def sidon_report(
     S = squares_up_to(N)
     energy = energy_sum_path(X, S).value
     bound = len(S) * (len(X) + len(S))
-    occ = tuple((p, occupancy(X, p).occupancy) for p in sieve_primes(prime_bound))
+    occ = tuple(
+        (p, int(np.count_nonzero(occupancy(X, p)))) for p in sieve_primes(prime_bound).tolist()
+    )
     return SidonEnergyReport(
         cap=N,
         card=len(X),
@@ -303,7 +305,7 @@ def ramanujan_row(N: int) -> ExperimentRow:
 def largest_sidon_prime(N: int) -> int:
     """Largest prime p with 2p^2 + p <= N, so the Sidon construction fits."""
     cap = int((math.isqrt(8 * N + 1) - 1) // 4)
-    return int(sieve_primes(max(cap, 2)).primes[-1])
+    return int(sieve_primes(max(cap, 2))[-1])
 
 
 def sidon_row(N: int) -> ExperimentRow:

@@ -1,6 +1,8 @@
 """Resource caps, overridable through environment variables."""
 
+import math
 import os
+from fractions import Fraction
 
 from .errors import ResourceLimitError
 
@@ -16,12 +18,28 @@ DEFAULT_MAX_N = 10**8
 SIEVE_LIMIT_CAP = 2**31
 
 
+def exact_int(text: str, what: str) -> int:
+    """The integer that `text` writes in float syntax ("4e9", "1.2e7"), read exactly."""
+    try:
+        approx = float(text)  # float's syntax: "6/2" stays an error
+    except ValueError:
+        raise ValueError(f"{what} {text!r} is not a number") from None
+    if not math.isfinite(approx):
+        raise ValueError(f"{what} {text!r} is not finite")
+    # Fraction computes 10**exp: a finite nonzero float bounds exp by the digits
+    # written, and a float 0 (a zero or an underflow) is decided by its mantissa
+    value = Fraction(text if approx else text.lower().partition("e")[0])
+    if value.denominator != 1 or (value and not approx):
+        raise ValueError(f"{what} {text!r} is not an integer")
+    return int(value)
+
+
 def memory_cap() -> int:
-    return int(os.environ.get(MEMORY_CAP_ENV, DEFAULT_MEMORY_CAP))
+    return exact_int(os.environ.get(MEMORY_CAP_ENV, str(DEFAULT_MEMORY_CAP)), MEMORY_CAP_ENV)
 
 
 def max_sweep_n() -> int:
-    return int(os.environ.get(MAX_N_ENV, DEFAULT_MAX_N))
+    return exact_int(os.environ.get(MAX_N_ENV, str(DEFAULT_MAX_N)), MAX_N_ENV)
 
 
 def check_allocation(nbytes: int, what: str) -> None:

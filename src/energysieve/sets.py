@@ -22,7 +22,6 @@ from .limits import check_allocation
 
 __all__ = [
     "IntegerSet",
-    "ResidueProfile",
     "squares_up_to",
     "quadratic_image",
     "sidon_set",
@@ -76,29 +75,20 @@ class IntegerSet:
         return (int(e) for e in self.elements)
 
 
-@dataclass(frozen=True, eq=False)
-class ResidueProfile:
-    """Class counts of a set modulo v: counts[h] = #{a in A : a = h mod v}."""
-
-    modulus: int
-    counts: np.ndarray
-    occupancy: int
-
-    def __post_init__(self):
-        self.counts.setflags(write=False)
-
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum())
-
-
-def occupancy(A: IntegerSet, v: int) -> ResidueProfile:
-    """Exact per-class counts of A modulo v and the number of occupied classes."""
+def _check_occupancy(A: IntegerSet, v: int) -> None:
+    """Refuse a modulus whose class counts `occupancy` cannot make."""
     if not 1 <= v < 2**60:  # 8v bytes of counts must be addressable
         raise ValueError(f"modulus must be in [1, 2^60), got {v}")
     check_allocation(8 * (v + len(A)), f"occupancy table modulo {v}")  # residues and counts
+
+
+def occupancy(A: IntegerSet, v: int) -> np.ndarray:
+    """Exact class counts of A modulo v, read-only int64: counts[h] = #{a in A :
+    a = h mod v}.  The occupied classes are np.count_nonzero(counts)."""
+    _check_occupancy(A, v)
     counts = np.bincount(A.elements % v, minlength=v)
-    return ResidueProfile(modulus=v, counts=counts, occupancy=int(np.count_nonzero(counts)))
+    counts.setflags(write=False)
+    return counts
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +148,7 @@ def sidon_set(p: int, N: int) -> IntegerSet:
     dropped (a subset of a Sidon set is Sidon).  Fits entirely when
     2p^2 + p <= N.
     """
-    if p < 2 or factorize(p).factors != ((p, 1),):
+    if p < 2 or factorize(p) != ((p, 1),):
         raise ValueError(f"{p} is not prime")
     if N < 1:
         raise ValueError("N must be positive")
@@ -212,7 +202,7 @@ def residue_avoiding_random(
     rng = random.Random(seed)
     keep = np.ones(N + 1, dtype=bool)
     keep[0] = False
-    for p in sieve_primes(prime_bound):
+    for p in sieve_primes(prime_bound).tolist():
         size = max(1, min(math.floor(delta_prime_power(p, 1, eps)), p))
         if strategy == "qr":
             qr = sorted({(x * x) % p for x in range(p)})
@@ -238,7 +228,7 @@ def mod4_restrict(A: IntegerSet) -> IntegerSet:
     """
     if len(A) == 0:
         raise ValueError("set must be nonempty")
-    best = int(np.argmax(occupancy(A, 4).counts))  # argmax returns the smallest index on ties
+    best = int(np.argmax(occupancy(A, 4)))  # argmax returns the smallest index on ties
     return IntegerSet.from_elements(A.cap, A.elements[A.elements % 4 == best])
 
 
@@ -278,8 +268,6 @@ def read_set(path) -> IntegerSet:
     with open(path, encoding="utf-8") as fh:
         cap = None
         elements: list[int] = []
-        seen: set[int] = set()
-        duplicates = 0
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -300,16 +288,14 @@ def read_set(path) -> IntegerSet:
                 raise SetFileError(f"not an integer: {line!r}", lineno) from None
             if not 1 <= value <= cap:
                 raise SetFileError(f"element {value} outside [1, {cap}]", lineno)
-            if value in seen:
-                duplicates += 1
-                continue
-            seen.add(value)
             elements.append(value)
     if cap is None:
         raise SetFileError("missing `N=<cap>` header")
-    if duplicates:
-        warnings.warn(f"{path}: ignored {duplicates} duplicate element(s)", stacklevel=2)
-    return IntegerSet.from_elements(cap, elements)
+    A = IntegerSet.from_elements(cap, elements)
+    if len(elements) > len(A):
+        warnings.warn(f"{path}: ignored {len(elements) - len(A)} duplicate element(s)",
+                      stacklevel=2)
+    return A
 
 
 def write_set(A: IntegerSet, path) -> None:

@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 import numpy as np
 
@@ -23,7 +22,7 @@ from .arith import EPS_ZERO, EpsilonSpec, delta, delta_prime_power, factorize, s
 from .energy import _BLOCK, _exact_dot, _pair_counts, _ragged
 from .errors import ResourceLimitError
 from .limits import check_allocation
-from .sets import IntegerSet, ResidueProfile, occupancy
+from .sets import IntegerSet, _check_occupancy, occupancy
 
 __all__ = [
     "SieveCheckResult",
@@ -59,12 +58,13 @@ def composite_moduli_check(A: IntegerSet, v: int, eps: EpsilonSpec) -> SieveChec
     never raised, since the conclusion is only guaranteed under the hypothesis."""
     if v < 1:
         raise ValueError("modulus must be positive")
-    counts = occupancy(A, v).counts
-    factors = factorize(v).factors
+    _check_occupancy(A, v)  # the first refusal, before v is factored
+    factors = factorize(v)
     # the counts and the bool column of classes occupied modulo the largest
     # p^k || v, which a casting reduction fills through one numpy buffer
     column = max((p**k for p, k in factors), default=0) + 8 * np.getbufsize()
-    check_allocation(counts.nbytes + column, f"class counts modulo {v} and one prime-power column")
+    check_allocation(8 * v + column, f"class counts modulo {v} and one prime-power column")
+    counts = occupancy(A, v)
     card = len(A)
     rhs = _exact_dot([(counts, counts)], card * card)  # a class count is at most |A|
     dv = delta(v, eps)
@@ -88,26 +88,19 @@ def _under_ceiling(occupied, eps: EpsilonSpec) -> bool:
     return all(count <= delta_prime_power(p, k, eps) for (p, k), count in occupied)
 
 
-def gallagher_bound(profiles: Sequence[ResidueProfile], N: int) -> float | None:
-    """The larger-sieve cardinality bound from prime occupancy data.
+def gallagher_bound(A: IntegerSet, Q: int) -> float | None:
+    """Gallagher's larger-sieve bound on |A| from its occupancy at the primes up to Q.
 
-    Returns (sum log p - log N) / (sum log p / |A_p| - log N) over the given
-    prime moduli, or None when the denominator is not positive (inconclusive).
+    Returns (sum log p - log N) / (sum log p / |A_p| - log N), N = A.cap and
+    |A_p| the classes modulo p that A occupies, or None when the denominator
+    is not positive (inconclusive; always so for Q < 2).
     """
-    if N < 1:
-        raise ValueError("N must be positive")
-    seen: set[int] = set()
-    num = -math.log(N)
-    den = -math.log(N)
-    for prof in profiles:
-        p = prof.modulus
-        if p in seen:
-            raise ValueError(f"duplicate prime modulus {p}")
-        seen.add(p)
-        if prof.occupancy < 1:
-            raise ValueError(f"profile at {p} has empty occupancy")
+    if len(A) == 0:
+        raise ValueError("set must be nonempty")
+    num = den = -math.log(A.cap)
+    for p in sieve_primes(Q).tolist():
         num += math.log(p)
-        den += math.log(p) / prof.occupancy
+        den += math.log(p) / int(np.count_nonzero(occupancy(A, p)))
     if den <= 0:
         return None
     return num / den
@@ -299,6 +292,7 @@ def divisor_growth_report(A: IntegerSet, N: int, eps: EpsilonSpec = EPS_ZERO) ->
     card = len(A)
     scale = card * card * math.log(N)
     limit = math.isqrt(N)
+    primes = sieve_primes(limit).tolist()
     return DivisorGrowthReport(
         cap=N,
         card=card,
@@ -306,7 +300,7 @@ def divisor_growth_report(A: IntegerSet, N: int, eps: EpsilonSpec = EPS_ZERO) ->
         scale=scale,
         ratio=total / scale if scale > 0 else 0.0,
         hypothesis_ok=_under_ceiling(
-            (((p, 1), occupancy(A, p).occupancy) for p in sieve_primes(limit)), eps
+            (((p, 1), int(np.count_nonzero(occupancy(A, p)))) for p in primes), eps
         ),
         hypothesis_checked_to=limit,
     )

@@ -80,20 +80,20 @@ def exact_delta(n, eps):
 
 class TestSievePrimes:
     def test_small(self):
-        assert list(sieve_primes(10)) == [2, 3, 5, 7]
+        assert sieve_primes(10).tolist() == [2, 3, 5, 7]
 
     def test_empty(self):
-        assert list(sieve_primes(1)) == []
-        assert list(sieve_primes(0)) == []
+        assert sieve_primes(1).tolist() == []
+        assert sieve_primes(0).tolist() == []
 
     def test_hundred_matches_trial_division(self):
-        table = list(sieve_primes(100))
+        table = sieve_primes(100).tolist()
         assert table == trial_division_primes(100)
         assert len(table) == 25
 
     def test_crosses_default_segments(self):
         # three segments of 2^20 values past sqrt(3e6)
-        assert list(sieve_primes(3 * 10**6)) == plain_sieve(3 * 10**6)
+        assert sieve_primes(3 * 10**6).tolist() == plain_sieve(3 * 10**6)
 
     def test_counted_bytes_cover_peak(self, monkeypatch):
         import energysieve.arith as arith
@@ -118,8 +118,10 @@ class TestSievePrimes:
             sieve_primes(2**31 + 1)
 
     def test_strictly_increasing(self):
-        primes = sieve_primes(10**4).primes
+        primes = sieve_primes(10**4)
         assert (primes[1:] > primes[:-1]).all()
+        assert primes.dtype == np.int64 and not primes.flags.writeable
+        assert not sieve_primes(1).flags.writeable
 
 
 class TestFactorize:
@@ -128,17 +130,17 @@ class TestFactorize:
         [(12, ((2, 2), (3, 1))), (1, ()), (97, ((97, 1),)), (360, ((2, 3), (3, 2), (5, 1)))],
     )
     def test_examples(self, n, expected):
-        assert factorize(n).factors == expected
+        assert factorize(n) == expected
 
     def test_random_reconstruction(self, rng):
         for _ in range(300):
             n = rng.randint(1, 10**4)
             fac = factorize(n)
-            assert fac.value() == n
-            for p, k in fac.factors:
+            assert math.prod(p**k for p, k in fac) == n
+            for p, k in fac:
                 assert k >= 1
                 assert all(p % d for d in range(2, math.isqrt(p) + 1))
-            assert [p for p, _ in fac.factors] == sorted(p for p, _ in fac.factors)
+            assert [p for p, _ in fac] == sorted(p for p, _ in fac)
 
     def test_nonpositive(self):
         with pytest.raises(ValueError):
@@ -154,7 +156,7 @@ class TestFactorize:
         ns = [1, 2**33, 3**20, 1009**2, 99991 * 100003, 9999999967, 65537]
         ns += [rng.randint(1, 10**10) for _ in range(30)]
         for n in ns:
-            assert factorize(n).factors == trial_division_factors(n)
+            assert factorize(n) == trial_division_factors(n)
 
 
 class TestDelta:
@@ -297,8 +299,7 @@ def whole_table_delta(x, eps):
     squarefree[0] = False
     rest = np.arange(x + 1, dtype=np.int64)
     root = math.isqrt(x)
-    for p in sieve_primes(root).primes:
-        p = int(p)
+    for p in sieve_primes(root).tolist():
         e = float(eps.at(p))
         # exponent of p in n = j*p is 1 + (exponent of p in j)
         k = np.ones(x // p, dtype=np.int8)
@@ -548,7 +549,7 @@ class TestSingularSeries:
     def test_equals_fraction_loop(self, eps, trunc):
         # the former product: one Fraction delta(p) per prime, rounded by float()
         out = 1.0
-        for p in sieve_primes(trunc):
+        for p in sieve_primes(trunc).tolist():
             out *= (1.0 - 1.0 / p) ** 2 * (1.0 + 1.0 / float(delta_prime_power(p, 1, eps)))
         assert singular_series(eps, trunc) == out
 

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from energysieve import arith, cli, correlation, energy
+from energysieve import arith, cli, correlation, energy, limits
 from energysieve.energy import EnergyReport
 from energysieve.limits import MEMORY_CAP_ENV, check_allocation
 from energysieve.sets import read_set, sidon_set, is_sidon
@@ -408,6 +408,21 @@ class TestSweep:
         assert "truncated" in text
         rows = list(csv.DictReader(l for l in text.splitlines() if not l.startswith("#")))
         assert [r["N"] for r in rows] == ["1000"]  # partial output flushed
+
+    def test_environment_caps_read_like_grid_values(self, monkeypatch):
+        monkeypatch.setenv("ENERGYSIEVE_MAX_N", "4e9")
+        monkeypatch.setenv(MEMORY_CAP_ENV, "2e9")
+        assert (limits.max_sweep_n(), limits.memory_cap()) == (4 * 10**9, 2 * 10**9)
+        assert run("sweep", "ramanujan", "--grid", "1e3") == 0
+
+    @pytest.mark.parametrize("name", ["ENERGYSIEVE_MAX_N", MEMORY_CAP_ENV])
+    @pytest.mark.parametrize("text", ["1000.7", "abc", "inf", "6/2", "1e-99999999999"])
+    def test_bad_environment_cap_exit2(self, monkeypatch, capsys, name, text):
+        monkeypatch.setenv(name, text)
+        assert run("sweep", "ramanujan", "--grid", "1e3") == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith(f"error: {name} {text!r} is not")
 
     def test_jobs_deterministic(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -1,10 +1,11 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from energysieve.arith import EPS_HALF, EPS_ZERO, delta_prime_power, factorize, sieve_primes
+from energysieve.arith import EPS_HALF, EPS_ZERO, delta_prime_power, factorize
 from energysieve.sets import (
     IntegerSet,
     occupancy,
@@ -115,7 +116,7 @@ class TestCompositeModuli:
             A = make_random_set(rng, 1000, 80)
             v = rng.randint(1, 500)
             res = composite_moduli_check(A, v, EPS_ZERO)
-            occ = occupancy(A, v).occupancy
+            occ = np.count_nonzero(occupancy(A, v))
             assert res.rhs * occ >= len(A) ** 2
 
     def test_squares_eps_half_sweep(self):
@@ -145,8 +146,8 @@ class TestCompositeModuli:
         def recounted(A, v):
             """The hypothesis with A counted afresh modulo each p^k of v."""
             return all(
-                occupancy(A, p**k).occupancy <= delta_prime_power(p, k, eps)
-                for p, k in factorize(v).factors
+                np.count_nonzero(occupancy(A, p**k)) <= delta_prime_power(p, k, eps)
+                for p, k in factorize(v)
             )
 
         sets = [squares_up_to(10**4)] + [make_random_set(rng, 5000, 400) for _ in range(2)]
@@ -159,8 +160,6 @@ class TestCompositeModuliMemory:
     V = 10**6 + 3  # prime: the column of classes modulo v itself has v bytes
 
     def test_counted_bytes_cover_peak(self, monkeypatch):
-        import tracemalloc
-
         import energysieve.sets as sets_module
 
         counted = []
@@ -185,42 +184,68 @@ class TestCompositeModuliMemory:
         A = IntegerSet.from_elements(100, [1, 5, 17])
         # admits the class counts and the residues, but not the column as well
         monkeypatch.setenv(MEMORY_CAP_ENV, str(8 * (self.V + len(A)) + self.V // 2))
-        with pytest.raises(ResourceLimitError, match="prime-power column"):
-            composite_moduli_check(A, self.V, EPS_HALF)
-        assert occupancy(A, self.V).occupancy == 3
+        factorize(self.V)  # its prime table is sieved once and kept
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError, match="prime-power column"):
+                composite_moduli_check(A, self.V, EPS_HALF)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * self.V  # refused before the class counts were made
+        assert np.count_nonzero(occupancy(A, self.V)) == 3
+
+
+def gallagher_oracle(A, Q):
+    """The bound from bare class sets: primes by trial division, |A_p| as
+    len({a % p}), the floats summed in ascending p from -log N."""
+    num = den = -math.log(A.cap)
+    for p in range(2, Q + 1):
+        if all(p % d for d in range(2, math.isqrt(p) + 1)):
+            num += math.log(p)
+            den += math.log(p) / len({a % p for a in A})
+    return num / den if den > 0 else None
 
 
 class TestGallagher:
     def test_inconclusive_when_denominator_nonpositive(self):
         sq = squares_up_to(10**4)
-        profiles = [occupancy(sq, int(p)) for p in sieve_primes(200).primes]
-        assert gallagher_bound(profiles, 10**4) is None
+        assert gallagher_bound(sq, 200) is None
 
     def test_conclusive_upper_bound_on_squares(self):
         sq = squares_up_to(10**4)
         for q in (500, 1000):
-            profiles = [occupancy(sq, int(p)) for p in sieve_primes(q).primes]
-            bound = gallagher_bound(profiles, 10**4)
+            bound = gallagher_bound(sq, q)
             assert bound is not None
             assert bound >= len(sq)
 
     def test_single_prime_degenerate(self):
-        A = IntegerSet.from_elements(4, [3])
-        prof = occupancy(A, 7)
-        assert gallagher_bound([prof], 4) == pytest.approx(1.0)
-
-    def test_duplicate_prime_rejected(self):
-        A = IntegerSet.from_elements(10, [1, 2])
-        with pytest.raises(ValueError):
-            gallagher_bound([occupancy(A, 3), occupancy(A, 3)], 10)
+        A = IntegerSet.from_elements(1, [1])
+        assert gallagher_bound(A, 2) == pytest.approx(1.0)
 
     def test_valid_bound_on_random_sets(self, rng):
         for _ in range(20):
             A = make_random_set(rng, 3000, 100)
-            profiles = [occupancy(A, int(p)) for p in sieve_primes(100).primes]
-            bound = gallagher_bound(profiles, A.cap)
+            bound = gallagher_bound(A, 100)
             if bound is not None:
                 assert bound >= len(A) - 1e-9
+
+    @pytest.mark.parametrize("Q", [1, 2, 30, 200])
+    def test_equals_oracle(self, rng, Q):
+        for _ in range(10):
+            A = make_random_set(rng, rng.randint(1, 5000), rng.randint(1, 60))
+            bound = gallagher_bound(A, Q)
+            assert bound == gallagher_oracle(A, Q)
+            assert bound is None or type(bound) is float
+
+    @pytest.mark.parametrize("Q", [0, 1])
+    def test_no_prime_is_inconclusive(self, Q):
+        assert gallagher_bound(squares_up_to(10**4), Q) is None
+
+    @pytest.mark.parametrize("Q", [0, 2, 200])
+    def test_empty_set_rejected(self, Q):
+        with pytest.raises(ValueError):
+            gallagher_bound(IntegerSet.from_elements(100, []), Q)
 
 
 class TestDivisorSums:
