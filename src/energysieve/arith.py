@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ResourceLimitError
-from .limits import SIEVE_LIMIT_CAP, check_allocation
+from .limits import SIEVE_LIMIT_CAP, check_allocation, exact_fraction
 
 __all__ = [
     "EpsilonSpec",
@@ -192,7 +192,7 @@ class EpsilonSpec:
                 key, _, val = line.partition("=")
                 key = key.strip()
                 try:
-                    value = Fraction(val.strip())
+                    value = exact_fraction(val.strip())
                 except (ValueError, ZeroDivisionError) as exc:
                     raise ValueError(f"{path}:{lineno}: bad value {val.strip()!r}") from exc
                 if key != "default" and not key.isdigit():

@@ -13,12 +13,11 @@ import json
 import os
 import sys
 from dataclasses import fields
-from fractions import Fraction
 
 from . import correlation, energy, sets, sieve
 from .arith import EpsilonSpec
 from .errors import InvariantViolationError, ResourceLimitError, SetFileError
-from .limits import exact_int, max_sweep_n
+from .limits import exact_fraction, exact_int, max_sweep_n
 
 USAGE_EXIT = 2
 INVARIANT_EXIT = 3
@@ -28,7 +27,7 @@ RESOURCE_EXIT = 4
 def _parse_eps(text: str) -> EpsilonSpec:
     """A constant like `0.5` or `1/2`; any other text, a key-value config file."""
     try:
-        return EpsilonSpec.constant(Fraction(text))
+        return EpsilonSpec.constant(exact_fraction(text))
     except (ValueError, ZeroDivisionError):
         if os.path.exists(text):
             return EpsilonSpec.from_file(text)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arith import EPS_HALF, EpsilonSpec, sieve_primes
-from .energy import _exact_dot, _ragged, energy_sum_path, rep_sum
+from .energy import _exact_dot, _ragged_groups, energy_sum_path, rep_sum
 from .errors import InvariantViolationError
 from .sets import IntegerSet, is_sidon, mod4_restrict, occupancy, sidon_set, squares_up_to
 from .sieve import DifferenceTable, _isqrt, _under_ceiling, divisor_sum_direct
@@ -59,7 +59,8 @@ def energy_decomposition(A: IntegerSet, N: int) -> DecompositionReport:
     ((u, v) = (n-m, n+m), so u >= 1, v >= u+2, u = v mod 2, u+v <= 2*isqrt(N));
     route (i) is the independent sum-identity energy.  Routes (ii) and (iii)
     stay separate sums over one stream of r_{A-A} (`DifferenceTable`), at most
-    L (1 + ln R) + R values per block of L differences, R = isqrt(N) + 1.
+    L (1 + ln R) + R values per block of L differences, R = isqrt(N) + 1,
+    gathered a group of rows at a time.
     """
     if N < 1:
         raise ValueError("N must be positive")
@@ -72,18 +73,19 @@ def energy_decomposition(A: IntegerSet, N: int) -> DecompositionReport:
     m = u = np.arange(1, root, dtype=np.int64)  # v >= u + 2, u + v <= 2 root force u < root
     msq = m * m
 
-    def square_pairs(D: int, E: int) -> np.ndarray:  # n^2 - m^2 in [D, E], m < n <= root
-        n, lens = _ragged(_isqrt(msq + (D - 1)) + 1, np.minimum(_isqrt(msq + E), root))
-        n *= n
-        n -= np.repeat(msq, lens)
-        return n
+    def square_pairs(D: int, E: int):  # n^2 - m^2 in [D, E], m < n <= root
+        first = _isqrt(msq + (D - 1)) + 1
+        for rows, lens, n in _ragged_groups(first, np.minimum(_isqrt(msq + E), root)):
+            n *= n
+            n -= np.repeat(msq[rows], lens)
+            yield n
 
-    def factor_pairs(D: int, E: int) -> np.ndarray:  # uv in [D, E], v = u mod 2
+    def factor_pairs(D: int, E: int):  # uv in [D, E], v = u mod 2
         first = np.maximum(u + 2, -(-D // u))
         first += (first - u) & 1
-        v, lens = _ragged(first, np.minimum(2 * root - u, E // u), 2)
-        v *= np.repeat(u, lens)
-        return v
+        for rows, lens, v in _ragged_groups(first, np.minimum(2 * root - u, E // u), 2):
+            v *= np.repeat(u[rows], lens)
+            yield v
 
     off_diag, factor_sum = table.lookup(square_pairs, factor_pairs)
     e_squares = base + 2 * off_diag

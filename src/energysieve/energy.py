@@ -37,6 +37,7 @@ BRUTE_FORCE_GUARD = 10**9
 DIRECT_BLOCK_GUARD = 1 << 16  # blocks a direct pair count may visit: sums up to 2^33 apart
 _CHUNK = 1 << 22
 _BLOCK = 1 << 17  # values per block, pairs per group: the bincount stays in cache
+_GROUP = 1 << 15  # values per group of an enumeration (`_ragged_groups`)
 # pairs under which a cell is cut to its first and last sum; in a fuller cell
 # finding them costs more than the zeros they save
 _SPARSE = _BLOCK >> 7
@@ -118,7 +119,7 @@ def _direct_blocks(xs: np.ndarray, ys: np.ndarray, lo: int, hi: int, left: np.nd
     yields its counts, from its first sum to its last if it holds fewer than
     _SPARSE pairs, and nothing if it holds no sum: the walk then jumps to the
     cell of the next sum, min(x + ys[right]), so its time follows the sums,
-    not the span of [lo, hi].  Rows are gathered by `_ragged` in groups of at
+    not the span of [lo, hi].  Rows are gathered by `_groups` in groups of at
     most _BLOCK pairs, one bincount each.  When `ys is xs` edges clamp to the
     first y > x, so only pairs x < y are gathered, and r(n) = 2c(n) + [n = 2x]."""
     if ys is xs:
@@ -128,7 +129,8 @@ def _direct_blocks(xs: np.ndarray, ys: np.ndarray, lo: int, hi: int, left: np.nd
         end = min(start + _BLOCK, hi + 1)
         right = np.searchsorted(ys, end - xs)
         np.maximum(right, left, out=right)  # moves an edge only when ys is xs
-        ends = np.cumsum(right - left)
+        lens = right - left
+        ends = np.cumsum(lens)
         if ys is xs:
             a, b = np.searchsorted(xs, [(start + 1) // 2, (end + 1) // 2])  # 2x in the cell
         first, length = start, end - start
@@ -154,15 +156,14 @@ def _direct_blocks(xs: np.ndarray, ys: np.ndarray, lo: int, hi: int, left: np.nd
             first = int(firsts.min())
             length = int(lasts.max()) - first + 1
         counts = None
-        i = done = 0
-        while done < ends[-1]:
-            j = int(np.searchsorted(ends, done + _BLOCK, side="right"))
-            idx, rows = _ragged(left[i:j], right[i:j] - 1)
-            sums = ys[idx]
-            sums += np.repeat(xs[i:j] - first, rows)
-            group = np.bincount(sums, minlength=length)
-            counts = group if counts is None else np.add(counts, group, out=counts)
-            i, done = j, int(ends[j - 1])
+        for i, j in _groups(ends, _BLOCK):
+            sums = ys[_gather(left[i:j], lens[i:j], ends[i:j])]
+            sums += np.repeat(xs[i:j] - first, lens[i:j])
+            if counts is None:
+                counts = np.bincount(sums, minlength=length)
+            else:
+                counts += np.bincount(sums, minlength=length)
+            del sums  # not held while the next group is gathered
         if counts is None:
             counts = np.zeros(length, dtype=np.int64)
         if ys is xs:
@@ -173,23 +174,48 @@ def _direct_blocks(xs: np.ndarray, ys: np.ndarray, lo: int, hi: int, left: np.nd
         start = end
 
 
-def _ragged(first: np.ndarray, last: np.ndarray, step: int = 1) -> tuple[np.ndarray, np.ndarray]:
-    """first[i], first[i] + step, ... up to last[i], row after row, as one int64
-    array; and the row lengths (0 where last[i] < first[i]).  A step of 1 takes
-    no step arithmetic."""
+def _groups(ends: np.ndarray, limit: int):
+    """Row ranges (i, j), consecutive, that gather rows i to j - 1 of a ragged
+    array whose rows end at `ends` (the running sum of the row lengths): each
+    holds at most `limit` values, or one longer row and the empty rows before
+    it.  Empty rows at the end may be left out."""
+    i = done = 0
+    total = int(ends[-1]) if len(ends) else 0
+    while done < total:
+        # the first row that holds a value past `done` is always taken
+        first, j = np.searchsorted(ends, [done, done + limit], side="right")
+        j = max(int(j), int(first) + 1)
+        yield i, j
+        i, done = j, int(ends[j - 1])
+
+
+def _gather(first: np.ndarray, lens: np.ndarray, ends: np.ndarray, step: int = 1) -> np.ndarray:
+    """first[k], first[k] + step, ... (lens[k] values), row after row, as one
+    int64 array, given each row's running end `ends[k]` (its numbering may
+    start anywhere); at least one row.  A step of 1 takes no step arithmetic."""
+    starts = ends - lens
+    out = np.arange(int(starts[0]), int(ends[-1]), dtype=np.int64)
+    if step != 1:
+        out *= step
+        starts *= step
+    out += np.repeat(first - starts, lens)
+    return out
+
+
+def _ragged_groups(first: np.ndarray, last: np.ndarray, step: int = 1):
+    """The rows first[k], first[k] + step, ... up to last[k] (empty where
+    last[k] < first[k]), gathered by `_groups` at most _GROUP values at a
+    time: yields (rows, lens, values), the group's slice of rows, their
+    lengths and their values as one int64 array.  The lengths and their
+    running ends are computed once for all groups."""
     lens = last - first
     if step != 1:
         lens //= step
     lens += 1
     np.maximum(lens, 0, out=lens)
-    starts = np.cumsum(lens)
-    out = np.arange(int(starts[-1]) if len(starts) else 0, dtype=np.int64)
-    starts -= lens
-    if step != 1:
-        out *= step
-        starts *= step
-    out += np.repeat(first - starts, lens)
-    return out, lens
+    ends = np.cumsum(lens)
+    for i, j in _groups(ends, _GROUP):
+        yield slice(i, j), lens[i:j], _gather(first[i:j], lens[i:j], ends[i:j], step)
 
 
 def _indicator(v: np.ndarray) -> np.ndarray:
@@ -303,9 +329,10 @@ def _pair_counts(xs: np.ndarray, ys: np.ndarray, lo: int, hi: int, method: str,
         raise ResourceLimitError(
             f"direct pair counting over {visits} blocks exceeds guard {DIRECT_BLOCK_GUARD}"
         )
-    # counts, a bincount result and the caller's previous block; a group's indices
-    # and row starts, the last group's indices and sums; eight arrays over the rows
-    nbytes = 24 * min(_BLOCK, hi - lo + 1) + 32 * min(_BLOCK, pairs) + 64 * len(xs)
+    # counts and the caller's previous block; then a group's indices and sums,
+    # or its sums and a bincount result; eight arrays over the rows
+    cell, group = min(_BLOCK, hi - lo + 1), min(_BLOCK, pairs)
+    nbytes = 16 * cell + 8 * group + 8 * max(cell, group) + 64 * len(xs)
     check_allocation(held + nbytes, "direct pair counting")
     return backend, _direct_blocks(xs, ys, lo, hi, left), nbytes
 

@@ -18,8 +18,8 @@ DEFAULT_MAX_N = 10**8
 SIEVE_LIMIT_CAP = 2**31
 
 
-def exact_int(text: str, what: str) -> int:
-    """The integer that `text` writes in float syntax ("4e9", "1.2e7"), read exactly."""
+def _exact_decimal(text: str, what: str) -> Fraction:
+    """The number that `text` writes in float syntax ("4e9", "1.2e-7"), read exactly."""
     try:
         approx = float(text)  # float's syntax: "6/2" stays an error
     except ValueError:
@@ -29,9 +29,23 @@ def exact_int(text: str, what: str) -> int:
     # Fraction computes 10**exp: a finite nonzero float bounds exp by the digits
     # written, and a float 0 (a zero or an underflow) is decided by its mantissa
     value = Fraction(text if approx else text.lower().partition("e")[0])
-    if value.denominator != 1 or (value and not approx):
+    if value and not approx:
+        raise ValueError(f"{what} {text!r} is not within the float range")
+    return value
+
+
+def exact_int(text: str, what: str) -> int:
+    """The integer that `text` writes in float syntax ("4e9", "1.2e7"), read exactly."""
+    value = _exact_decimal(text, what)
+    if value.denominator != 1:
         raise ValueError(f"{what} {text!r} is not an integer")
     return int(value)
+
+
+def exact_fraction(text: str) -> Fraction:
+    """A rational "a/b" as Fraction reads it, or a decimal as `_exact_decimal`
+    does; Fraction raises ValueError or ZeroDivisionError for other text."""
+    return Fraction(text) if "/" in text else _exact_decimal(text, "number")
 
 
 def memory_cap() -> int:

@@ -19,7 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from .arith import EPS_ZERO, EpsilonSpec, delta, delta_prime_power, factorize, sieve_primes
-from .energy import _BLOCK, _exact_dot, _pair_counts, _ragged
+from .energy import _BLOCK, _GROUP, _exact_dot, _pair_counts, _ragged_groups
 from .errors import ResourceLimitError
 from .limits import check_allocation
 from .sets import IntegerSet, _check_occupancy, occupancy
@@ -93,14 +93,20 @@ def gallagher_bound(A: IntegerSet, Q: int) -> float | None:
 
     Returns (sum log p - log N) / (sum log p / |A_p| - log N), N = A.cap and
     |A_p| the classes modulo p that A occupies, or None when the denominator
-    is not positive (inconclusive; always so for Q < 2).
+    is not positive (inconclusive; always so for Q < 2).  A prime above |A|
+    leaves most classes empty, so there the distinct residues are counted
+    instead of a length-p table.
     """
     if len(A) == 0:
         raise ValueError("set must be nonempty")
     num = den = -math.log(A.cap)
     for p in sieve_primes(Q).tolist():
+        if p <= len(A):
+            occupied = int(np.count_nonzero(occupancy(A, p)))
+        else:
+            occupied = len(np.unique(A.elements % p))
         num += math.log(p)
-        den += math.log(p) / int(np.count_nonzero(occupancy(A, p)))
+        den += math.log(p) / occupied
     if den <= 0:
         return None
     return num / den
@@ -114,21 +120,26 @@ class DifferenceTable:
     """Sums of r_{A-A}(d) over [1, min(max_diff, span of A)], streamed block by
     block from `energy._pair_counts`; no count is stored.
 
-    `lookup` takes enumerators: values(D, E) returns the int64 differences in
-    [D, E] to sum r at, with multiplicity.  Each consumer's are products uv of
-    distinct pairs u < v, so u < R = isqrt(max_diff) + 1, and a block of L
-    differences holds at most sum_{u < R} (L/u + 1) <= L (1 + ln R) + R of them.
+    `lookup` takes enumerators: values(D, E) yields, in groups, the int64
+    differences in [D, E] to sum r at, with multiplicity.  Each consumer's are
+    products uv of distinct pairs u < v, so u < R = isqrt(max_diff) + 1, and a
+    block of L differences holds at most sum_{u < R} (L/u + 1) <= L (1 + ln R)
+    + R of them.  They are gathered by `energy._ragged_groups`: a group holds at
+    most _GROUP values, or one row of at most min(L, R).
     """
 
     def __init__(self, A: IntegerSet, max_diff: int):
         self.elements = A.elements
         self.hi = min(max_diff, int(A.elements[-1] - A.elements[0])) if len(A) > 1 else 0
         self.rows = math.isqrt(max(max_diff, 0)) + 1
-        per_block = int(min(_BLOCK, self.hi) * (1 + math.log(self.rows))) + self.rows
-        # per value: the values and a temporary, then the offsets and the
-        # gathered counts; per row, the enumerators' row arrays (a consumer's
-        # own rows among them, so it makes them after this check)
-        self.held = 16 * per_block + 80 * self.rows
+        length = min(_BLOCK, self.hi)
+        group = min(max(_GROUP, min(length, self.rows)),
+                    int(length * (1 + math.log(self.rows))) + self.rows)
+        # per value of a group: the values, a temporary, and the last group's
+        # values, which the consumer holds until the next one is made; per
+        # row, the enumerators' row arrays (a consumer's own rows among them,
+        # so it makes them after this check)
+        self.held = 24 * group + 80 * self.rows
         check_allocation(self.held, f"difference lookups over {self.rows} rows")
 
     def lookup(self, *products) -> tuple[int, ...]:
@@ -138,9 +149,9 @@ class DifferenceTable:
         totals = [0] * len(products)
         for start, counts in blocks:
             for i, values in enumerate(products):
-                ds = values(start, start + len(counts) - 1)
-                ds -= start
-                totals[i] += int(counts[ds].sum())
+                for ds in values(start, start + len(counts) - 1):
+                    ds -= start
+                    totals[i] += int(counts[ds].sum())
         return tuple(totals)
 
 
@@ -164,10 +175,10 @@ def divisor_sum_direct(A: IntegerSet, N: int, *, radius: int | None = None) -> i
     table = DifferenceTable(A, radius * radius)
     u = np.arange(1, radius, dtype=np.int64)
 
-    def products(D: int, E: int) -> np.ndarray:  # uv in [D, E]
-        v, lens = _ragged(np.maximum(u + 1, -(-D // u)), np.minimum(radius, E // u))
-        v *= np.repeat(u, lens)
-        return v
+    def products(D: int, E: int):  # uv in [D, E]
+        for rows, lens, v in _ragged_groups(np.maximum(u + 1, -(-D // u)), np.minimum(radius, E // u)):
+            v *= np.repeat(u[rows], lens)
+            yield v
 
     return table.lookup(products)[0]
 

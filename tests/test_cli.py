@@ -9,6 +9,7 @@ import sys
 import tempfile
 import time
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -267,6 +268,36 @@ class TestSieve:
         cfg.write_text(text)
         assert run("sieve", str(path), "--check-v", "3", "--eps", str(cfg)) == 2
         assert "repeated key" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("in_file", [False, True])
+    def test_huge_eps_exponent_exit2_at_once(self, tmp_path, in_file):
+        # Fraction alone would raise 10 to the written power first
+        path = write_squares(tmp_path, 16)
+        eps = "1e999999999"
+        if in_file:
+            cfg = tmp_path / "eps.txt"
+            cfg.write_text(f"default=1/2\n3={eps}\n")
+            eps = str(cfg)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        out = subprocess.run(
+            [sys.executable, "-m", "energysieve.cli", "sieve", str(path), "--check-v", "3",
+             "--eps", eps], env=env, capture_output=True, text=True, timeout=5)
+        assert out.returncode == 2 and out.stdout == ""
+        assert len(out.stderr.splitlines()) == 1 and out.stderr.startswith("error: ")
+
+    @pytest.mark.parametrize("text", ["0", "-1", "1/2", " 3/4 ", "0.5", "-0.0", "1e-3",
+                                      "2.5E2", "1e300", "5e-324", "123456789e-330"])
+    def test_eps_values_read_as_before(self, text):
+        assert limits.exact_fraction(text) == Fraction(text)
+
+    @pytest.mark.parametrize("text", ["1e400", "1e-400", "-1e999999999", "1e-999999999",
+                                      "0.1e-999999999", "abc", "inf"])
+    def test_eps_values_beyond_the_float_range_refused(self, text):
+        with pytest.raises(ValueError):
+            limits.exact_fraction(text)
+
+    def test_zero_mantissa_read_as_zero(self):
+        assert limits.exact_fraction("0e999999999") == limits.exact_fraction("-0.0e-999999999") == 0
 
     @pytest.mark.parametrize("command", ["sieve", "energy"])
     def test_element_beyond_int64_exit2(self, tmp_path, monkeypatch, capsys, command):

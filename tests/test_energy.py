@@ -529,23 +529,57 @@ class TestRagged:
     def rows(first, last, step):
         return [list(range(a, b + 1, step)) for a, b in zip(first, last)]
 
+    @staticmethod
+    def gathered(first, last, step):
+        """The groups of `_ragged_groups`, checked to cover their rows in order."""
+        groups = list(energy._ragged_groups(first, last, step))
+        at = 0
+        for rows, lens, values in groups:
+            assert rows.start == at and len(lens) == rows.stop - at and values.dtype == np.int64
+            assert len(values) == lens.sum() > 0
+            at = rows.stop
+        return groups
+
     @pytest.mark.parametrize("step", [1, 2])
     def test_rows_in_order(self, step):
         first = np.array([3, 10, -4, 7, 0, 20], dtype=np.int64)
         last = np.array([8, 9, 1, 7, -1, 25], dtype=np.int64)  # two empty rows
-        out, lens = energy._ragged(first, last, step)
+        groups = self.gathered(first, last, step)
         rows = self.rows(first.tolist(), last.tolist(), step)
-        assert out.dtype == np.int64
-        assert out.tolist() == [v for row in rows for v in row]
-        assert lens.tolist() == [len(row) for row in rows]
+        assert len(groups) == 1  # 19 or 11 values: one group
+        assert [v for _, _, values in groups for v in values.tolist()] == [
+            v for row in rows for v in row
+        ]
+        assert [n for _, lens, _ in groups for n in lens.tolist()] == [len(row) for row in rows]
 
     @pytest.mark.parametrize("step", [1, 2])
     def test_all_rows_empty(self, step):
-        out, lens = energy._ragged(np.array([5, 9]), np.array([4, 2]), step)
-        assert out.tolist() == [] and out.dtype == np.int64
-        assert lens.tolist() == [0, 0]
-        out, lens = energy._ragged(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), step)
-        assert out.tolist() == [] and lens.tolist() == []
+        assert self.gathered(np.array([5, 9]), np.array([4, 2]), step) == []
+        empty = np.zeros(0, dtype=np.int64)
+        assert self.gathered(empty, empty, step) == []
+
+    @pytest.mark.parametrize("step", [1, 2])
+    def test_groups_within_limit_and_long_rows_alone(self, step):
+        G = energy._GROUP
+        # row lengths in values: 3, 0, G + 1 (longer than a group: alone),
+        # G - 3, 3 and 0 (together exactly G), 2 G (alone), 1 and 0
+        lens = [3, 0, G + 1, G - 3, 3, 0, 2 * G, 1, 0]
+        first = np.arange(len(lens), dtype=np.int64) * 10**6
+        last = first + (np.array(lens) - 1) * step
+        groups = self.gathered(first, last, step)
+        assert [(r.start, r.stop) for r, _, _ in groups] == [(0, 2), (2, 3), (3, 6), (6, 7), (7, 9)]
+        assert [len(v) for _, _, v in groups] == [3, G + 1, G, 2 * G, 1]
+        rows = self.rows(first.tolist(), last.tolist(), step)
+        assert [v for _, _, values in groups for v in values.tolist()] == [
+            v for row in rows for v in row
+        ]
+
+    def test_groups_take_the_ends_they_are_given(self):
+        ends = np.array([0, 0, 5, 5, 9, 30, 30], dtype=np.int64)
+        # 30 - 9 values in row 5, over the limit: alone; row 6 holds none
+        assert list(energy._groups(ends, 8)) == [(0, 4), (4, 5), (5, 6)]
+        assert list(energy._groups(ends, 100)) == [(0, 7)]
+        assert list(energy._groups(ends[:2], 8)) == []
 
 
 class TestDispatch:

@@ -1,11 +1,12 @@
 import math
+import sys
 import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from energysieve.arith import EPS_HALF, EPS_ZERO, delta_prime_power, factorize
+from energysieve.arith import EPS_HALF, EPS_ZERO, delta_prime_power, factorize, sieve_primes
 from energysieve.sets import (
     IntegerSet,
     occupancy,
@@ -22,6 +23,7 @@ from energysieve.sieve import (
     gallagher_bound,
 )
 import energysieve.sieve as sieve_module
+from energysieve.energy import _GROUP
 from conftest import make_random_set
 
 
@@ -238,6 +240,34 @@ class TestGallagher:
             assert bound == gallagher_oracle(A, Q)
             assert bound is None or type(bound) is float
 
+    def test_primes_above_the_set_make_no_class_table(self):
+        A = IntegerSet.from_elements(10**6, [3, 17, 1000, 54321, 999999])
+        Q = 30030
+        tracemalloc.start()
+        try:
+            bound = gallagher_bound(A, Q)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert bound == gallagher_oracle(A, Q)
+        # no length-p table: the primes, as an array and as a list, and 64 KiB
+        primes = sieve_primes(Q)
+        listed = primes.tolist()
+        assert peak < 2**16 + primes.nbytes + sys.getsizeof(listed) + sum(map(sys.getsizeof, listed))
+
+    def test_primes_up_to_the_set_size_count_class_tables(self, monkeypatch):
+        moduli = []
+        count = sieve_module.occupancy
+
+        def spy(A, v):
+            moduli.append(v)
+            return count(A, v)
+
+        monkeypatch.setattr(sieve_module, "occupancy", spy)
+        sq = squares_up_to(10**4)  # 100 elements
+        assert gallagher_bound(sq, 500) == gallagher_oracle(sq, 500)
+        assert moduli == sieve_primes(100).tolist()
+
     @pytest.mark.parametrize("Q", [0, 1])
     def test_no_prime_is_inconclusive(self, Q):
         assert gallagher_bound(squares_up_to(10**4), Q) is None
@@ -450,7 +480,7 @@ class TestDivisorSums:
         ends = np.array([1, size - 1], dtype=np.int64)
 
         def ends_in(D, E):
-            return ends[(ends >= D) & (ends <= E)].copy()
+            yield ends[(ends >= D) & (ends <= E)].copy()
 
         tracemalloc.start()
         try:
@@ -550,7 +580,9 @@ def random_set(size, cap=10**6):
 
 
 def every_difference(D, E):
-    return np.arange(D, E + 1, dtype=np.int64)
+    """Every d in [D, E], at most _GROUP at a time, as a consumer gathers."""
+    for start in range(D, E + 1, _GROUP):
+        yield np.arange(start, min(start + _GROUP, E + 1), dtype=np.int64)
 
 
 class TestDifferenceTable:
@@ -612,7 +644,7 @@ class TestDifferenceTable:
         sample = probe[::7]
 
         def sampled(D, E):
-            return sample[(sample >= D) & (sample <= E)].copy()
+            yield sample[(sample >= D) & (sample <= E)].copy()
 
         got = DifferenceTable(A, max_diff).lookup(every_difference, sampled, sampled)
         want = int(oracle.lookup(probe).sum()), int(oracle.lookup(sample).sum())
@@ -679,18 +711,24 @@ class TestDifferenceTable:
         from energysieve.correlation import energy_decomposition
 
         lookup = DifferenceTable.lookup
-        blocks = []
+        blocks, groups = [], []
 
         def checked(self, *products):
             assert self.rows == math.isqrt(N) + 1  # max_diff is N or isqrt(N)^2
 
             def check(values):
                 def inner(D, E):
-                    ds = values(D, E)
-                    assert ds.dtype == np.int64 and len(ds) <= block_bound(E - D + 1, self.rows)
-                    assert len(ds) == 0 or (D <= ds.min() and ds.max() <= E)
-                    blocks.append(len(ds))
-                    return ds
+                    total = 0
+                    for ds in values(D, E):
+                        # every row here is under R <= 1001 values, so no
+                        # group may pass the limit
+                        assert ds.dtype == np.int64 and 0 < len(ds) <= _GROUP
+                        assert D <= ds.min() and ds.max() <= E
+                        groups.append(len(ds))
+                        total += len(ds)
+                        yield ds
+                    assert total <= block_bound(E - D + 1, self.rows)
+                    blocks.append(total)
 
                 return inner
 
@@ -701,6 +739,89 @@ class TestDifferenceTable:
         energy_decomposition(A, N)
         divisor_sum_direct(A, N)
         assert max(blocks) > 0
+        if max(blocks) > _GROUP:
+            assert max(groups) > _GROUP // 2  # a block's values make several full groups
+
+    def test_row_longer_than_a_group_gathered_alone(self, monkeypatch):
+        # differences 1 to 39999 in one full cell, and radius isqrt(4e9) =
+        # 63245: row u = 1 of the products, v = 2 to 39999, passes the limit
+        A = IntegerSet.from_elements(10**5, [*range(1, 1101), 40000])
+        N = 4 * 10**9
+        lookup = DifferenceTable.lookup
+        groups = []
+
+        def checked(self, *products):
+            def spy(values):
+                def inner(D, E):
+                    for ds in values(D, E):
+                        groups.append(ds.copy())
+                        yield ds
+
+                return inner
+
+            return lookup(self, *map(spy, products))
+
+        monkeypatch.setattr(DifferenceTable, "lookup", checked)
+        got = divisor_sum_direct(A, N)
+        long = [g for g in groups if len(g) > _GROUP]
+        assert len(long) == 1 and long[0].tolist() == list(range(2, 40000))
+        xs = A.elements
+        d = (xs[:, None] - xs[None, :]).ravel()
+        r = np.bincount(d[d > 0])
+        # d = uv with u < v: d = u (u + 1), u (u + 2), ...; v <= 39999 < radius
+        assert got == sum(int(r[u * (u + 1) :: u].sum()) for u in range(1, 200))
+
+    # Counted against traced: the largest count passed to `check_allocation`
+    # covers the traced peak within 64 KiB, and is at most twice that peak.
+    SHAPES = {
+        "sq1e6": (lambda: squares_up_to(10**6), 10**6),
+        "sq1e7": (lambda: squares_up_to(10**7), 10**7),
+        "random2500": (lambda: random_set(2500, 10**7), 10**7),
+    }
+
+    @pytest.mark.parametrize("site", ["lookup", "decomposition-lookup", "direct"])
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_counted_against_traced(self, monkeypatch, site, shape):
+        import energysieve.energy as energy
+        from energysieve.correlation import energy_decomposition
+
+        make, N = self.SHAPES[shape]
+        A = make()
+        xs = A.elements
+        ys = -xs[::-1]
+        counted = []
+        for module in (sieve_module, energy):
+            monkeypatch.setattr(module, "check_allocation",
+                                lambda nbytes, what: counted.append(nbytes))
+
+        measured = []
+
+        def traced(run):
+            counted.clear()
+            tracemalloc.start()
+            try:
+                out = run()
+                measured.append((tracemalloc.get_traced_memory()[1], max(counted)))
+                return out
+            finally:
+                tracemalloc.stop()
+
+        if site == "lookup":  # the table, its lookup and divisor_sum_direct's rows
+            traced(lambda: divisor_sum_direct(A, N))
+        elif site == "decomposition-lookup":  # routes (ii) and (iii) in one lookup
+            lookup = DifferenceTable.lookup
+            monkeypatch.setattr(DifferenceTable, "lookup",
+                                lambda self, *products: traced(lambda: lookup(self, *products)))
+            energy_decomposition(A, N)
+        else:  # direct counting of the differences, a caller holding each block
+            def run():
+                for _ in energy._pair_counts(xs, ys, 1, int(xs[-1] - xs[0]), "direct")[1]:
+                    pass
+
+            traced(run)
+        (peak, count), = measured
+        assert peak <= count + 2**16
+        assert count <= 2 * peak
 
     def test_dense_set_uses_the_transform(self, monkeypatch):
         import energysieve.energy as energy
