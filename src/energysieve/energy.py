@@ -12,6 +12,7 @@ the verification fails.  Every sum of products goes through one accumulator,
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -224,18 +225,44 @@ def _indicator(v: np.ndarray) -> np.ndarray:
     return f
 
 
-def _count_fft(
-    xs: np.ndarray, ys: np.ndarray, lo: int, length: int, size: int
-) -> np.ndarray | None:
-    """Integer convolution of the two indicator vectors; None if not verified.
-    When `ys is xs` one spectrum is made and squared.
+def _smooth_size(length: int) -> int:
+    """The smallest 2^a 3^b 5^c >= length, a transform length with only the
+    radices 2, 3 and 5; never above the next power of two."""
+    best = 1 << (length - 1).bit_length()
+    fives = 1
+    while fives < best:
+        odd = fives
+        while odd < best:
+            # the least power of two times `odd` that reaches `length`
+            size = odd << ((length - 1) // odd).bit_length()
+            if size < best:
+                best = size
+            odd *= 3
+        fives *= 5
+    return best
 
-    The rounded output must sit within 0.25 of the floats, be nonnegative, and
-    match two exact identities of the pair counts: the total |X||Y| and the
-    first moment sum (lo + i) counts[i] = |Y| sum(X) + |X| sum(Y).
+
+def _count_fft(xs: np.ndarray, ys: np.ndarray | None, length: int, size: int
+               ) -> np.ndarray | None:
+    """Integer convolution of the two indicator vectors, from their least sum
+    on; None if not verified.  When `ys is xs` one spectrum is made and
+    squared.  When `ys` is None (the differences of xs) one spectrum F is
+    made and |F|^2 inverted: the counts r(d) at the lags d = 0 .. length - 1,
+    and r(-d) = r(d).
+
+    The rounded output must sit within 0.25 of the floats, be nonnegative,
+    and match exact identities of the pair counts (`_sums_verified`,
+    `_lags_verified`).
     """
     spec = np.fft.rfft(_indicator(xs), size)
-    spec *= spec if ys is xs else np.fft.rfft(_indicator(ys), size)
+    if ys is None:
+        re, im = spec.real, spec.imag  # |F|^2 in place
+        re *= re
+        im *= im
+        re += im
+        im[...] = 0
+    else:
+        spec *= spec if ys is xs else np.fft.rfft(_indicator(ys), size)
     conv = np.fft.irfft(spec, size)[:length]
     del spec
     rounded = np.rint(conv)
@@ -246,32 +273,92 @@ def _count_fft(
     del conv
     counts = rounded.astype(np.int64)
     del rounded
+    if counts.min() < 0 or length > _MOMENT_LENGTH:
+        return None
+    verified = _lags_verified(counts, xs) if ys is None else _sums_verified(counts, xs, ys)
+    return counts if verified else None
+
+
+# the moments of a transform's counts are summed in int64 (`_moments`): every
+# count and index is below 2^31
+_MOMENT_LENGTH = 1 << 31
+_RUN = 1 << 10  # indices per run of `_moments`
+
+
+def _power_sums(u: np.ndarray) -> tuple[int, int]:
+    """sum(u) and sum(u^2) of sorted nonnegative int64 values u."""
+    top = int(u[-1])
+    return _exact_dot([(u, np.ones_like(u))], top), _exact_dot([(u, u)], top * top)
+
+
+def _moments(counts: np.ndarray, top: int) -> tuple[int, int]:
+    """sum(i c[i]) and sum(i^2 c[i]) over the indices i, given 0 <= c[i] <=
+    top < 2^31 and fewer than 2^31 indices.  Each run of _RUN indices from k
+    (i = k + j) sums c, j c and j^2 c in int64, each below 2^31 _RUN^3 =
+    2^61; `_exact_dot` weighs the run sums by k and k^2."""
+    runs = np.zeros(-(-len(counts) // _RUN) * _RUN, dtype=np.int64)
+    runs[: len(counts)] = counts
+    runs = runs.reshape(-1, _RUN)
+    j = np.arange(_RUN, dtype=np.int64)
+    c0, c1, c2 = runs.sum(axis=1), runs @ j, runs @ (j * j)
+    del runs
+    k = np.arange(len(c0), dtype=np.int64) * _RUN
+    ones = np.ones_like(k)
+    end = len(counts) + _RUN  # k + j < end
+    first = _exact_dot([(c0, k), (c1, ones)], top * _RUN * end)
+    second = _exact_dot([(c0, k * k), (c1, 2 * k), (c2, ones)], top * _RUN * end * end)
+    return first, second
+
+
+def _sums_verified(counts: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> bool:
+    """Whether counts[i] = r(first + i), first = xs[0] + ys[0], can be the
+    counts of x + y: with u = x - xs[0], v = y - ys[0] and i = u + v, the
+    total is |X||Y|, sum(i r) = |Y| sum(u) + |X| sum(v) and sum(i^2 r) =
+    |Y| sum(u^2) + 2 sum(u) sum(v) + |X| sum(v^2)."""
     nx, ny = len(xs), len(ys)
-    if counts.min() < 0 or counts.sum() != nx * ny:
-        return None
-    # a count is at most min(nx, ny), an index below length, an element m in size
-    m = max(abs(int(xs[0])), abs(int(xs[-1])), abs(int(ys[0])), abs(int(ys[-1])))
-    moment = _exact_dot([(counts, np.arange(length, dtype=np.int64))], min(nx, ny) * length)
-    sums = _exact_dot([(xs, np.full(nx, ny)), (ys, np.full(ny, nx))], m * max(nx, ny))
-    if lo * nx * ny + moment != sums:
-        return None
-    return counts
+    if counts.sum() != nx * ny:  # a count is at most min(nx, ny), the total nx ny
+        return False
+    (u1, u2), (v1, v2) = _power_sums(xs - xs[0]), _power_sums(ys - ys[0])
+    first, second = _moments(counts, min(nx, ny))
+    return first == ny * u1 + nx * v1 and second == ny * u2 + 2 * u1 * v1 + nx * v2
 
 
-def _fft_bytes(xs: np.ndarray, ys: np.ndarray, size: int) -> int:
-    """The spectra (one when `ys is xs`), the larger float input and the
-    transform's padded copy of it (held by the FFT library, so tracemalloc
-    does not see it): the peak is while the last spectrum is made.  Later
-    stages hold at most two arrays of `size` floats.
+def _lags_verified(counts: np.ndarray, xs: np.ndarray) -> bool:
+    """Whether counts[d] = r(d), d = 0 .. span, can be the counts of x - x' for
+    the n sorted elements x_0 < ... < x_{n-1} of X: r(0) = n, n + 2
+    sum_{d>=1} r(d) = n^2 and, over the pairs x' < x, sum d r(d) = sum_k
+    (2k - n + 1) x_k and sum d^2 r(d) = n sum(x^2) - (sum x)^2, both with
+    x - x_0 in place of x."""
+    n = len(xs)
+    if counts[0] != n or n + 2 * int(counts[1:].sum()) != n * n:  # r(d) <= n
+        return False
+    u = xs - xs[0]
+    rank = 2 * np.arange(n, dtype=np.int64) - (n - 1)  # |2k - n + 1| < n
+    spread = _exact_dot([(rank, u)], n * int(u[-1]))
+    del rank
+    u1, u2 = _power_sums(u)
+    first, second = _moments(counts, n)
+    return first == spread and second == n * u2 - u1 * u1
+
+
+def _fft_bytes(width: int, size: int, spectra: int) -> int:
+    """The larger of two peaks.  While the last spectrum is made: the spectra
+    (`spectra` of size // 2 + 1 complex values), the float input (`width`
+    values, the larger indicator) and the transform's scratch of `size` floats
+    (held by the FFT library, so tracemalloc does not see it).  While the
+    product is inverted: its spectrum, the output and the scratch.  Later
+    stages hold at most three arrays of the counted length.
     """
-    span = max(int(xs[-1] - xs[0]), int(ys[-1] - ys[0])) + 1
-    spectra = 1 if ys is xs else 2
-    return 16 * spectra * (size // 2 + 1) + 8 * size + 8 * span
+    made = 16 * spectra * (size // 2 + 1) + 8 * width + 8 * size
+    inverted = 16 * (size // 2 + 1) + 16 * size
+    return max(made, inverted)
 
 
-def _pair_counts(xs: np.ndarray, ys: np.ndarray, lo: int, hi: int, method: str,
+def _pair_counts(xs: np.ndarray, ys: np.ndarray | None, lo: int, hi: int, method: str,
                  held: int = 0):
-    """r(n) = #{(x, y) : x + y = n} for lo <= n <= hi, two sorted integer arrays.
+    """r(n) = #{(x, y) : x + y = n} for lo <= n <= hi, two sorted integer
+    arrays; with `ys` None, r(n) = #{(x, x') : x - x' = n}, the differences
+    of xs (counted as sums against the reflected set, -xs[::-1]).
 
     Returns (backend, blocks, resident): `blocks` yields (offset, counts) in
     order, at most one block per cell [lo + k _BLOCK, lo + (k + 1) _BLOCK) of
@@ -283,42 +370,54 @@ def _pair_counts(xs: np.ndarray, ys: np.ndarray, lo: int, hi: int, method: str,
     counted with the backend's working set against the cap.  `auto` runs the
     backend with the lower estimated cost; a transform that fails
     verification falls back to direct counting.  Direct counting visits at
-    most min(cells, pairs) cells and refuses more than DIRECT_BLOCK_GUARD.  A
-    set paired with itself (equal arrays) is counted once: each unordered
-    pair directly, one spectrum by the transform.
+    most min(cells, pairs) cells and refuses more than DIRECT_BLOCK_GUARD.
+    The transform's length is the smallest 2^a 3^b 5^c that holds every sum.
+    A set paired with itself (equal arrays) is counted once: each unordered
+    pair directly, one spectrum by the transform; the differences of a set
+    take one spectrum too, and the transform keeps the lags d >= 0.
     """
     if method not in ("auto", "direct", "fft"):
         raise ValueError(f"unknown counting method {method!r}")
     if lo > hi:
         return "direct", iter(()), 0
-    if _same(xs, ys):
+    lags = ys is None
+    if lags:
+        ys = -xs[::-1]
+    elif _same(xs, ys):
         ys = xs
     first = int(xs[0] + ys[0])
     length = int(xs[-1] + ys[-1]) - first + 1
-    size = 1 << (length - 1).bit_length()
+    size = _smooth_size(length)
+    spectra = 1 if lags or ys is xs else 2
     left = np.searchsorted(ys, lo - xs)
     pairs = int((np.searchsorted(ys, hi + 1 - xs) - left).sum())
     if method == "auto":
         # Estimated costs in nanoseconds, fitted to timings of both backends on
-        # squares and random sets (20 shapes, N = 1e5 to 1.2e7, pairs 1e5 to
-        # 9e8; 2-CPU x86-64, numpy 2.4): direct pays about 10 ns per pair in
-        # the window and 4 ns per window value, FFT about 6 ns per
-        # size * log2(size) of the padded transform (4.4 at 2^17, 7.5 at 2^25).
-        # A set paired with itself gathers half the pairs and makes two
-        # transforms instead of three.
+        # squares and random sets (2-CPU x86-64, numpy 2.4): direct pays about
+        # 10 ns per pair in the window and 4 ns per window value (20 shapes,
+        # N = 1e5 to 1.2e7, pairs 1e5 to 9e8); the FFT, verification
+        # included, about 2.5 ns per size * log2(size) for each transform at
+        # its 5-smooth size (1.2 at 1.6e4, 1.8 to 2.7 from 6e4 to 6e6).  A
+        # set paired with itself gathers half the pairs; it and the
+        # differences of a set make two transforms instead of three.
         direct_cost = 10 * pairs + 4 * (hi - lo + 1)
-        fft_cost = 6 * size * (size.bit_length() - 1)
+        fft_cost = 2.5 * (spectra + 1) * size * math.log2(size)
         if ys is xs:
             direct_cost -= 5 * pairs
-            fft_cost = fft_cost * 2 // 3
         method = "fft" if fft_cost < direct_cost else "direct"
 
     backend = "direct"
     if method == "fft":
         del left  # not held through the transform's peak; a fallback searches again
-        check_allocation(held + _fft_bytes(xs, ys, size), "FFT pair counting")
-        counts = _count_fft(xs, ys, first, length, size)
+        width = max(int(xs[-1] - xs[0]), int(ys[-1] - ys[0])) + 1
+        check_allocation(held + _fft_bytes(width, size, spectra), "FFT pair counting")
+        # the lags 0 .. span of the differences are the first `width` sums
+        counts = _count_fft(xs, None if lags else ys, width if lags else length, size)
         if counts is not None:
+            if lags and lo < 0:  # r(-d) = r(d)
+                counts = np.concatenate((counts[:0:-1], counts))
+            elif lags:
+                first = 0
             window = counts[lo - first : hi - first + 1]
             blocks = ((lo + i, window[i : i + _BLOCK]) for i in range(0, len(window), _BLOCK))
             return "fft", blocks, counts.nbytes
@@ -342,10 +441,14 @@ def _same(xs: np.ndarray, ys: np.ndarray) -> bool:
     return xs is ys or np.array_equal(xs, ys)
 
 
-def _sum_window(xs: np.ndarray, ys: np.ndarray) -> tuple[int, int]:
-    """Smallest and largest x + y; an empty window (0, -1) if a set is empty."""
-    if len(xs) == 0 or len(ys) == 0:
+def _sum_window(xs: np.ndarray, ys: np.ndarray | None) -> tuple[int, int]:
+    """Smallest and largest x + y (x - x' when `ys` is None); an empty window
+    (0, -1) if a set is empty."""
+    if len(xs) == 0 or (ys is not None and len(ys) == 0):
         return 0, -1
+    if ys is None:
+        span = int(xs[-1] - xs[0])
+        return -span, span
     return int(xs[0] + ys[0]), int(xs[-1] + ys[-1])
 
 
@@ -365,8 +468,10 @@ def rep_sum(X: IntegerSet, Y: IntegerSet, *, method: str = "auto") -> RepFunctio
 
 
 def rep_diff(X: IntegerSet, Y: IntegerSet, *, method: str = "auto") -> RepFunction:
-    """Counts of x - y = n; computed as sums against the reflected second set."""
-    return _rep(X.elements, -Y.elements[::-1], method)
+    """Counts of x - y = n; computed as sums against the reflected second set,
+    or as the differences of X when Y holds the same elements."""
+    xs, ys = X.elements, Y.elements
+    return _rep(xs, None if _same(xs, ys) else -ys[::-1], method)
 
 
 # ---------------------------------------------------------------------------
@@ -414,11 +519,11 @@ def energy_diff_path(X: IntegerSet, Y: IntegerSet, *, method: str = "auto") -> E
     value = 0
     if len(xs) and len(ys):
         m = min(int(xs[-1] - xs[0]), int(ys[-1] - ys[0]))
-        _, rx, held = _pair_counts(xs, -xs[::-1], 1, m, method)
+        _, rx, held = _pair_counts(xs, None, 1, m, method)
         if _same(xs, ys):
             pairs = ((a, a) for _, a in rx)
         else:
-            _, ry, _ = _pair_counts(ys, -ys[::-1], 1, m, method, held=held)
+            _, ry, _ = _pair_counts(ys, None, 1, m, method, held=held)
             pairs = _matched(rx, ry)
         # a difference count of X is at most |X|, of Y at most |Y|
         value = len(xs) * len(ys) + 2 * _exact_dot(pairs, len(xs) * len(ys))
@@ -449,20 +554,22 @@ def energy_bruteforce(X: IntegerSet, Y: IntegerSet) -> EnergyReport:
     if nx == 0 or ny == 0:
         return _report(0, "brute-force", X, Y)
     ys = Y.elements
-    ylo, yhi = int(ys[0]), int(ys[-1])
     rows = min(max(1, _CHUNK // nx), nx)
-    # the Y mask; per difference: int64 differences, candidates and kept
-    # candidates, two bound masks, their conjunction and the gathered bits
-    check_allocation(yhi - ylo + 1 + 28 * rows * nx, "brute-force energy")
-    ymask = np.zeros(yhi - ylo + 1, dtype=bool)
-    ymask[ys - ylo] = True
+    # per difference: int64 differences (sorted in place), candidates, their
+    # places in Y and the elements there, and the match mask; nothing grows
+    # with Y's span
+    check_allocation(33 * rows * nx, "brute-force energy")
     value = 0
     for i in range(0, nx, rows):
         diffs = (X.elements[i : i + rows, None] - X.elements[None, :]).ravel()
+        diffs.sort()  # rising candidates x1 - x2 + y1 search Y faster
         for y1 in ys:
-            cand = diffs + int(y1) - ylo
-            ok = (cand >= 0) & (cand < len(ymask))
-            value += int(ymask[cand[ok]].sum())
+            # x1 - x2 + y1 wraps only above 2^63 - 1, to a negative value,
+            # which is in no set
+            cand = diffs + y1
+            at = np.searchsorted(ys, cand)
+            np.minimum(at, ny - 1, out=at)
+            value += int(np.count_nonzero(ys[at] == cand))
     return _report(value, "brute-force", X, Y)
 
 

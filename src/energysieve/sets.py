@@ -120,11 +120,25 @@ def quadratic_image(a: int, b: int, c: int, N: int) -> IntegerSet:
         xs = [range(outer[0], outer[1] + 1)]
     else:
         xs = [range(outer[0], inner[0]), range(inner[1] + 1, outer[1] + 1)]
+    count = sum(r.stop - r.start for r in xs)  # len() overflows past 2^63
+    values = (a * x * x + b * x + c for x in itertools.chain(*xs))
+    what = f"quadratic image over {count} values of x"
+    if N < 2**63:
+        # the values lie in [1, N], so in int64: per x, the value, sorted in
+        # place, a mask of first occurrences and the kept value; then the
+        # kept values, the set's copy and its order check
+        check_allocation(17 * count, what)
+        v = np.fromiter(values, np.int64, count)
+        v.sort()
+        new = np.ones(count, dtype=bool)
+        np.not_equal(v[1:], v[:-1], out=new[1:])
+        v = v[new]
+        del new
+        return IntegerSet.from_elements(N, v)
     # before the generator is drawn: per x, one int and its share of the set
     # that from_elements sorts, up to 168 bytes as the set's table grows
-    count = sum(r.stop - r.start for r in xs)  # len() overflows past 2^63
-    check_allocation(168 * count, f"quadratic image over {count} values of x")
-    return IntegerSet.from_elements(N, (a * x * x + b * x + c for x in itertools.chain(*xs)))
+    check_allocation(168 * count, what)
+    return IntegerSet.from_elements(N, values)
 
 
 def _at_most(a: int, b: int, c: int, t: int) -> tuple[int, int]:
@@ -172,7 +186,7 @@ def is_sidon(X: IntegerSet) -> bool:
     xs = X.elements
     if len(xs) < 2:
         return True
-    _, blocks, _ = _pair_counts(xs, -xs[::-1], 1, int(xs[-1] - xs[0]), "auto")
+    _, blocks, _ = _pair_counts(xs, None, 1, int(xs[-1] - xs[0]), "auto")
     return all(counts.max() <= 1 for _, counts in blocks)
 
 

@@ -145,7 +145,7 @@ class DifferenceTable:
     def lookup(self, *products) -> tuple[int, ...]:
         """sum of r(d) over the values of each enumerator, from one counting pass."""
         xs = self.elements
-        _, blocks, _ = _pair_counts(xs, -xs[::-1], 1, self.hi, "auto", held=self.held)
+        _, blocks, _ = _pair_counts(xs, None, 1, self.hi, "auto", held=self.held)
         totals = [0] * len(products)
         for start, counts in blocks:
             for i, values in enumerate(products):

@@ -78,13 +78,6 @@ class TestGen:
 class TestResourceRefusals:
     """Inputs whose tables would not fit exit 4 before allocating, without a traceback."""
 
-    def test_brute_force_far_apart_set(self, tmp_path, capsys):
-        a, b = tmp_path / "a.txt", tmp_path / "b.txt"
-        a.write_text("N=10\n1\n2\n")
-        b.write_text(f"N={10**11}\n1\n{10**11}\n")
-        assert run("energy", str(a), str(b), "--method", "brute") == 4
-        assert "Traceback" not in capsys.readouterr().err
-
     def test_random_avoiding_huge_range(self, tmp_path, capsys):
         out = tmp_path / "r.txt"
         assert run("gen", "random-avoiding", "--N", "3000000000", "--P", "3",
@@ -211,6 +204,40 @@ class TestEnergy:
             assert run("energy", str(path), str(path), "--method", method) == 0
             assert time.perf_counter() - start < 5
             assert capsys.readouterr().out.splitlines()[1].split(",")[1] == "15"
+
+    def test_brute_force_far_apart_set(self, tmp_path, monkeypatch, capsys):
+        # membership in Y is a binary search: nothing is made per value of its span
+        monkeypatch.delenv(MEMORY_CAP_ENV, raising=False)
+        a, b, f = tmp_path / "a.txt", tmp_path / "b.txt", tmp_path / "f.txt"
+        a.write_text("N=10\n1\n2\n")
+        b.write_text(f"N={10**11}\n1\n{10**11}\n")
+        f.write_text(f"N={10**12}\n1\n{10**12}\n")
+        assert run("energy", str(a), str(b), "--method", "brute") == 0
+        assert capsys.readouterr().out.splitlines()[1].split(",")[1] == "4"
+        assert run("energy", str(f), str(f)) == 0
+        rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
+        assert [(r["method"], r["value"]) for r in rows] == [
+            ("sum-identity", "6"), ("diff-identity", "6"), ("brute-force", "6")]
+
+    def test_one_spectrum_differences_fit_a_cap_that_three_transforms_did_not(
+            self, tmp_path, monkeypatch, capsys):
+        path = tmp_path / "dense.txt"
+        assert run("gen", "random-avoiding", "--N", "200000", "--P", "7", "--eps", "1/2",
+                   "--strategy", "uniform", "--seed", "1", "--out", str(path)) == 0
+        xs = read_set(path).elements
+        width = int(xs[-1] - xs[0]) + 1
+        # the transform of the differences as it was counted: two spectra and
+        # the float input at 2^19 points; now one spectrum at a 5-smooth size
+        former = 16 * 2 * (2**18 + 1) + 8 * 2**19 + 8 * width
+        now = energy._fft_bytes(width, energy._smooth_size(2 * width - 1), 1)
+        assert now < former
+        capsys.readouterr()
+        monkeypatch.delenv(MEMORY_CAP_ENV, raising=False)
+        assert run("energy", str(path), str(path), "--method", "sum") == 0
+        value = capsys.readouterr().out.splitlines()[1].split(",")[1]
+        monkeypatch.setenv(MEMORY_CAP_ENV, str((former + now) // 2))
+        assert run("energy", str(path), str(path), "--method", "diff") == 0
+        assert capsys.readouterr().out.splitlines()[1].split(",")[1] == value
 
     def test_sparse_sets_under_a_huge_cap(self, tmp_path, monkeypatch, capsys):
         # under the default memory cap: a set holds its elements, not its cap

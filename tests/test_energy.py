@@ -277,6 +277,61 @@ class TestWindowedCore:
             if method != "auto":
                 assert backend == method or a > b
 
+    @pytest.mark.parametrize("method", ["auto", "direct", "fft"])
+    @pytest.mark.parametrize("case", ["random", "squares", "one", "two"])
+    def test_differences_match_oracle(self, rng, method, case):
+        """`ys` None, the differences of xs: the transform keeps the lags d >= 0
+        and mirrors them for a window that starts below 0."""
+        xs = {
+            "random": lambda: make_random_set(rng, 3 * 10**5, 900),
+            "squares": lambda: squares_up_to(10**6),
+            "one": lambda: iset(100, [37]),
+            "two": lambda: iset(10**6, [5, 3 * 10**5]),
+        }[case]().elements
+        span = int(xs[-1] - xs[0])
+        full = count_direct_oracle(xs, -xs[::-1], -span, 2 * span + 1)
+        block = energy._BLOCK
+        windows = [
+            (-span, span),                    # every difference
+            (1, span),                        # d >= 1, as the callers ask
+            (-block - 3, block // 2),         # across 0
+            (0, 0),
+            (block, 2 * block - 1),
+            (span, span),
+            (5, 4),                           # empty
+        ]
+        for a, b in windows:
+            a, b = max(a, -span), min(b, span)
+            backend, counts = streamed(xs, None, a, b, method)
+            assert (counts == full[a + span : b + span + 1]).all(), (a, b)
+            if method != "auto":
+                assert backend == method or a > b
+
+    @pytest.mark.parametrize("diff", [False, True])
+    def test_differences_take_one_spectrum(self, monkeypatch, rng, diff):
+        X = make_random_set(rng, 3 * 10**5, 700)
+        xs = X.elements
+        span = int(xs[-1] - xs[0])
+        full = count_direct_oracle(xs, -xs[::-1], -span, 2 * span + 1)
+        transforms = []
+        rfft, irfft = np.fft.rfft, np.fft.irfft
+
+        def forward(f, n):
+            transforms.append("rfft")
+            return rfft(f, n)
+
+        def inverse(spec, n):
+            transforms.append("irfft")
+            return irfft(spec, n)
+
+        monkeypatch.setattr(np.fft, "rfft", forward)
+        monkeypatch.setattr(np.fft, "irfft", inverse)
+        # the differences asked for as such, or as sums against the reflected set
+        backend, counts = streamed(xs, None if diff else -xs[::-1], 1, span, "fft")
+        assert backend == "fft"
+        assert (counts == full[span + 1 :]).all()
+        assert transforms == (["rfft", "irfft"] if diff else ["rfft", "rfft", "irfft"])
+
     def test_reflected_window_is_symmetric(self, rng):
         X = make_random_set(rng, 3 * 10**5, 400)
         xs = X.elements
@@ -679,6 +734,129 @@ class TestDispatch:
         assert rep.backend == method
         assert peak <= max(counted) + 2**16
 
+    def test_second_moment_rejects_cancelling_errors(self, monkeypatch):
+        X = IntegerSet.from_elements(5000, random.Random(5).sample(range(1, 5001), 400))
+        length = 2 * int(X.elements[-1] - X.elements[0]) + 1
+        k = length // 2
+        irfft = np.fft.irfft
+        seen = []
+
+        def spread(spec, n):
+            # one pair from the middle sum to each neighbour: the total, the
+            # signs, the rounding and the first moment are unchanged, the
+            # second moment grows by 2
+            out = irfft(spec, n)
+            out[k - 1 : k + 2] += [1.0, -2.0, 1.0]
+            seen.append(out[:length].copy())
+            return out
+
+        monkeypatch.setattr(np.fft, "irfft", spread)
+        rep = rep_sum(X, X, method="fft")
+        (conv,) = seen
+        rounded = np.rint(conv)
+        assert np.abs(conv - rounded).max() < 0.25 and rounded.min() >= 0
+        assert rounded.sum() == len(X) ** 2
+        i = np.arange(length)
+        direct = rep_sum(X, X, method="direct").counts
+        assert (rounded * i).sum() == (direct * i).sum()
+        assert (rounded * i * i).sum() == (direct * i * i).sum() + 2
+        assert rep.backend == "fft-fallback"
+        assert (rep.counts == direct).all()
+
+    # changes at lags 0 to 3 that keep the total r(0) + 2 sum_{d>=1} r(d), so
+    # that exactly one of r(0) = |X|, the first moment and the second moment
+    # fails
+    LAG_ERRORS = {
+        "lag-0": [2, -3, 3, -1],
+        "first-moment": [0, 5, -8, 3],
+        "second-moment": [0, 1, -2, 1],
+    }
+
+    @pytest.mark.parametrize("error", sorted(LAG_ERRORS))
+    def test_one_spectrum_checks_reject_cancelling_errors(self, monkeypatch, error):
+        X = IntegerSet.from_elements(5000, random.Random(5).sample(range(1, 5001), 400))
+        xs, n = X.elements, len(X)
+        span = int(xs[-1] - xs[0])
+        delta = np.array(self.LAG_ERRORS[error])
+        true = rep_diff(X, X, method="direct").counts[span:]  # lags 0 .. span
+        wrong = true.copy()
+        wrong[:4] += delta
+        d = np.arange(span + 1)
+        assert wrong.min() >= 0 and wrong[0] + 2 * wrong[1:].sum() == n * n
+        failing = {
+            "lag-0": wrong[0] != n,
+            "first-moment": (wrong * d).sum() != (true * d).sum(),
+            "second-moment": (wrong * d * d).sum() != (true * d * d).sum(),
+        }
+        assert [name for name, fails in failing.items() if fails] == [error]
+        irfft = np.fft.irfft
+
+        def shifted(spec, n):
+            out = irfft(spec, n)
+            out[:4] += delta  # whole numbers: every rounding distance is kept
+            return out
+
+        monkeypatch.setattr(np.fft, "irfft", shifted)
+        rep = rep_diff(X, X, method="fft")
+        assert rep.backend == "fft-fallback"
+        assert (rep.counts == rep_diff(X, X, method="direct").counts).all()
+
+    SHAPES = {
+        "dense": lambda: IntegerSet.from_elements(
+            200_000, np.flatnonzero(np.random.default_rng(3).random(200_001) < 0.115)[1:]),
+        "sparse": lambda: IntegerSet.from_elements(
+            3 * 10**5, random.Random(9).sample(range(1, 3 * 10**5 + 1), 3000)),
+    }
+
+    @pytest.mark.parametrize("form", ["two-spectra", "self", "differences"])
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    def test_fft_counted_against_traced(self, monkeypatch, form, shape):
+        X = self.SHAPES[shape]()
+        xs = X.elements
+        if form == "differences":
+            ys, lo, hi = None, 1, int(xs[-1] - xs[0])
+        else:
+            ys = squares_up_to(X.cap).elements if form == "two-spectra" else xs
+            lo, hi = int(xs[0] + ys[0]), int(xs[-1] + ys[-1])
+        counted = []
+        monkeypatch.setattr(energy, "check_allocation", lambda nbytes, what: counted.append(nbytes))
+        tracemalloc.start()
+        try:
+            backend, blocks, _ = energy._pair_counts(xs, ys, lo, hi, "fft")
+            for _ in blocks:  # a caller holding each block
+                pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        (count,) = counted
+        assert backend == "fft"
+        assert peak <= count + 2**16
+        assert count <= 2 * peak
+
+
+class TestSmoothSize:
+    def test_smallest_5_smooth_length(self):
+        top = 10**5
+        smooth = sorted(
+            2**a * 3**b * 5**c
+            for a in range(18) for b in range(12) for c in range(9)
+            if 2**a * 3**b * 5**c <= 2 * top
+        )
+        at = 0
+        for length in range(1, top + 1):
+            while smooth[at] < length:
+                at += 1
+            size = energy._smooth_size(length)
+            assert size == smooth[at], length
+            assert size <= 1 << (length - 1).bit_length()
+
+    def test_transform_lengths(self):
+        # the benchmark's dense set: 4e5 + 1 values of x + y fit in 405,000
+        # points, not 2^19
+        assert energy._smooth_size(400_001) == 405_000 == 2**3 * 3**4 * 5**4
+        assert energy._smooth_size(1_048_577) == 1_049_760
+        assert [energy._smooth_size(n) for n in (1, 2, 7, 11, 17, 97)] == [1, 2, 8, 12, 18, 100]
+
 
 class TestEnergyPaths:
     def test_small_pair(self):
@@ -778,13 +956,41 @@ class TestEnergyPaths:
             Yu = iset(Y.cap * u, [e * u for e in Y])
             assert energy_sum_path(Xu, Yu).value == base
 
-    def test_brute_force_counts_its_mask(self, monkeypatch):
+    def test_brute_force_counts_its_chunk_not_the_span(self, monkeypatch):
+        # Y spans 10^12 values; membership is a binary search, so the count is
+        # the differences' working set, 33 bytes for each of the 4 differences
         X = iset(10, [1, 2])
-        Y = iset(10**6, [1, 10**6])  # a Y mask of 10^6 bytes
+        Y = iset(10**12, [1, 10**12])
+        counted = []
+        check = energy.check_allocation
+        monkeypatch.setattr(energy, "check_allocation",
+                            lambda nbytes, what: counted.append(nbytes) or check(nbytes, what))
+        monkeypatch.setenv("ENERGYSIEVE_MEMORY_CAP", "132")
         assert energy_bruteforce(X, Y).value == 4
-        monkeypatch.setenv("ENERGYSIEVE_MEMORY_CAP", str(5 * 10**5))
+        assert counted == [132]
+        monkeypatch.setenv("ENERGYSIEVE_MEMORY_CAP", "131")
         with pytest.raises(ResourceLimitError):
             energy_bruteforce(X, Y)
+        # 300 of 10^6 on each side: 90,000 differences in one chunk
+        X, Y = (IntegerSet.from_elements(10**6, random.Random(s).sample(range(1, 10**6 + 1), 300))
+                for s in (1, 2))
+        monkeypatch.delenv("ENERGYSIEVE_MEMORY_CAP")
+        counted.clear()
+        tracemalloc.start()
+        try:
+            value = energy_bruteforce(X, Y).value
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert value == energy_sum_path(X, Y).value
+        assert peak <= counted[0] + 2**16 and counted[0] <= 2 * peak
+
+    def test_brute_force_membership_near_int64_limits(self):
+        # x1 - x2 + y1 passes 2^63 - 1 and wraps to a negative value, in no set
+        top = 2**63 - 1
+        X = iset(top, [1, top - 5, top])
+        Y = iset(top, [2, 7, top - 1, top])
+        assert energy_bruteforce(X, Y).value == energy_oracle(list(X), list(Y))
 
     def test_brute_guard(self):
         X = iset(3000, range(1, 2001))

@@ -98,8 +98,7 @@ class TestIntegerSet:
         assert peak < 2**20
 
     @pytest.mark.parametrize("build", [
-        # 19,700 distinct values, just past the 19,661 at which a set's
-        # 32,768-slot table grows: the worst peak per x
+        # 19,700 distinct values, all kept: the worst peak per x
         lambda: quadratic_image(3, 1, 2, 3 * 9850**2),
         lambda: quadratic_image(1, 0, 0, 10**9),                 # two x per value
         lambda: quadratic_image(-1, 0, 10**10, 10**10),          # two x ranges
@@ -116,6 +115,7 @@ class TestIntegerSet:
         finally:
             tracemalloc.stop()
         assert len(A) > 2000 and peak <= max(counted) + 2**16
+        assert max(counted) <= 2 * peak
 
     @pytest.mark.parametrize("build, message", [
         (lambda: quadratic_image(1, 0, 0, 10**30), "quadratic image over 2000000000000000 values"),
@@ -224,6 +224,34 @@ class TestQuadraticImage:
     )
     def test_roots_on_the_boundary(self, a, b, c, N, expected):
         assert list(quadratic_image(a, b, c, N)) == expected
+
+    @pytest.mark.parametrize("a, b, c, N", [
+        (1, 0, 2**63 - 10, 2**63 + 5),           # x^2 <= 15: up to 2^63 - 1
+        (5, 0, 2**63 - 501, 2**63 + 3),          # 5 x^2 <= 500
+        (-10**12, 3, 2**63 - 1, 2**64),          # 6,075 values, all below c
+        (-10**15, 10**7, 2**63 - 2, 2**70),      # |x| <= 96
+    ])
+    def test_int64_path_matches_set_path(self, a, b, c, N):
+        # every value in [1, N] lies below 2^63: N >= 2^63 takes the set path,
+        # N = 2^63 - 1 the int64 path, and both give the same elements
+        wide, narrow = quadratic_image(a, b, c, N), quadratic_image(a, b, c, 2**63 - 1)
+        assert len(wide) > 1 and wide.elements.dtype == narrow.elements.dtype == np.int64
+        assert (wide.elements == narrow.elements).all()
+        assert (wide.cap, narrow.cap) == (N, 2**63 - 1)
+
+    def test_int64_path_matches_generator(self, rng):
+        for _ in range(40):
+            a = rng.choice([-9, -2, -1, 1, 2, 7])
+            b, c = rng.randint(-10**4, 10**4), rng.randint(-10**6, 10**8)
+            N = rng.randint(1, 10**8)
+            xs = range(-(10**4) - 50, 10**4 + 51)
+            values = [a * x * x + b * x + c for x in xs]
+            expected = IntegerSet.from_elements(N, (v for v in values if 1 <= v <= N))
+            assert list(quadratic_image(a, b, c, N)) == list(expected), (a, b, c, N)
+
+    def test_values_beyond_int64_refused_on_the_set_path(self):
+        with pytest.raises(ValueError, match="outside"):
+            quadratic_image(1, 0, 2**63 - 10, 2**63 + 100)  # x^2 = 100 gives 2^63 + 90
 
     def test_huge_coefficients(self):
         b = 10**11
