@@ -37,8 +37,8 @@ __all__ = [
 BRUTE_FORCE_GUARD = 10**9
 DIRECT_BLOCK_GUARD = 1 << 16  # blocks a direct pair count may visit: sums up to 2^33 apart
 _CHUNK = 1 << 22
-_BLOCK = 1 << 17  # values per block, pairs per group: the bincount stays in cache
-_GROUP = 1 << 15  # values per group of an enumeration (`_ragged_groups`)
+_BLOCK = 1 << 17  # values per block: direct counting's buffer stays in cache
+_GROUP = 1 << 15  # values per group of a ragged gather: pairs, or an enumeration's values
 # pairs under which a cell is cut to its first and last sum; in a fuller cell
 # finding them costs more than the zeros they save
 _SPARSE = _BLOCK >> 7
@@ -114,64 +114,74 @@ def _report(value: int, method: str, X: IntegerSet, Y: IntegerSet) -> EnergyRepo
 
 def _direct_blocks(xs: np.ndarray, ys: np.ndarray, lo: int, hi: int, left: np.ndarray):
     """Counts of x + y over [lo, hi] by the cells [lo + k _BLOCK, lo + (k + 1)
-    _BLOCK), given the first edges left = searchsorted(ys, lo - xs).  Row x of
-    a cell is ys[left:right], at most _BLOCK y; each cell's left edges are the
-    last one's right edges, so one `searchsorted` per cell finds them.  A cell
-    yields its counts, from its first sum to its last if it holds fewer than
-    _SPARSE pairs, and nothing if it holds no sum: the walk then jumps to the
-    cell of the next sum, min(x + ys[right]), so its time follows the sums,
-    not the span of [lo, hi].  Rows are gathered by `_groups` in groups of at
-    most _BLOCK pairs, one bincount each.  When `ys is xs` edges clamp to the
-    first y > x, so only pairs x < y are gathered, and r(n) = 2c(n) + [n = 2x]."""
-    if ys is xs:
+    _BLOCK), given the first edges left = searchsorted(ys, lo - xs), which it
+    moves in place.  A cell's band is its rows x with x + ys[-1] >= start and
+    x + ys[0] < end (2x < end when `ys is xs`); row x of the band is
+    ys[left:right], at most _BLOCK y, and its left edges are the right edges
+    of the last cell that held it (a row below the band is spent, one above
+    it has not started), so one `searchsorted` over the band per cell finds
+    them.  A cell yields its counts, from its first sum to its last if it
+    holds fewer than _SPARSE pairs, and nothing if it holds no sum: the walk
+    then jumps to the cell of the next sum, the least of x + ys[right] over
+    the band and the first sum above it, so its time follows the sums, not
+    the span of [lo, hi].  Every cell is counted in one buffer of a cell's
+    length: the part the last cell used is cleared and its rows, gathered by
+    `_groups` in groups of at most _GROUP pairs, are added in place by
+    `np.add.at`; a yielded block is a view of that buffer, valid until the
+    next one is requested.  When `ys is xs` edges clamp to the first y > x,
+    so only pairs x < y are gathered, each with weight 2, and the diagonal
+    n = 2x is added once."""
+    same = ys is xs
+    if same:
         left = np.maximum(left, np.arange(1, len(xs) + 1))
+    counts = np.zeros(min(_BLOCK, hi - lo + 1), dtype=np.int64)
+    used = 0
     start = lo
     while start <= hi:
         end = min(start + _BLOCK, hi + 1)
-        right = np.searchsorted(ys, end - xs)
-        np.maximum(right, left, out=right)  # moves an edge only when ys is xs
-        lens = right - left
+        if same:  # 2x in the cell, and the rows 2x < end
+            a, top = np.searchsorted(xs, [(start + 1) // 2, (end + 1) // 2])
+        else:  # x < end - ys[0], in Python integers: the bound may pass 2^63
+            top = np.searchsorted(xs, min(end - int(ys[0]) - 1, int(xs[-1])), side="right")
+        band = slice(int(np.searchsorted(xs, start - int(ys[-1]))), int(top))
+        x, edges = xs[band], left[band]
+        right = np.searchsorted(ys, end - x)
+        np.maximum(right, edges, out=right)  # moves an edge only when ys is xs
+        lens = right - edges
         ends = np.cumsum(lens)
-        if ys is xs:
-            a, b = np.searchsorted(xs, [(start + 1) // 2, (end + 1) // 2])  # 2x in the cell
         first, length = start, end - start
-        if ends[-1] < _SPARSE:
-            full = right > left
-            firsts = xs[full] + ys[left[full]]
-            lasts = xs[full] + ys[right[full] - 1]
-            if ys is xs:
-                firsts = np.append(firsts, 2 * xs[a:b][:1])
-                lasts = np.append(lasts, 2 * xs[a:b][-1:])
+        if (ends[-1] if len(ends) else 0) < _SPARSE:
+            full = right > edges
+            firsts = x[full] + ys[edges[full]]
+            lasts = x[full] + ys[right[full] - 1]
+            if same:
+                firsts = np.append(firsts, 2 * xs[a:top][:1])
+                lasts = np.append(lasts, 2 * xs[a:top][-1:])
             if len(firsts) == 0:
                 # these edges are also the left edges of the next sum's cell
                 later = right < len(ys)
-                nexts = xs[later] + ys[right[later]]
-                if ys is xs and b < len(xs):
-                    nexts = np.append(nexts, 2 * xs[b])
+                nexts = x[later] + ys[right[later]]
+                if top < len(xs):  # the least sum above the band
+                    nexts = np.append(nexts, xs[top] + (xs[top] if same else ys[0]))
                 following = int(nexts.min()) if len(nexts) else hi + 1
                 if following > hi:
                     return
                 start += (following - start) // _BLOCK * _BLOCK
-                left = right
+                left[band] = right
                 continue
             first = int(firsts.min())
             length = int(lasts.max()) - first + 1
-        counts = None
-        for i, j in _groups(ends, _BLOCK):
-            sums = ys[_gather(left[i:j], lens[i:j], ends[i:j])]
-            sums += np.repeat(xs[i:j] - first, lens[i:j])
-            if counts is None:
-                counts = np.bincount(sums, minlength=length)
-            else:
-                counts += np.bincount(sums, minlength=length)
+        counts[:used] = 0
+        for i, j in _groups(ends, _GROUP):
+            sums = ys[_gather(edges[i:j], lens[i:j], ends[i:j])]
+            sums += np.repeat(x[i:j] - first, lens[i:j])
+            np.add.at(counts, sums, 2 if same else 1)
             del sums  # not held while the next group is gathered
-        if counts is None:
-            counts = np.zeros(length, dtype=np.int64)
-        if ys is xs:
-            counts *= 2
-            counts[2 * xs[a:b] - first] += 1
-        yield first, counts
-        left = right
+        if same:
+            counts[2 * xs[a:top] - first] += 1
+        used = length
+        yield first, counts[:length]
+        left[band] = right
         start = end
 
 
@@ -364,8 +374,10 @@ def _pair_counts(xs: np.ndarray, ys: np.ndarray | None, lo: int, hi: int, method
     order, at most one block per cell [lo + k _BLOCK, lo + (k + 1) _BLOCK) of
     [lo, hi] (none if lo > hi); direct blocks are counted as they are taken,
     one for each cell that holds a sum (a sparse cell cut to its first and
-    last sum), FFT blocks are views of the verified transform, one for every
-    whole cell; `resident` is the bytes they hold meanwhile.  [lo, hi] lies
+    last sum), over the cell's band of rows, into one reused buffer: a block
+    is valid only until the next one is requested, so a caller that keeps
+    one copies it.  FFT blocks are views of the verified transform, one for
+    every whole cell; `resident` is the bytes they hold meanwhile.  [lo, hi] lies
     within the range of sums.  `held`, the bytes the caller keeps alive, is
     counted with the backend's working set against the cap.  `auto` runs the
     backend with the lower estimated cost; a transform that fails
@@ -428,10 +440,10 @@ def _pair_counts(xs: np.ndarray, ys: np.ndarray | None, lo: int, hi: int, method
         raise ResourceLimitError(
             f"direct pair counting over {visits} blocks exceeds guard {DIRECT_BLOCK_GUARD}"
         )
-    # counts and the caller's previous block; then a group's indices and sums,
-    # or its sums and a bincount result; eight arrays over the rows
-    cell, group = min(_BLOCK, hi - lo + 1), min(_BLOCK, pairs)
-    nbytes = 16 * cell + 8 * group + 8 * max(cell, group) + 64 * len(xs)
+    # the count buffer, which every block is a view of; a group's indices and
+    # sums, two arrays at a time; eight arrays over the rows
+    cell, group = min(_BLOCK, hi - lo + 1), min(_GROUP, pairs)
+    nbytes = 8 * cell + 16 * group + 64 * len(xs)
     check_allocation(held + nbytes, "direct pair counting")
     return backend, _direct_blocks(xs, ys, lo, hi, left), nbytes
 
@@ -443,13 +455,20 @@ def _same(xs: np.ndarray, ys: np.ndarray) -> bool:
 
 def _sum_window(xs: np.ndarray, ys: np.ndarray | None) -> tuple[int, int]:
     """Smallest and largest x + y (x - x' when `ys` is None); an empty window
-    (0, -1) if a set is empty."""
+    (0, -1) if a set is empty.  Sums are counted in int64, so a largest sum
+    above 2^63 - 1 is refused."""
     if len(xs) == 0 or (ys is not None and len(ys) == 0):
         return 0, -1
     if ys is None:
         span = int(xs[-1] - xs[0])
         return -span, span
-    return int(xs[0] + ys[0]), int(xs[-1] + ys[-1])
+    hi = int(xs[-1]) + int(ys[-1])
+    if hi > 2**63 - 1:
+        raise ValueError(
+            f"the sum route counts x + y in int64, and {hi} passes 2^63 - 1; "
+            "the difference route (--method diff) does not add two elements"
+        )
+    return int(xs[0]) + int(ys[0]), hi
 
 
 def _rep(xs: np.ndarray, ys: np.ndarray, method: str) -> RepFunction:

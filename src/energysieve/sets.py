@@ -34,6 +34,16 @@ __all__ = [
 ]
 
 
+def _distinct(v: np.ndarray) -> np.ndarray:
+    """The distinct values of `v`, ascending: `v` is sorted in place and cut
+    to the first of each run of equal values.  Used in place of `np.unique`,
+    which imports `numpy.ma` on its first call."""
+    v.sort()
+    first = np.ones(len(v), dtype=bool)
+    np.not_equal(v[1:], v[:-1], out=first[1:])
+    return v[first]
+
+
 @dataclass(frozen=True, eq=False)
 class IntegerSet:
     """Immutable set of integers in [1, cap], held as its sorted elements."""
@@ -51,7 +61,7 @@ class IntegerSet:
         if isinstance(elements, np.ndarray) and elements.ndim == 1 and elements.dtype.kind in "iu":
             # increasing input, as the constructions give, is copied but not sorted
             increasing = bool((elements[1:] > elements[:-1]).all())
-            arr = elements.copy() if increasing else np.unique(elements)
+            arr = elements.copy() if increasing else _distinct(elements.copy())
         else:
             arr = sorted(set(int(e) for e in elements))
         lo, hi = (int(arr[0]), int(arr[-1])) if len(arr) else (1, cap)
@@ -128,13 +138,7 @@ def quadratic_image(a: int, b: int, c: int, N: int) -> IntegerSet:
         # place, a mask of first occurrences and the kept value; then the
         # kept values, the set's copy and its order check
         check_allocation(17 * count, what)
-        v = np.fromiter(values, np.int64, count)
-        v.sort()
-        new = np.ones(count, dtype=bool)
-        np.not_equal(v[1:], v[:-1], out=new[1:])
-        v = v[new]
-        del new
-        return IntegerSet.from_elements(N, v)
+        return IntegerSet.from_elements(N, _distinct(np.fromiter(values, np.int64, count)))
     # before the generator is drawn: per x, one int and its share of the set
     # that from_elements sorts, up to 168 bytes as the set's table grows
     check_allocation(168 * count, what)

@@ -22,7 +22,7 @@ from .arith import EPS_ZERO, EpsilonSpec, delta, delta_prime_power, factorize, s
 from .energy import _BLOCK, _GROUP, _exact_dot, _pair_counts, _ragged_groups
 from .errors import ResourceLimitError
 from .limits import check_allocation
-from .sets import IntegerSet, _check_occupancy, occupancy
+from .sets import IntegerSet, _check_occupancy, _distinct, occupancy
 
 __all__ = [
     "SieveCheckResult",
@@ -104,7 +104,7 @@ def gallagher_bound(A: IntegerSet, Q: int) -> float | None:
         if p <= len(A):
             occupied = int(np.count_nonzero(occupancy(A, p)))
         else:
-            occupied = len(np.unique(A.elements % p))
+            occupied = len(_distinct(A.elements % p))
         num += math.log(p)
         den += math.log(p) / occupied
     if den <= 0:

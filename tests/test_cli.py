@@ -194,6 +194,23 @@ class TestEnergy:
         assert run("energy", str(path), "--squares", "--method", "brute") == 0
         assert "brute-force,28" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("method", ["sum", "all", "diff", "brute"])
+    def test_sums_past_int64_refused_by_the_sum_route(self, tmp_path, method):
+        # {1, 2^63 - 2}: the largest sum passes 2^63 - 1, no difference does
+        path = tmp_path / "top.txt"
+        path.write_text(f"N={2**63 - 1}\n1\n{2**63 - 2}\n")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        out = subprocess.run(
+            [sys.executable, "-m", "energysieve.cli", "energy", str(path), str(path),
+             "--method", method], env=env, capture_output=True, text=True, timeout=60)
+        if method in ("sum", "all"):
+            assert out.returncode == 2 and out.stdout == ""
+            assert len(out.stderr.splitlines()) == 1 and out.stderr.startswith("error: ")
+            assert "--method diff" in out.stderr
+        else:
+            assert out.returncode == 0 and out.stderr == ""
+            assert out.stdout.splitlines()[1].split(",")[1] == "6"
+
     def test_wide_span_counted_by_its_sums(self, tmp_path, monkeypatch, capsys):
         # 10^12 apart: the sum and difference routes visit the cells with a sum
         monkeypatch.delenv(MEMORY_CAP_ENV, raising=False)
@@ -523,6 +540,55 @@ class TestSweep:
         rows = list(csv.DictReader(out.open()))
         for key in ("N", "card_A", "card_S", "energy"):
             assert str(int(rows[0][key])) == rows[0][key]
+
+
+class TestAutoBackends:
+    """`auto` on the benchmark's shapes picks the backend it picked when its
+    cost weights were fitted: a spy on the pair-counting core, job by job."""
+
+    @pytest.fixture
+    def backends(self, monkeypatch):
+        import energysieve.sieve as sieve
+
+        log = []
+        count = energy._pair_counts
+
+        def spy(*args, **kwargs):
+            out = count(*args, **kwargs)
+            log.append(out[0])
+            return out
+
+        monkeypatch.setattr(energy, "_pair_counts", spy)
+        monkeypatch.setattr(sieve, "_pair_counts", spy)
+        return log
+
+    @staticmethod
+    def job(backends, tmp_path, *argv):
+        backends.clear()
+        assert run(*argv, "--out", str(tmp_path / "out")) == 0
+        return backends[:]
+
+    def test_sweeps_count_directly(self, tmp_path, backends):
+        for experiment, grid, calls in [("ramanujan", "1e6,1e7,1.2e7", 3),
+                                        ("theorem", "1e6,1e7", 8), ("sidon", "1e6,1e7", 4)]:
+            assert self.job(backends, tmp_path, "sweep", experiment,
+                            "--grid", grid) == ["direct"] * calls
+
+    def test_dense_random_set_transforms(self, tmp_path, backends):
+        a = str(tmp_path / "A.txt")
+        assert run("gen", "random-avoiding", "--N", "200000", "--P", "7", "--eps", "1/2",
+                   "--strategy", "uniform", "--seed", "1", "--out", a) == 0
+        assert self.job(backends, tmp_path, "energy", a, a, "--method", "sum") == ["fft"]
+        assert self.job(backends, tmp_path, "energy", a, a, "--method", "diff") == ["fft"]
+        assert self.job(backends, tmp_path, "energy", a, "--squares", "--method", "sum") == ["fft"]
+        # E(A', S) is the close call, about 53e6 ns direct against 56e6 by transform
+        assert self.job(backends, tmp_path, "sweep", "theorem", "--set", a,
+                        "--grid", "200000") == ["fft", "fft", "direct", "fft"]
+
+    def test_divisor_sum_counts_directly(self, tmp_path, backends):
+        s = str(tmp_path / "S.txt")
+        assert run("gen", "squares", "--N", "2000000", "--out", s) == 0
+        assert self.job(backends, tmp_path, "sieve", s, "--divisor-sum") == ["direct"]
 
 
 class TestDeterminism:

@@ -19,7 +19,7 @@ from energysieve.energy import (
     _exact_dot,
 )
 from energysieve.errors import ResourceLimitError
-from energysieve.sets import IntegerSet, squares_up_to
+from energysieve.sets import IntegerSet, is_sidon, sidon_set, squares_up_to
 from conftest import make_random_set
 
 
@@ -372,24 +372,34 @@ class TestWindowedCore:
         lo, hi = 2 * int(xs[0]), 2 * int(xs[-1])
         full = count_direct_oracle(xs, xs, lo, hi - lo + 1)
         gathered, transforms = [], []
-        bincount, rfft = np.bincount, np.fft.rfft
+        add, rfft = np.add, np.fft.rfft
 
-        def counting(values, minlength):
-            gathered.append(len(values))
-            return bincount(values, minlength=minlength)
+        class Counting:
+            """np.add, with its `at` recording each group and its weight."""
+
+            def __getattr__(self, name):
+                return getattr(add, name)
+
+            def __call__(self, *args, **kwargs):
+                return add(*args, **kwargs)
+
+            def at(self, a, indices, b=None):
+                gathered.append((len(indices), b))
+                return add.at(a, indices, b)
 
         def transform(*args):
             transforms.append(len(args[0]))
             return rfft(*args)
 
-        monkeypatch.setattr(np, "bincount", counting)
+        monkeypatch.setattr(np, "add", Counting())
         monkeypatch.setattr(np.fft, "rfft", transform)
         backend, counts = streamed(xs, xs if same else xs.copy(), lo, hi, method)
         assert backend == method
         assert (counts == full).all()
         n = len(xs)
         if method == "direct":
-            assert sum(gathered) == n * (n - 1) // 2  # each pair x < y once
+            assert sum(size for size, _ in gathered) == n * (n - 1) // 2  # each pair x < y once
+            assert {weight for _, weight in gathered} == {2}
         else:
             assert len(transforms) == 1
 
@@ -439,23 +449,32 @@ class TestDirectBlocks:
                                  iset(10**6, list(range(1, 40)) + list(range(10**6 - 40, 10**6 + 1)))),
         "one": lambda rng: (iset(100, [37]), make_random_set(rng, 4 * 10**5, 300)),
         "two": lambda rng: (iset(10**6, [5, 9 * 10**5]), iset(10**6, [2, 3 * 10**5])),
+        # rows enter and leave the band as the cells pass: X low and dense, Y
+        # sparse and high
+        "low-high": lambda rng: (iset(10**6, range(1, 4001)),
+                                 iset(10**6, [7 * 10**5, 8 * 10**5, 81 * 10**4, 999_999])),
     }
 
     @staticmethod
     def windows(lo, hi):
         block = energy._BLOCK
+        mid = (lo + hi) // 2
         return [
             (lo, hi),                              # every sum
             (lo + block // 3, hi - block // 5),    # cuts the first and last blocks
             (lo + block, lo + 2 * block - 1),      # exactly one block
             (lo + 7, lo + 7),                      # one value
             (hi, hi),
+            (mid, hi),                             # starts mid-range: rows already spent
+            (mid + 11, mid + 3 * block),
         ]
 
     @staticmethod
     def blocks(xs, ys, lo, hi):
-        """The kernel given its first edges, as `_pair_counts` gives them."""
-        return list(energy._direct_blocks(xs, ys, lo, hi, np.searchsorted(ys, lo - xs)))
+        """The kernel given its first edges, as `_pair_counts` gives them; each
+        block copied, since it is valid only until the next is requested."""
+        return [(offset, counts.copy()) for offset, counts in
+                energy._direct_blocks(xs, ys, lo, hi, np.searchsorted(ys, lo - xs))]
 
     def assert_same_blocks(self, xs, ys, lo, hi):
         """The former kernel's blocks less those without a sum, and cut to their
@@ -505,6 +524,37 @@ class TestDirectBlocks:
         self.assert_same_blocks(xs, xs, lo, hi)
         self.assert_same_blocks(xs, -xs[::-1], int(xs[0] - xs[-1]), int(xs[-1] - xs[0]))
 
+    @pytest.mark.parametrize("lags", [False, True])
+    def test_far_apart_clusters_in_every_window(self, rng, lags):
+        # the lags of two clusters: rows of one cluster leave the band while the
+        # other's enter, and the cells between hold no sum
+        X, Y = self.CASES["clusters"](rng)
+        xs = X.elements
+        ys = -xs[::-1] if lags else -Y.elements[::-1]
+        lo, hi = int(xs[0] + ys[0]), int(xs[-1] + ys[-1])
+        for a, b in self.windows(lo, hi) + [(lo + 100, hi - 100), (-5 * energy._BLOCK, hi)]:
+            if lo <= a <= b <= hi:
+                self.assert_same_blocks(xs, ys, a, b)
+
+    @pytest.mark.parametrize("same", [True, False])
+    def test_jump_to_a_sum_above_the_band(self, same):
+        # an empty cell with an empty band, where 1 is spent and 10^6 has not
+        # started: against {1, 2} the cell after the sums near 2; with itself
+        # the cell after 10^6 + 1, where the left edge of row 10^6 is len(ys)
+        # (pairs x < y only).  The next sum is that row's
+        xs = np.array([1, 10**6], dtype=np.int64)
+        ys = xs if same else np.array([1, 2], dtype=np.int64)
+        lo, hi = int(xs[0] + ys[0]), int(xs[-1] + ys[-1])
+        got = self.blocks(xs, ys, lo, hi)
+        if same:
+            assert [(offset, c.tolist()) for offset, c in got] == [
+                (2, [1]), (10**6 + 1, [2]), (2 * 10**6, [1])]
+        else:
+            assert [(offset, c.tolist()) for offset, c in got] == [
+                (2, [1, 1]), (10**6 + 1, [1, 1])]
+        self.assert_same_blocks(xs, ys, lo, hi)
+        self.assert_same_blocks(xs, ys, lo + 5, hi)
+
     @pytest.mark.parametrize("same", [True, False])
     def test_edges_searched_once_per_block_plus_once(self, monkeypatch, rng, same):
         X, Y = self.CASES["random"](rng)
@@ -515,18 +565,29 @@ class TestDirectBlocks:
         edges = []
 
         def spy(a, v, *args, **kwargs):
-            if a is ys and np.shape(v) == xs.shape:  # one edge per row
+            if a is ys and isinstance(v, np.ndarray):  # one edge per row searched
                 edges.append(len(v))
             return searchsorted(a, v, *args, **kwargs)
 
         monkeypatch.setattr(np, "searchsorted", spy)
-        blocks = len(self.blocks(xs, ys, lo, hi))
-        assert blocks > 3 and edges == [len(xs)] * (blocks + 1)
+        block = energy._BLOCK
+        cells = [lo + (offset - lo) // block * block for offset, _ in self.blocks(xs, ys, lo, hi)]
+        blocks = len(cells)
+        # each cell searches its band once: the rows x with x + max Y >= start
+        # and x + min Y < end (2x < end for a set with itself); every cell
+        # holds sums, so none is jumped
+        assert blocks > 3 and cells == list(range(lo, hi + 1, block))
+        x = xs.tolist()
+        band = [sum(1 for v in x if v + int(ys[-1]) >= start
+                    and (2 * v if same else v + int(ys[0])) < min(start + block, hi + 1))
+                for start in cells]
+        assert 0 < min(band) and min(band) < len(xs)  # some cells leave rows out
+        assert edges == [len(xs)] + band
         edges.clear()
         # the core searches the first edges once, for its pair count and the kernel,
         # and the last edges once, for the pair count
         _, stream, _ = energy._pair_counts(xs, ys, lo, hi, "direct")
-        assert len(list(stream)) == blocks and edges == [len(xs)] * (blocks + 2)
+        assert len(list(stream)) == blocks and edges == [len(xs)] * 2 + band
         edges.clear()
         assert len(list(former_direct_blocks(xs, ys, lo, hi))) == blocks
         assert len(edges) == 2 * blocks
@@ -577,6 +638,80 @@ class TestDirectBlocks:
         got = sum(int(np.dot(a, b)) for a, b in energy._matched(rx, ry))
         fx, fy = (streamed(Z.elements, -Z.elements[::-1], 1, m, "direct")[1] for Z in (X, Y))
         assert got == int(np.dot(fx, fy)) > 0
+
+
+class TestBlockLifetime:
+    """A block is valid until the next one is requested: with each block
+    overwritten by -1 the moment the next is requested, every consumer of the
+    core still gives the values it gives unpoisoned."""
+
+    @pytest.fixture
+    def poison(self, monkeypatch):
+        import energysieve.sieve as sieve
+
+        count = energy._pair_counts
+
+        def poisoned(*args, **kwargs):
+            backend, blocks, resident = count(*args, **kwargs)
+
+            def stream():
+                for offset, counts in blocks:
+                    yield offset, counts
+                    counts[...] = -1
+
+            return backend, stream(), resident
+
+        def apply():
+            monkeypatch.setattr(energy, "_pair_counts", poisoned)
+            monkeypatch.setattr(sieve, "_pair_counts", poisoned)
+
+        return apply
+
+    @staticmethod
+    def sets():
+        X = IntegerSet.from_elements(10**6, random.Random(5).sample(range(1, 10**6 + 1), 3000))
+        return X, squares_up_to(10**6)  # whole cells, and sparse cells cut to their sums
+
+    def test_energies_and_representations(self, poison):
+        X, S = self.sets()
+        runs = [
+            lambda: [energy_sum_path(X, S, method=m).value for m in ("direct", "fft")],
+            lambda: [energy_sum_path(X, X, method=m).value for m in ("direct", "fft")],
+            # one stream, then two matched streams
+            lambda: [energy_diff_path(X, X, method=m).value for m in ("direct", "fft")],
+            lambda: [energy_diff_path(X, S, method=m).value for m in ("direct", "fft")],
+            lambda: [energy_diff_path(S, X, method="direct").value],
+            lambda: [rep.counts.tolist() for rep in
+                     (rep_sum(X, S, method="direct"), rep_sum(S, S, method="direct"),
+                      rep_diff(X, S, method="direct"), rep_diff(S, S, method="direct"),
+                      rep_sum(X, S, method="fft"))],
+        ]
+        expected = [run() for run in runs]
+        poison()
+        assert [run() for run in runs] == expected
+
+    def test_sidon_and_difference_lookups(self, poison):
+        from energysieve.correlation import energy_decomposition
+        from energysieve.sieve import divisor_sum_direct
+
+        X, S = self.sets()
+        runs = [
+            lambda: [is_sidon(sidon_set(691, 10**6)), is_sidon(S), is_sidon(X)],
+            lambda: [divisor_sum_direct(A, 10**6) for A in (X, S)],
+            lambda: [energy_decomposition(A, 10**6) for A in (X, S)],  # routes (ii), (iii)
+        ]
+        expected = [run() for run in runs]
+        assert expected[0] == [True, False, False]
+        poison()
+        assert [run() for run in runs] == expected
+
+    def test_direct_blocks_share_one_buffer(self):
+        X, S = self.sets()
+        xs, ys = X.elements, S.elements
+        lo, hi = int(xs[0] + ys[0]), int(xs[-1] + ys[-1])
+        _, blocks, _ = energy._pair_counts(xs, ys, lo, hi, "direct")
+        (_, first), (_, second) = itertools.islice(blocks, 2)
+        assert np.shares_memory(first, second)
 
 
 class TestRagged:

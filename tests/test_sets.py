@@ -1,6 +1,10 @@
 import itertools
+import json
 import math
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -136,6 +140,41 @@ class TestIntegerSet:
                 assert A.elements.dtype == B.elements.dtype == np.int64
                 assert list(A.elements) == list(B.elements) == sorted(set(values))
                 assert not A.elements.flags.writeable
+
+    def test_distinct_values_without_numpy_ma(self):
+        # np.unique imports numpy.ma on its first call; the unsorted array path,
+        # quadratic images and Gallagher's primes above |A| keep first occurrences
+        code = """if True:
+            import json, sys
+            import numpy as np
+            from energysieve.sets import IntegerSet, quadratic_image
+            from energysieve.sieve import gallagher_bound
+            given = np.random.default_rng(7).integers(1, 5000, 3000)
+            A = IntegerSet.from_elements(5000, given)
+            small = IntegerSet.from_elements(10**6, given[:40] * 199)
+            print(json.dumps({
+                "ma": "numpy.ma" in sys.modules,
+                "set": A.elements.tolist(),
+                "image": quadratic_image(2, -3, 1, 10**6).elements.tolist(),
+                "gallagher": gallagher_bound(small, 400),
+            }))
+        """
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True, timeout=60)
+        got = json.loads(out.stdout)
+        assert got["ma"] is False
+        given = np.random.default_rng(7).integers(1, 5000, 3000)
+        assert got["set"] == np.unique(given).tolist()
+        x = np.arange(-1000, 1001)
+        image = 2 * x * x - 3 * x + 1
+        assert got["image"] == np.unique(image[(image >= 1) & (image <= 10**6)]).tolist()
+        elements = np.unique(given[:40] * 199)
+        num = den = -math.log(10**6)
+        for p in sieve_primes(400).tolist():  # 40 elements: most primes lie above |A|
+            num += math.log(p)
+            den += math.log(p) / len(np.unique(elements % p))
+        assert got["gallagher"] == num / den
 
     @pytest.mark.parametrize("values", [[5, 2, 5, 9], [2, 5, 9]])
     def test_array_path_leaves_its_input_alone(self, values):
