@@ -18,10 +18,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arith import EPS_HALF, EpsilonSpec, sieve_primes
-from .energy import _exact_dot, _ragged_groups, energy_sum_path, rep_sum
+from .energy import _exact_dot, _pair_counts, _sum_window, energy_sum_path
 from .errors import InvariantViolationError
 from .sets import IntegerSet, is_sidon, mod4_restrict, occupancy, sidon_set, squares_up_to
-from .sieve import DifferenceTable, _isqrt, _under_ceiling, divisor_sum_direct
+from .sieve import DifferenceTable, _products, _square_differences, _under_ceiling, divisor_sum_direct
 
 __all__ = [
     "DecompositionReport",
@@ -70,24 +70,8 @@ def energy_decomposition(A: IntegerSet, N: int) -> DecompositionReport:
 
     e_direct = energy_sum_path(A, S).value
     table = DifferenceTable(A, N)  # counts the rows below before they are made
-    m = u = np.arange(1, root, dtype=np.int64)  # v >= u + 2, u + v <= 2 root force u < root
-    msq = m * m
-
-    def square_pairs(D: int, E: int):  # n^2 - m^2 in [D, E], m < n <= root
-        first = _isqrt(msq + (D - 1)) + 1
-        for rows, lens, n in _ragged_groups(first, np.minimum(_isqrt(msq + E), root)):
-            n *= n
-            n -= np.repeat(msq[rows], lens)
-            yield n
-
-    def factor_pairs(D: int, E: int):  # uv in [D, E], v = u mod 2
-        first = np.maximum(u + 2, -(-D // u))
-        first += (first - u) & 1
-        for rows, lens, v in _ragged_groups(first, np.minimum(2 * root - u, E // u), 2):
-            v *= np.repeat(u[rows], lens)
-            yield v
-
-    off_diag, factor_sum = table.lookup(square_pairs, factor_pairs)
+    u = np.arange(1, root, dtype=np.int64)  # v >= u + 2, u + v <= 2 root force u < root
+    off_diag, factor_sum = table.lookup(_square_differences(S.elements), _products(u, u + 2, 2 * root - u, 2))
     e_squares = base + 2 * off_diag
     e_factors = base + 2 * factor_sum
 
@@ -169,11 +153,14 @@ def quadratic_hits(A: IntegerSet, N: int) -> QuadraticHitsReport:
     """
     if len(A) == 0:
         raise ValueError("set must be nonempty")
-    S = squares_up_to(N)
-    rep = rep_sum(A, S)
-    peak = int(np.argmax(rep.counts))  # first index: smallest shift on ties
-    shift = rep.offset + peak
-    count = int(rep.counts[peak])
+    xs, ys = A.elements, squares_up_to(N).elements
+    _, blocks, _ = _pair_counts(xs, ys, *_sum_window(xs, ys), "auto")
+    shift = count = energy = 0
+    for offset, counts in blocks:
+        peak = int(counts.argmax())  # first index: smallest shift on ties
+        if counts[peak] > count:
+            shift, count = offset + peak, int(counts[peak])
+        energy += _exact_dot([(counts, counts)], min(len(xs), len(ys)) ** 2)  # r <= min(|A|, |S|)
     witnesses = []
     for x in range(1, math.isqrt(max(min(N, shift - 1), 0)) + 1):  # x^2 in S, a >= 1
         a = shift - x * x
@@ -183,14 +170,13 @@ def quadratic_hits(A: IntegerSet, N: int) -> QuadraticHitsReport:
         raise InvariantViolationError(
             f"witness scan found {len(witnesses)} hits, table says {count}"
         )
-    energy = _exact_dot([(rep.counts, rep.counts)], min(len(A), len(S)) ** 2)
     return QuadraticHitsReport(
         shift=shift,
         count=count,
         witnesses=tuple(witnesses),
-        chain_lhs=math.log(N) * len(A) * len(S),
+        chain_lhs=math.log(N) * len(xs) * len(ys),
         chain_mid=energy,
-        chain_rhs=len(A) * len(S) * count,
+        chain_rhs=len(xs) * len(ys) * count,
     )
 
 

@@ -367,8 +367,8 @@ def _fft_bytes(width: int, size: int, spectra: int) -> int:
 def _pair_counts(xs: np.ndarray, ys: np.ndarray | None, lo: int, hi: int, method: str,
                  held: int = 0):
     """r(n) = #{(x, y) : x + y = n} for lo <= n <= hi, two sorted integer
-    arrays; with `ys` None, r(n) = #{(x, x') : x - x' = n}, the differences
-    of xs (counted as sums against the reflected set, -xs[::-1]).
+    arrays; with `ys` None, r(n) = #{(x, x') : x - x' = n} for lo >= 0, the
+    differences of xs (counted as sums against the reflected set, -xs[::-1]).
 
     Returns (backend, blocks, resident): `blocks` yields (offset, counts) in
     order, at most one block per cell [lo + k _BLOCK, lo + (k + 1) _BLOCK) of
@@ -426,9 +426,7 @@ def _pair_counts(xs: np.ndarray, ys: np.ndarray | None, lo: int, hi: int, method
         # the lags 0 .. span of the differences are the first `width` sums
         counts = _count_fft(xs, None if lags else ys, width if lags else length, size)
         if counts is not None:
-            if lags and lo < 0:  # r(-d) = r(d)
-                counts = np.concatenate((counts[:0:-1], counts))
-            elif lags:
+            if lags:
                 first = 0
             window = counts[lo - first : hi - first + 1]
             blocks = ((lo + i, window[i : i + _BLOCK]) for i in range(0, len(window), _BLOCK))
@@ -453,15 +451,11 @@ def _same(xs: np.ndarray, ys: np.ndarray) -> bool:
     return xs is ys or np.array_equal(xs, ys)
 
 
-def _sum_window(xs: np.ndarray, ys: np.ndarray | None) -> tuple[int, int]:
-    """Smallest and largest x + y (x - x' when `ys` is None); an empty window
-    (0, -1) if a set is empty.  Sums are counted in int64, so a largest sum
-    above 2^63 - 1 is refused."""
-    if len(xs) == 0 or (ys is not None and len(ys) == 0):
+def _sum_window(xs: np.ndarray, ys: np.ndarray) -> tuple[int, int]:
+    """Smallest and largest x + y; an empty window (0, -1) if a set is empty.
+    Sums are counted in int64, so a largest sum above 2^63 - 1 is refused."""
+    if len(xs) == 0 or len(ys) == 0:
         return 0, -1
-    if ys is None:
-        span = int(xs[-1] - xs[0])
-        return -span, span
     hi = int(xs[-1]) + int(ys[-1])
     if hi > 2**63 - 1:
         raise ValueError(
@@ -487,10 +481,8 @@ def rep_sum(X: IntegerSet, Y: IntegerSet, *, method: str = "auto") -> RepFunctio
 
 
 def rep_diff(X: IntegerSet, Y: IntegerSet, *, method: str = "auto") -> RepFunction:
-    """Counts of x - y = n; computed as sums against the reflected second set,
-    or as the differences of X when Y holds the same elements."""
-    xs, ys = X.elements, Y.elements
-    return _rep(xs, None if _same(xs, ys) else -ys[::-1], method)
+    """Counts of x - y = n; computed as sums against the reflected second set."""
+    return _rep(X.elements, -Y.elements[::-1], method)
 
 
 # ---------------------------------------------------------------------------

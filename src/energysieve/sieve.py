@@ -155,13 +155,34 @@ class DifferenceTable:
         return tuple(totals)
 
 
-def _isqrt(x: np.ndarray) -> np.ndarray:
-    """floor(sqrt(x)) of nonnegative int64 values below 2^62, exactly: the float
-    root is off by at most one either way."""
-    r = np.sqrt(x.astype(np.float64)).astype(np.int64)
-    r -= r * r > x
-    r += (r + 1) * (r + 1) <= x
-    return r
+def _products(u: np.ndarray, low, high, step: int = 1):
+    """The `DifferenceTable.lookup` enumerator of the products u[k] v in [D, E]
+    over v = low[k], low[k] + step, ... up to high[k]: row k's v run from the
+    least of them at least D / u[k] to min(high[k], E // u[k])."""
+    def values(D: int, E: int):
+        first = np.maximum(low, -(-D // u))
+        if step != 1:
+            first += (low - first) % step
+        for rows, lens, v in _ragged_groups(first, np.minimum(high, E // u), step):
+            v *= np.repeat(u[rows], lens)
+            yield v
+    return values
+
+
+def _square_differences(squares: np.ndarray):
+    """The `DifferenceTable.lookup` enumerator of n^2 - m^2 in [D, E], D >= 1,
+    over 1 <= m < n <= R, given the squares 1, 4, ..., R^2: row m's n run from
+    the first with n^2 >= m^2 + D to the last with n^2 <= m^2 + E, two
+    searches on the squares (squares[i] = (i + 1)^2)."""
+    msq = squares[:-1]
+
+    def values(D: int, E: int):
+        first = np.searchsorted(squares, msq + D) + 1
+        for rows, lens, n in _ragged_groups(first, np.searchsorted(squares, msq + E, side="right")):
+            n *= n
+            n -= np.repeat(msq[rows], lens)
+            yield n
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -174,13 +195,7 @@ def divisor_sum_direct(A: IntegerSet, N: int, *, radius: int | None = None) -> i
         radius = math.isqrt(N)
     table = DifferenceTable(A, radius * radius)
     u = np.arange(1, radius, dtype=np.int64)
-
-    def products(D: int, E: int):  # uv in [D, E]
-        for rows, lens, v in _ragged_groups(np.maximum(u + 1, -(-D // u)), np.minimum(radius, E // u)):
-            v *= np.repeat(u[rows], lens)
-            yield v
-
-    return table.lookup(products)[0]
+    return table.lookup(_products(u, u + 1, radius))[0]
 
 
 @dataclass(frozen=True)

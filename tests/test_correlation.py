@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -194,6 +195,38 @@ class TestQuadraticHits:
             rep = quadratic_hits(IntegerSet.from_elements(N, elements), N)
             got = (rep.shift, rep.count, rep.witnesses, rep.chain_mid)
             assert got == self.hits_oracle(elements, N), (elements, N)
+
+    @pytest.mark.parametrize("make, N", [
+        (lambda: squares_up_to(3 * 10**5), 3 * 10**5),  # a peak tied in two of five cells
+        (lambda: IntegerSet.from_elements(
+            3 * 10**5, np.random.default_rng(2).choice(3 * 10**5, 300, replace=False) + 1),
+         3 * 10**5),
+        (lambda: IntegerSet.from_elements(10**6, [1, 10**6]), 10**6),  # two far-apart clusters
+    ], ids=["squares", "random", "two"])
+    def test_streamed_over_several_blocks(self, make, N):
+        A = make()
+        rep = quadratic_hits(A, N)
+        got = (rep.shift, rep.count, rep.witnesses, rep.chain_mid)
+        assert got == self.hits_oracle(A.elements.tolist(), N)
+
+    def test_peak_does_not_grow_with_the_window(self, monkeypatch):
+        # at N = 1e7 one table of the sum window would take 160 MB, and a
+        # copy of it (np.argmax copies a read-only array) as much again
+        monkeypatch.setenv("ENERGYSIEVE_MEMORY_CAP", "200000000")
+        peaks = {}
+        for N in (10**6, 10**7):
+            A = squares_up_to(N)
+            tracemalloc.start()
+            try:
+                rep = quadratic_hits(A, N)
+                peaks[N] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert (rep.count, rep.chain_mid) == {10**6: (32, 4656580), 10**7: (48, 53020186)}[N]
+        # the window grows tenfold; only the row arrays of direct counting,
+        # 64 bytes a square, grow with |S|
+        assert peaks[10**7] <= peaks[10**6] + 64 * (3162 - 1000) + 2**16
+        assert peaks[10**7] < 2**21
 
 
 class TestSidonReport:

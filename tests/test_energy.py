@@ -280,32 +280,36 @@ class TestWindowedCore:
     @pytest.mark.parametrize("method", ["auto", "direct", "fft"])
     @pytest.mark.parametrize("case", ["random", "squares", "one", "two"])
     def test_differences_match_oracle(self, rng, method, case):
-        """`ys` None, the differences of xs: the transform keeps the lags d >= 0
-        and mirrors them for a window that starts below 0."""
-        xs = {
+        """`ys` None, the differences of xs, over windows of lags d >= 0 (the
+        transform keeps only those); `rep_diff` gives the whole window
+        [-span, span], as sums against the reflected set."""
+        X = {
             "random": lambda: make_random_set(rng, 3 * 10**5, 900),
             "squares": lambda: squares_up_to(10**6),
             "one": lambda: iset(100, [37]),
             "two": lambda: iset(10**6, [5, 3 * 10**5]),
-        }[case]().elements
+        }[case]()
+        xs = X.elements
         span = int(xs[-1] - xs[0])
         full = count_direct_oracle(xs, -xs[::-1], -span, 2 * span + 1)
         block = energy._BLOCK
         windows = [
-            (-span, span),                    # every difference
+            (0, span),                        # every lag
             (1, span),                        # d >= 1, as the callers ask
-            (-block - 3, block // 2),         # across 0
+            (0, block // 2),                  # cuts the first block
             (0, 0),
             (block, 2 * block - 1),
             (span, span),
             (5, 4),                           # empty
         ]
         for a, b in windows:
-            a, b = max(a, -span), min(b, span)
+            b = min(b, span)
             backend, counts = streamed(xs, None, a, b, method)
             assert (counts == full[a + span : b + span + 1]).all(), (a, b)
             if method != "auto":
                 assert backend == method or a > b
+        rep = rep_diff(X, X, method=method)
+        assert rep.offset == -span and (rep.counts == full).all()
 
     @pytest.mark.parametrize("diff", [False, True])
     def test_differences_take_one_spectrum(self, monkeypatch, rng, diff):
@@ -932,9 +936,15 @@ class TestDispatch:
             return out
 
         monkeypatch.setattr(np.fft, "irfft", shifted)
-        rep = rep_diff(X, X, method="fft")
-        assert rep.backend == "fft-fallback"
-        assert (rep.counts == rep_diff(X, X, method="direct").counts).all()
+        verdicts = []
+        lags_verified = energy._lags_verified
+        monkeypatch.setattr(energy, "_lags_verified",
+                            lambda *args: verdicts.append(lags_verified(*args)) or verdicts[-1])
+        # the lags asked for as such, which take the one-spectrum checks
+        backend, counts = streamed(xs, None, 0, span, "fft")
+        assert verdicts == [False]
+        assert backend == "fft-fallback"
+        assert (counts == true).all()
 
     SHAPES = {
         "dense": lambda: IntegerSet.from_elements(

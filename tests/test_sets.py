@@ -108,8 +108,24 @@ class TestIntegerSet:
         lambda: quadratic_image(-1, 0, 10**10, 10**10),          # two x ranges
         lambda: sidon_set(2999, 2 * 2999**2 + 2999),
         lambda: sidon_set(int(sieve_primes(2236)[-1]), 10**7),
+        lambda: squares_up_to(10**8),                            # 10^4 squares
+        # the Python-int path (N >= 2^63): 6,075 x, distinct values below
+        # 2^63.  Its count is the peak just after the Python set's table
+        # grows; at other counts of x the set's share is smaller, down to
+        # about half, and counted <= 2 peak can fail
+        lambda: quadratic_image(10**12, 1, 1, 2**63),
+        # every value survives (eps = 20 allows every class); when few
+        # survive, the two byte masks are all that is made, 2 of the 17
+        # bytes counted per value, and counted <= 2 peak fails
+        lambda: residue_avoiding_random(10**6, EpsilonSpec.constant(Fraction(20)), 31, 0,
+                                        strategy="uniform"),
+        # the residues and the counts modulo 10^6 + 3; the 40 KB input set,
+        # made inside the trace, is the rest of the peak
+        lambda: occupancy(squares_up_to(25 * 10**6), 10**6 + 3),
     ])
     def test_constructions_count_their_peak(self, monkeypatch, build):
+        """Counted against traced at a stated shape: peak <= counted + 64 KiB
+        and counted <= 2 peak."""
         counted = []
         monkeypatch.setattr(sets, "check_allocation", lambda nbytes, what: counted.append(nbytes))
         tracemalloc.start()

@@ -1,3 +1,4 @@
+import itertools
 import math
 import sys
 import tracemalloc
@@ -585,6 +586,60 @@ def every_difference(D, E):
         yield np.arange(start, min(start + _GROUP, E + 1), dtype=np.int64)
 
 
+def enumerators(R):
+    """The three lookup consumers' enumerators over R, each with a brute-force
+    listing of its values: route (ii)'s n^2 - m^2, 1 <= m < n <= R; route
+    (iii)'s parity-matched uv, v >= u + 2, u + v <= 2R; the divisor sum's
+    uv, u < v <= R."""
+    u = np.arange(1, R, dtype=np.int64)
+    return {
+        "square-differences": (sieve_module._square_differences(np.arange(1, R + 1, dtype=np.int64) ** 2),
+                               [n * n - m * m for m in range(1, R) for n in range(m + 1, R + 1)]),
+        "factor-pairs": (sieve_module._products(u, u + 2, 2 * R - u, 2),
+                         [a * b for a in range(1, R) for b in range(a + 2, 2 * R - a + 1, 2)]),
+        "divisor-products": (sieve_module._products(u, u + 1, R),
+                             [a * b for a in range(1, R) for b in range(a + 1, R + 1)]),
+    }
+
+
+class TestEnumerators:
+    """`_square_differences` and `_products` (steps 2 and 1) against a listing
+    of their values, with multiplicity, window by window."""
+
+    @staticmethod
+    def check(values, listing, D, E):
+        groups = list(values(D, E))
+        for ds in groups:
+            assert ds.dtype == np.int64 and 0 < len(ds) <= _GROUP
+        got = np.sort(np.concatenate(groups)) if groups else []
+        want = np.sort(listing)
+        want = want[(want >= D) & (want <= E)]
+        assert len(got) == len(want) and (got == want).all(), (D, E)
+
+    @pytest.mark.parametrize("name", ["square-differences", "factor-pairs", "divisor-products"])
+    @pytest.mark.parametrize("R", [1, 2, 3, 9])
+    def test_every_small_window(self, name, R):
+        # every [D, E] with 1 <= D <= E + 1 <= top + 2: D = 1, empty windows,
+        # each end on a value and one below and above it, and windows past
+        # the range of the first rows (whose v or n are used up) or of all
+        values, listing = enumerators(R)[name]
+        top = max(listing, default=0)
+        for D in range(1, top + 3):
+            for E in range(D - 1, top + 2):
+                self.check(values, listing, D, E)
+
+    @pytest.mark.parametrize("name", ["square-differences", "factor-pairs", "divisor-products"])
+    def test_windows_ending_on_a_value(self, name):
+        values, listing = enumerators(300)[name]
+        distinct = sorted(set(listing))
+        ends = distinct[:3] + distinct[1000::7919] + distinct[-3:]
+        listing = np.array(listing, dtype=np.int64)
+        for D, E in itertools.combinations_with_replacement(ends, 2):
+            for a, b in itertools.product((-1, 0, 1), repeat=2):
+                if 1 <= D + a <= E + b + 1:
+                    self.check(values, listing, D + a, E + b)
+
+
 class TestDifferenceTable:
     @pytest.mark.parametrize(
         "make",
@@ -649,12 +704,6 @@ class TestDifferenceTable:
         got = DifferenceTable(A, max_diff).lookup(every_difference, sampled, sampled)
         want = int(oracle.lookup(probe).sum()), int(oracle.lookup(sample).sum())
         assert got == (want[0], want[1], want[1])
-
-    def test_isqrt_exact(self):
-        # around k^2 for k up to 2^31 - 1, where the float root can be off by one
-        k = np.array([1, 2, 3, 1000, 31623, 2**26 + 1, 2**30 - 1, 2**30, 2**31 - 1], dtype=np.int64)
-        x = np.concatenate([k * k - 1, k * k, k * k + 1, k * k + 2 * k, [0, 2, 3]])
-        assert sieve_module._isqrt(x).tolist() == [math.isqrt(int(v)) for v in x]
 
     @pytest.mark.parametrize("backend", ["direct", "fft"])
     def test_lookup_counted_bytes_cover_peak(self, monkeypatch, backend):
