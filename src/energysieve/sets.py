@@ -132,17 +132,14 @@ def quadratic_image(a: int, b: int, c: int, N: int) -> IntegerSet:
         xs = [range(outer[0], inner[0]), range(inner[1] + 1, outer[1] + 1)]
     count = sum(r.stop - r.start for r in xs)  # len() overflows past 2^63
     values = (a * x * x + b * x + c for x in itertools.chain(*xs))
-    what = f"quadratic image over {count} values of x"
-    if N < 2**63:
-        # the values lie in [1, N], so in int64: per x, the value, sorted in
-        # place, a mask of first occurrences and the kept value; then the
-        # kept values, the set's copy and its order check
-        check_allocation(17 * count, what)
-        return IntegerSet.from_elements(N, _distinct(np.fromiter(values, np.int64, count)))
-    # before the generator is drawn: per x, one int and its share of the set
-    # that from_elements sorts, up to 168 bytes as the set's table grows
-    check_allocation(168 * count, what)
-    return IntegerSet.from_elements(N, values)
+    # per x: the value, sorted in place, a mask of first occurrences and the
+    # kept value; then the kept values, the set's copy and its order check
+    check_allocation(17 * count, f"quadratic image over {count} values of x")
+    try:
+        distinct = _distinct(np.fromiter(values, np.int64, count))
+    except OverflowError:  # a value in [2^63, N]: a set holds int64 elements
+        raise ValueError(f"quadratic image has a value outside [1, {2**63 - 1}]") from None
+    return IntegerSet.from_elements(N, distinct)
 
 
 def _at_most(a: int, b: int, c: int, t: int) -> tuple[int, int]:
@@ -214,9 +211,9 @@ def residue_avoiding_random(
         raise ValueError("N must be positive")
     if strategy not in ("qr", "uniform"):
         raise ValueError(f"unknown strategy {strategy!r}")
-    # the keep mask and a tiled class mask per prime; then, with the keep mask,
-    # the survivors' int64 indices and the set's copy of them
-    check_allocation(17 * (N + 1), f"residue filter of [1, {N}]")
+    # the keep mask, and per prime p <= P its class mask (p bytes) and the
+    # mask tiled over [0, N] (under N + 1 + p bytes)
+    check_allocation(2 * (N + 1) + 2 * prime_bound, f"residue filter of [1, {N}]")
     rng = random.Random(seed)
     keep = np.ones(N + 1, dtype=bool)
     keep[0] = False
@@ -230,6 +227,10 @@ def residue_avoiding_random(
         ok = np.zeros(p, dtype=bool)
         ok[allowed] = True
         keep &= np.tile(ok, -(-(N + 1) // p))[: N + 1]  # ok[n % p] for n = 0..N
+    # with the keep mask, per survivor its int64 index, the set's copy of it
+    # and one byte of the copy's order check
+    kept = int(np.count_nonzero(keep))
+    check_allocation(N + 1 + 17 * kept, f"{kept} survivors of the residue filter of [1, {N}]")
     out = IntegerSet.from_elements(N, np.flatnonzero(keep))
     if len(out) == 0:
         warnings.warn(

@@ -241,8 +241,9 @@ def divisor_sum_partition(A: IntegerSet, N: int) -> DivisorSumTrace:
     n = len(elems)
     # index, then per modulus the key, the class base, the window queries and
     # their search result (the run keys, run starts and change mask reuse
-    # their space); and each of the radius rows kept, 154 bytes measured
-    check_allocation(8 * 5 * n + 160 * radius, f"partition scan of {n} elements, {radius} rows")
+    # their space); and each of the radius rows kept, 201-209 bytes measured
+    # at 2,000-10,000 rows, with their counts as Python ints
+    check_allocation(8 * 5 * n + 216 * radius, f"partition scan of {n} elements, {radius} rows")
     if radius > PARTITION_MODULI_GUARD:
         raise ResourceLimitError(
             f"partition scan over {radius} moduli exceeds guard {PARTITION_MODULI_GUARD}"

@@ -108,6 +108,20 @@ class TestSievePrimes:
             tracemalloc.stop()
         assert peak <= counted[0]
 
+    @pytest.mark.parametrize("limit", [10**6, 10**7])
+    def test_counted_against_traced(self, monkeypatch, limit):
+        import energysieve.arith as arith
+
+        counted = []
+        monkeypatch.setattr(arith, "check_allocation", lambda nbytes, what: counted.append(nbytes))
+        tracemalloc.start()
+        try:
+            arith.sieve_primes(limit)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= max(counted) + 2**16 and max(counted) <= 2 * peak
+
     def test_cap_refuses_before_sieving(self, monkeypatch):
         monkeypatch.setenv(MEMORY_CAP_ENV, str(10**6))
         with pytest.raises(ResourceLimitError):

@@ -165,6 +165,34 @@ class TestResourceRefusals:
                    "--N", "100", "--out", str(out)) == 0
         assert list(read_set(out)) == [100]
 
+    def test_few_survivors_counted_as_kept(self, tmp_path, monkeypatch):
+        # 1,319 of 10^6 values survive: about 2 bytes per value, not 17
+        monkeypatch.setenv(MEMORY_CAP_ENV, str(4 * 10**6))
+        out = tmp_path / "r.txt"
+        assert run("gen", "random-avoiding", "--N", str(10**6), "--P", "31",
+                   "--strategy", "uniform", "--out", str(out)) == 0
+        assert len(read_set(out)) == 1319
+
+    def test_quadratic_value_beyond_int64_exit2(self, tmp_path, capsys):
+        # x^2 + 2^63 - 10 <= 2^63 + 100 for |x| <= 10; x = 4 gives 2^63 + 6
+        out = tmp_path / "q.txt"
+        assert run("gen", "quadratic", "--a", "1", "--b", "0", "--c", str(2**63 - 10),
+                   "--N", str(2**63 + 100), "--out", str(out)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: quadratic image has a value outside [1, {2**63 - 1}]\n"
+        assert not out.exists()
+
+    def test_quadratic_cap_beyond_int64_when_values_fit(self, tmp_path):
+        # 2^63 - 1 + 3x - 10^12 x^2 >= 1 for 6,075 values of x, all below 2^63
+        wide, narrow = tmp_path / "wide.txt", tmp_path / "narrow.txt"
+        for N, out in ((2**64, wide), (2**63 - 1, narrow)):
+            assert run("gen", "quadratic", "--a", str(-10**12), "--b", "3", "--c", str(2**63 - 1),
+                       "--N", str(N), "--out", str(out)) == 0
+        A, B = read_set(wide), read_set(narrow)
+        assert (A.cap, B.cap) == (2**64, 2**63 - 1) and len(A) == 6075
+        assert A.elements.tolist() == B.elements.tolist()
+
 
 class TestEnergy:
     def test_tiny_fixture(self, tmp_path):

@@ -109,19 +109,16 @@ class TestIntegerSet:
         lambda: sidon_set(2999, 2 * 2999**2 + 2999),
         lambda: sidon_set(int(sieve_primes(2236)[-1]), 10**7),
         lambda: squares_up_to(10**8),                            # 10^4 squares
-        # the Python-int path (N >= 2^63): 6,075 x, distinct values below
-        # 2^63.  Its count is the peak just after the Python set's table
-        # grows; at other counts of x the set's share is smaller, down to
-        # about half, and counted <= 2 peak can fail
-        lambda: quadratic_image(10**12, 1, 1, 2**63),
-        # every value survives (eps = 20 allows every class); when few
-        # survive, the two byte masks are all that is made, 2 of the 17
-        # bytes counted per value, and counted <= 2 peak fails
+        # N >= 2^63 with every value below 2^63: 19,207 x, counted as any N
+        lambda: quadratic_image(10**11, 1, 1, 2**63),
+        # every value survives (eps = 20 allows every class)
         lambda: residue_avoiding_random(10**6, EpsilonSpec.constant(Fraction(20)), 31, 0,
                                         strategy="uniform"),
         # the residues and the counts modulo 10^6 + 3; the 40 KB input set,
         # made inside the trace, is the rest of the peak
         lambda: occupancy(squares_up_to(25 * 10**6), 10**6 + 3),
+        # 1,319 of 10^6 values survive: the two byte masks are the peak
+        lambda: residue_avoiding_random(10**6, EPS_HALF, 31, 0, strategy="uniform"),
     ])
     def test_constructions_count_their_peak(self, monkeypatch, build):
         """Counted against traced at a stated shape: peak <= counted + 64 KiB
@@ -134,7 +131,7 @@ class TestIntegerSet:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(A) > 2000 and peak <= max(counted) + 2**16
+        assert len(A) > 1000 and peak <= max(counted) + 2**16
         assert max(counted) <= 2 * peak
 
     @pytest.mark.parametrize("build, message", [
@@ -287,8 +284,8 @@ class TestQuadraticImage:
         (-10**15, 10**7, 2**63 - 2, 2**70),      # |x| <= 96
     ])
     def test_int64_path_matches_set_path(self, a, b, c, N):
-        # every value in [1, N] lies below 2^63: N >= 2^63 takes the set path,
-        # N = 2^63 - 1 the int64 path, and both give the same elements
+        # every value in [1, N] lies below 2^63, so a cap N >= 2^63 gives the
+        # same elements as the cap 2^63 - 1
         wide, narrow = quadratic_image(a, b, c, N), quadratic_image(a, b, c, 2**63 - 1)
         assert len(wide) > 1 and wide.elements.dtype == narrow.elements.dtype == np.int64
         assert (wide.elements == narrow.elements).all()
@@ -305,6 +302,7 @@ class TestQuadraticImage:
             assert list(quadratic_image(a, b, c, N)) == list(expected), (a, b, c, N)
 
     def test_values_beyond_int64_refused_on_the_set_path(self):
+        # a set holds int64 elements, so N >= 2^63 admits no value past 2^63 - 1
         with pytest.raises(ValueError, match="outside"):
             quadratic_image(1, 0, 2**63 - 10, 2**63 + 100)  # x^2 = 100 gives 2^63 + 90
 
@@ -570,9 +568,8 @@ class TestResidueAvoiding:
     def test_counted_bytes_cover_peak(self, monkeypatch, eps):
         # a large eps allows every class, so every value survives: the worst case
         N = 10**6
-        counted = {}
-        monkeypatch.setattr(sets, "check_allocation",
-                            lambda nbytes, what: counted.setdefault(what, nbytes))
+        counted = []
+        monkeypatch.setattr(sets, "check_allocation", lambda nbytes, what: counted.append(nbytes))
         tracemalloc.start()
         try:
             A = residue_avoiding_random(N, eps, 31, seed=0, strategy="uniform")
@@ -580,7 +577,15 @@ class TestResidueAvoiding:
         finally:
             tracemalloc.stop()
         assert (len(A) == N) == (eps is not EPS_HALF)
-        assert peak <= counted[f"residue filter of [1, {N}]"] + 2**16
+        assert len(counted) == 2 and peak <= max(counted) + 2**16
+
+    @pytest.mark.parametrize("P", [100, 1000])
+    def test_qr_filter_keeps_the_even_squares(self, P):
+        # class 0 mod 2, and mod every odd p <= P all (p + 1) / 2 squares:
+        # of [1, 10^6] only the even squares are squares mod every such p
+        A = residue_avoiding_random(10**6, EPS_HALF, P, 0, strategy="qr")
+        assert A.cap == 10**6
+        assert A.elements.tolist() == [(2 * k) ** 2 for k in range(1, 501)]
 
     def test_empty_result_warns(self):
         # tiny interval, many congruence conditions: nothing survives

@@ -394,6 +394,21 @@ class TestDivisorSums:
             tracemalloc.stop()
         assert counted and peak <= max(counted) + 2**16
 
+    @pytest.mark.parametrize("N", [4 * 10**6, 10**7])
+    def test_partition_counted_against_traced_on_the_squares(self, monkeypatch, N):
+        # 2,000 and 3,162 rows, most of whose counts are Python ints of their own
+        A = squares_up_to(N)
+        counted = []
+        monkeypatch.setattr(sieve_module, "check_allocation",
+                            lambda nbytes, what: counted.append(nbytes))
+        tracemalloc.start()
+        try:
+            divisor_sum_partition(A, N)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= max(counted) + 2**16 and max(counted) <= 2 * peak
+
     def test_partition_cap_refuses(self, monkeypatch):
         from energysieve.errors import ResourceLimitError
         from energysieve.limits import MEMORY_CAP_ENV
