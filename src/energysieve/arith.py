@@ -46,44 +46,51 @@ __all__ = [
 # Prime generation
 # ---------------------------------------------------------------------------
 
-_SEGMENT = 1 << 20  # values sieved at a time
+_SEGMENT = 1 << 20  # odd values sieved at a time
 
 
 def sieve_primes(limit: int) -> np.ndarray:
     """The primes in [2, limit], ascending, as a read-only int64 array: a
-    segmented sieve of Eratosthenes.  Iterate it through `.tolist()`, so that
-    exact arithmetic gets Python ints."""
+    segmented sieve of Eratosthenes over the odd numbers past sqrt(limit).
+    Iterate it through `.tolist()`, so that exact arithmetic gets Python ints."""
     if limit < 0:
         raise ValueError("limit must be nonnegative")
     if limit > SIEVE_LIMIT_CAP:
         raise ResourceLimitError(f"sieve limit {limit} exceeds cap {SIEVE_LIMIT_CAP}")
 
-    root = math.isqrt(limit)
+    # the base sieve reaches 2 whenever limit does, so that the segments hold odd values only
+    root = max(math.isqrt(limit), min(limit, 2))
     # the base and segment flags, and 16 bytes per prime: the chunks (each made
     # in place) and their concatenation are both alive at the end;
     # pi(x) < 1.26 x / ln x (Rosser and Schoenfeld 1962)
     count = int(1.26 * limit / math.log(max(limit, 2))) + 1
-    check_allocation(root + 1 + min(_SEGMENT, limit) + 16 * count, f"primes up to {limit}")
+    check_allocation(root + 1 + min(_SEGMENT, limit // 2) + 16 * count, f"primes up to {limit}")
     base = np.ones(root + 1, dtype=bool)
     base[:2] = False
     for p in range(2, math.isqrt(root) + 1):
         if base[p]:
             base[p * p :: p] = False
     base_primes = np.flatnonzero(base)
+    odd_primes = base_primes[1:].tolist()
 
     chunks = [base_primes]
-    lo = root + 1
+    lo = (root + 1) | 1
     while lo <= limit:
-        hi = min(lo + _SEGMENT - 1, limit)
-        seg = np.ones(hi - lo + 1, dtype=bool)
-        for p in base_primes.tolist():
-            start = max(p * p, ((lo + p - 1) // p) * p)
-            if start <= hi:
-                seg[start - lo :: p] = False
+        # entry i of the segment stands for the odd value lo + 2i
+        size = min(_SEGMENT, (limit - lo) // 2 + 1)
+        hi = lo + 2 * size
+        seg = np.ones(size, dtype=bool)
+        for p in odd_primes:
+            if p * p >= hi:
+                break
+            start = max(p * p, -(-lo // p) * p)
+            start += p * (start % 2 == 0)  # the first odd multiple
+            seg[(start - lo) // 2 :: p] = False
         found = np.flatnonzero(seg)
+        found *= 2
         found += lo
         chunks.append(found)
-        lo = hi + 1
+        lo = hi
     primes = np.concatenate(chunks)
     primes.setflags(write=False)
     return primes
@@ -242,21 +249,27 @@ def is_squarefree(n: int) -> bool:
 # ---------------------------------------------------------------------------
 
 # values of n sieved and summed at a time by _partial_sums
-_SERIES_SEGMENT = 1 << 17
-# Bytes per value of a segment live at its peak, the last step of its sieve:
-# delta(n) as float64, the squarefree mask, the int64 cofactor, the float64
-# factor of the cofactor and the bool mask of cofactors > 1.  The term columns
-# built afterwards keep at most three 8-byte arrays and the mask live at once.
-_SERIES_BYTES = 8 + 1 + 8 + 8 + 1
-# Bytes held per prime up to sqrt(x) through the pass: its int64 entry in the
-# sieve's output, its Python int and the small float64 array of its factors
-# (an ndarray header near 112 bytes, 8 per factor)
-_BASE_PRIME_BYTES = 256
+_SERIES_SEGMENT = 1 << 15
+# Bytes per value of a segment live at its peak: delta(n) as float64 and the
+# squarefree mask with, at the end of the sieve, the float64 product of the
+# sieved prime powers and the float64 cofactor, and in the T terms the int64 n^2
+# and the float64 n^2/delta(n)
+_SERIES_BYTES = 8 + 1 + 8 + 8
+# Bytes per entry of a segment's ragged multiples of the large primes: the
+# int64 positions and one float64 column of prime powers or of factors
+_RAGGED_BYTES = 8 + 8
+# Bytes held per prime up to sqrt(x) through the pass: a small prime's int64
+# entry in the sieve's output, its Python int and the small float64 array of
+# its factors (an ndarray header near 112 bytes, 8 per factor); a large prime's
+# int64 entry, its float64 factor and its entries in the dozen 8-byte arrays
+# made over the large primes in each segment
+_SMALL_PRIME_BYTES = 256
+_LARGE_PRIME_BYTES = 128
 # terms split and binned at a time by _ExactSum
 _PREFIX_BLOCK = 1 << 12
 # Bytes per term of one block's scratch: the frexp mantissa and exponent, the
-# scaled mantissa, its high half, one ldexp temporary and bincount's intp copy
-# of the exponents
+# exponents as intp bin numbers, the class offsets, the high half and one
+# product temporary
 _BLOCK_TERM_BYTES = 8 + 4 + 8 + 8 + 8 + 8
 # terms binned between two folds of the bins into one integer: each bin then
 # sums fewer than 2^26 halves of a mantissa below 2^27, below 2^53
@@ -268,34 +281,42 @@ _MAX_SQUARE_ROOT = math.isqrt(np.iinfo(np.int64).max)
 
 
 class _ExactSum:
-    """Running sum of float64 terms, read as the float nearest the exact sum.
+    """Running sums of float64 terms in disjoint classes, read as the float
+    nearest the exact sum of the terms of one class or of all of them.
 
     Each finite float64 term is M * 2^(e - 53) with M = frexp mantissa * 2^53 an
     integer, |M| < 2^53.  M splits into a high half below 2^27 in magnitude and a
-    low half in [0, 2^26); each half is summed per exponent by a float64
-    bincount, which is exact while every bin stays below 2^53.  On each read and
-    every _FOLD_TERMS terms the bins are folded into one Python integer, the
-    exact sum in units of 2^(_MIN_EXPONENT - 53), and cleared.  One int true
-    division rounds it correctly, as math.fsum rounds, so the values are
-    identical, whatever the order the terms come in.
+    low half in [0, 2^26); each half is summed per class and exponent by one
+    float64 bincount over all the classes, which is exact while every bin stays
+    below 2^53.  On each read and every _FOLD_TERMS terms the bins are folded
+    into one Python integer per class, the exact sum in units of
+    2^(_MIN_EXPONENT - 53), and cleared.  One int true division of a sum of
+    these rounds it correctly, as math.fsum rounds, so the values are identical,
+    whatever the order the terms come in.
     """
 
-    def __init__(self):
-        self.total = 0
-        self.bins = np.zeros((2, _EXPONENT_BINS))
+    def __init__(self, classes: int = 1):
+        self.totals = [0] * classes
+        self.bins = np.zeros((2, classes * _EXPONENT_BINS))
         self.binned = 0
 
-    def add(self, terms: np.ndarray) -> None:
+    def add(self, terms: np.ndarray, labels: np.ndarray | None = None) -> None:
+        """Add the terms, each to the class `labels` gives it (class 0 without)."""
         start = 0
         while start < len(terms):
             stop = min(len(terms), start + _PREFIX_BLOCK, start + _FOLD_TERMS - self.binned)
             mantissa, exponent = np.frexp(terms[start:stop])
-            mantissa = np.ldexp(mantissa, 53)
-            high = np.floor(np.ldexp(mantissa, -26))
-            mantissa -= np.ldexp(high, 26)
-            exponent -= _MIN_EXPONENT
-            self.bins[0] += np.bincount(exponent, weights=high, minlength=_EXPONENT_BINS)
-            self.bins[1] += np.bincount(exponent, weights=mantissa, minlength=_EXPONENT_BINS)
+            bins = exponent.astype(np.intp)
+            bins -= _MIN_EXPONENT
+            if labels is not None:
+                bins += labels[start:stop] * _EXPONENT_BINS
+            high = mantissa * 2.0**27
+            np.floor(high, out=high)
+            mantissa *= 2.0**53
+            mantissa -= high * 2.0**26
+            size = self.bins.shape[1]
+            self.bins[0] += np.bincount(bins, weights=high, minlength=size)
+            self.bins[1] += np.bincount(bins, weights=mantissa, minlength=size)
             self.binned += stop - start
             start = stop
             if self.binned == _FOLD_TERMS:
@@ -303,37 +324,52 @@ class _ExactSum:
 
     def _fold(self) -> None:
         for b in np.flatnonzero(self.bins.any(axis=0)).tolist():
-            self.total += (int(self.bins[0, b]) << (b + 26)) + (int(self.bins[1, b]) << b)
+            c, e = divmod(b, _EXPONENT_BINS)
+            self.totals[c] += (int(self.bins[0, b]) << (e + 26)) + (int(self.bins[1, b]) << e)
         self.bins[:] = 0
         self.binned = 0
 
-    def value(self) -> float:
+    def value(self, label: int | None = None) -> float:
+        """The float nearest the exact sum of the terms of class `label`, or of all."""
         self._fold()
-        return self.total / (1 << (53 - _MIN_EXPONENT))
+        total = sum(self.totals) if label is None else self.totals[label]
+        return total / (1 << (53 - _MIN_EXPONENT))
 
 
 def _delta_segment(
-    lo: int, hi: int, factors: list[tuple[int, np.ndarray]], default: float, beyond: dict[int, float]
+    lo: int,
+    hi: int,
+    small: list[tuple[int, np.ndarray]],
+    large: tuple[np.ndarray, np.ndarray],
+    default: float,
+    beyond: dict[int, float],
 ) -> tuple[np.ndarray, np.ndarray]:
     """delta(n) as float64 and the squarefree mask for n in [lo, hi), lo >= 1.
 
-    A sieve over the primes p <= sqrt(x), in ascending order, each with its
-    factors[k] = p^(k-1) * (p/2 + eps(p)): the entries with p^k || n are
-    multiplied by factors[k].  What is left of n is 1 or a single prime
-    P > sqrt(x), applied last with the factor P/2 + eps(P); `beyond` holds the
-    overridden P/2 + eps(P).  Each entry starts at 1.0 and takes its prime-power
-    factors in ascending prime order, which is the float product of the
-    factorization, left to right.  Since lo >= 1, the first multiple of p^k at
-    or after lo is at least p^k.
+    A sieve over the primes p <= sqrt(x), in ascending order.  Each small prime
+    comes with its factors[k] = p^(k-1) * (p/2 + eps(p)): the entries with
+    p^k || n are multiplied by factors[k], stride by stride.  The large primes,
+    those with p^2 above the segment length, come as one int64 array and one of
+    p/2 + eps(p); each has at most one multiple of p^2 here, so all their
+    multiples are taken at once as one ragged array of positions, prime after
+    prime, and applied by one `np.multiply.at`, which takes repeated positions
+    in array order.  What is left of n is 1 or a single prime P > sqrt(x),
+    applied last with the factor P/2 + eps(P); `beyond` holds the overridden
+    P/2 + eps(P).  Each entry starts at 1.0 and takes its prime-power factors in
+    ascending prime order, which is the float product of the factorization,
+    left to right.  Since lo >= 1, the first multiple of p^k at or after lo is
+    at least p^k.
     """
     d = np.ones(hi - lo)
     squarefree = np.ones(hi - lo, dtype=bool)
-    rest = np.arange(lo, hi, dtype=np.int64)
-    for p, table in factors:
+    # the product of the p^k || n over the primes p <= sqrt(x): it divides
+    # n < 2^53, so it is exact in float64
+    sieved = np.ones(hi - lo)
+    for p, table in small:
         first = -(-lo // p) * p
         if first >= hi:
             continue
-        rest[first - lo :: p] //= p
+        sieved[first - lo :: p] *= p
         q = p * p
         start = -(-lo // q) * q
         if start >= hi:  # no multiple of p^2 here: every exponent of p is 1
@@ -345,13 +381,17 @@ def _delta_segment(
         k = np.ones((hi - 1 - first) // p + 1, dtype=np.int8)
         while start < hi:
             k[(start - first) // p :: q // p] += 1
-            rest[start - lo :: q] //= p
+            sieved[start - lo :: q] *= p
             q *= p
             start = -(-lo // q) * q
         d[first - lo :: p] *= table[k]
-    big = rest > 1
-    factor = rest / 2.0
-    del rest
+    _sieve_large(lo, hi, *large, d, squarefree, sieved)
+    # what is left of n, 1 or a prime P > sqrt(x), by one exact division
+    factor = np.arange(lo, hi, dtype=np.float64)
+    factor /= sieved
+    del sieved
+    big = factor > 1
+    factor /= 2.0
     factor += default
     for q, f in beyond.items():
         start = -(-lo // q) * q
@@ -361,37 +401,89 @@ def _delta_segment(
     return d, squarefree
 
 
+def _sieve_large(
+    lo: int, hi: int, primes: np.ndarray, f: np.ndarray,
+    d: np.ndarray, squarefree: np.ndarray, sieved: np.ndarray,
+) -> None:
+    """Apply the large primes, each with p^2 > hi - lo and f = p/2 + eps(p), to
+    the arrays of `_delta_segment` over [lo, hi), in place."""
+    first = -(-lo // primes) * primes
+    count = (hi - 1 - first) // primes + 1  # multiples of p in [lo, hi)
+    live = count > 0
+    if not live.any():
+        return
+    primes, f, first, count = primes[live], f[live], first[live] - lo, count[live]
+    rows = np.cumsum(count)
+    rows -= count  # where each prime's multiples start in the ragged array
+    # positions by a running sum of steps: p within a row, and from the last
+    # multiple of the previous prime to the first of the next across rows
+    at = np.repeat(primes, count)
+    last = first + (count - 1) * primes
+    at[rows[1:]] = first[1:] - last[:-1]
+    at[0] = first[0]
+    np.cumsum(at, out=at)
+    # the one multiple of p^2 here, if any, and the exponent of p in it
+    power = primes * primes
+    square = -(-lo // power) * power
+    hit = np.flatnonzero(square < hi)
+    p, power, square = primes[hit], power[hit], square[hit]
+    left = square // power
+    while (more := np.flatnonzero(left % p == 0)).size:
+        left[more] //= p[more]
+        power[more] *= p[more]
+    index = rows[hit] + (square - lo - first[hit]) // p
+    squarefree[square - lo] = False
+    powers = np.repeat(primes.astype(np.float64), count)
+    powers[index] = power
+    np.multiply.at(sieved, at, powers)
+    del powers
+    factors = np.repeat(f, count)
+    # p^(k-1) * (p/2 + eps(p)) at p^k || n, rounded once, as in the small tables
+    factors[index] = (power // p) * f[hit]
+    np.multiply.at(d, at, factors)
+
+
 def _partial_sums(xs: Sequence[int], eps: EpsilonSpec) -> tuple[tuple[float, ...], ...]:
     """For each x in xs: M(x), T(x) over squarefree n, and T(x) over all n <= x.
 
     One pass over n = 1..max(xs) in segments of at most _SERIES_SEGMENT values,
     each x ending one: `_delta_segment` sieves each segment over the primes up to
-    sqrt(max(xs)), and three `_ExactSum`s take its terms 1/delta(n) and
-    n^2/delta(n).  The working set is one segment's, fixed whatever x is.  Each
-    value is the float nearest the exact sum of its terms, as math.fsum gives it.
+    sqrt(max(xs)), one `_ExactSum` takes its terms 1/delta(n) over squarefree n
+    and one more its terms n^2/delta(n), over all n and, through the squarefree
+    mask, over squarefree n.  The working set is one segment's, fixed whatever x
+    is.  Each value is the float nearest the exact sum of its terms, as
+    math.fsum gives it.
     """
     top = max(xs)
     if top > _MAX_SQUARE_ROOT:
         raise ResourceLimitError(f"x = {top} is too large: n^2 would overflow int64")
     root = math.isqrt(top)
-    bases = int(1.26 * root / math.log(root)) + 1 if root > 1 else 0  # pi(root), as in sieve_primes
-    sums = [_ExactSum() for _ in range(3)]
+    segment = min(_SERIES_SEGMENT, top)
+    primes = sieve_primes(root)
+    # the small primes, p^2 <= segment, are sieved stride by stride; the rest as one vector
+    split = int(np.searchsorted(primes, math.isqrt(segment), side="right"))
+    large = primes[split:]
+    # multiples of the large primes in a segment: at most ceil(segment / p) each
+    ragged = int(np.sum((segment - 1) // large + 1))
+    m_sum, t_sums = _ExactSum(), _ExactSum(2)
     check_allocation(
-        _SERIES_BYTES * min(_SERIES_SEGMENT, top)
-        + _BASE_PRIME_BYTES * bases
-        + 3 * sums[0].bins.nbytes
+        _SERIES_BYTES * segment
+        + _RAGGED_BYTES * ragged
+        + _SMALL_PRIME_BYTES * split
+        + _LARGE_PRIME_BYTES * len(large)
+        + m_sum.bins.nbytes + t_sums.bins.nbytes
         + _BLOCK_TERM_BYTES * _PREFIX_BLOCK,
         "delta segment and partial-sum terms",
     )
-    primes = sieve_primes(root)
-    factors = []
-    for p in primes.tolist():
+    small = []
+    for p in primes[:split].tolist():
         f = p / 2.0 + float(eps.at(p))
         table, power = [1.0], 1
         while power * p <= top:  # p^(k-1) * (p/2 + eps(p)) for each p^k <= x
             table.append(power * f)
             power *= p
-        factors.append((p, np.array(table)))
+        small.append((p, np.array(table)))
+    large_factor = large / 2.0 + np.array([float(eps.at(p)) for p in large.tolist()])
     # the overridden primes q > sqrt(x), the first listed override winning: such
     # a q <= x is prime exactly when no prime up to sqrt(x) divides it
     beyond: dict[int, float] = {}
@@ -404,18 +496,18 @@ def _partial_sums(xs: Sequence[int], eps: EpsilonSpec) -> tuple[tuple[float, ...
     for x in sorted(set(xs)):
         while lo <= x:
             hi = min(lo + _SERIES_SEGMENT, x + 1)
-            d, squarefree = _delta_segment(lo, hi, factors, default, beyond)
-            t_all = np.arange(lo, hi, dtype=np.int64)
-            t_all *= t_all
-            t_all = t_all / d
+            d, squarefree = _delta_segment(lo, hi, small, (large, large_factor), default, beyond)
+            t = np.arange(lo, hi, dtype=np.int64)
+            t *= t
+            t = t / d
+            t_sums.add(t, squarefree)
+            del t
             d = d[squarefree]
             np.divide(1.0, d, out=d)
-            sums[0].add(d)
-            sums[1].add(t_all[squarefree])
-            sums[2].add(t_all)
-            del d, squarefree, t_all  # before the next segment is sieved
+            m_sum.add(d)
+            del d, squarefree  # before the next segment is sieved
             lo = hi
-        at[x] = tuple(s.value() for s in sums)
+        at[x] = (m_sum.value(), t_sums.value(1), t_sums.value())
     return tuple(zip(*(at[x] for x in xs)))
 
 

@@ -404,18 +404,23 @@ def _pair_counts(xs: np.ndarray, ys: np.ndarray | None, lo: int, hi: int, method
     left = np.searchsorted(ys, lo - xs)
     pairs = int((np.searchsorted(ys, hi + 1 - xs) - left).sum())
     if method == "auto":
-        # Estimated costs in nanoseconds, fitted to timings of both backends on
-        # squares and random sets (2-CPU x86-64, numpy 2.4): direct pays about
-        # 10 ns per pair in the window and 4 ns per window value (20 shapes,
-        # N = 1e5 to 1.2e7, pairs 1e5 to 9e8); the FFT, verification
-        # included, about 2.5 ns per size * log2(size) for each transform at
-        # its 5-smooth size (1.2 at 1.6e4, 1.8 to 2.7 from 6e4 to 6e6).  A
-        # set paired with itself gathers half the pairs; it and the
-        # differences of a set make two transforms instead of three.
-        direct_cost = 10 * pairs + 4 * (hi - lo + 1)
+        # Estimated costs in nanoseconds, fitted to best-of-3 timings of both
+        # backends in one process (2-CPU x86-64, numpy 2.4) on 27 shapes: the
+        # squares to 4e6 with themselves, and random sets of density 0.001 to
+        # 0.5 in [1, 6e4] to [1, 2e6] with themselves, with the squares and as
+        # differences (pairs 8e4 to 1.5e9).  Direct counting pays 7 ns per pair
+        # gathered and 1.5 ns per window value, the least-squares fit of the
+        # relative error.  The FFT, verification included, pays 0.8 to 2.3 ns
+        # per size * log2(size) for each transform at its 5-smooth size there,
+        # rising with the size, and 1.6 to 2.7 on the transforms of a dense set
+        # of 23k in [1, 2e5] (size 4e5); 2.5 is kept.  These weights pick the
+        # faster backend on 26 of the 27 shapes, missing one by 4 ms.  A set
+        # paired with itself gathers half the pairs; it and the differences of
+        # a set make two transforms instead of three.
+        direct_cost = 7 * pairs + 1.5 * (hi - lo + 1)
         fft_cost = 2.5 * (spectra + 1) * size * math.log2(size)
         if ys is xs:
-            direct_cost -= 5 * pairs
+            direct_cost -= 3.5 * pairs
         method = "fft" if fft_cost < direct_cost else "direct"
 
     backend = "direct"

@@ -92,8 +92,17 @@ class TestSievePrimes:
         assert len(table) == 25
 
     def test_crosses_default_segments(self):
-        # three segments of 2^20 values past sqrt(3e6)
+        # two segments of 2^20 odd values past sqrt(3e6)
         assert sieve_primes(3 * 10**6).tolist() == plain_sieve(3 * 10**6)
+
+    @pytest.mark.parametrize("segment", [1, 2, 7])
+    def test_short_odd_segments(self, monkeypatch, segment):
+        import energysieve.arith as arith
+
+        # every limit up to 400, odd and even, against segments of a few odd values
+        monkeypatch.setattr(arith, "_SEGMENT", segment)
+        for limit in range(400):
+            assert arith.sieve_primes(limit).tolist() == plain_sieve(limit), limit
 
     def test_counted_bytes_cover_peak(self, monkeypatch):
         import energysieve.arith as arith
@@ -370,6 +379,26 @@ class TestSegmentedPartialSums:
             assert tuple(c[0] for c in arith._partial_sums((x,), eps)) == want[x], x
         assert arith._partial_sums(grid, eps) == tuple(zip(*(want[x] for x in grid)))
 
+    # n = 3^3 * 5^2 * 7 * 11: in segments of 8 values every prime but 2 has
+    # p^2 above the segment length, so n takes p^3, p^2 and two more primes
+    # through the vector path
+    EDGE = 3**3 * 5**2 * 7 * 11
+
+    def test_large_prime_powers_at_segment_edges(self, monkeypatch):
+        import energysieve.arith as arith
+
+        # overrides on the large primes 3 (listed twice) and 53
+        eps = EPS_OVERRIDES
+        monkeypatch.setattr(arith, "_SERIES_SEGMENT", 8)
+        n = self.EDGE
+        union = [n - 5, n - 1, n, n + 7]
+        want = series_oracle(union, eps)
+        assert want == whole_table_sums(union, eps)
+        want = dict(zip(union, zip(*want)))
+        # each x ends a segment: n ends one of 5 values, then starts one of 8
+        for grid in [n - 5, n], [n - 1, n + 7]:
+            assert arith._partial_sums(grid, eps) == tuple(zip(*(want[x] for x in grid))), grid
+
     def test_peak_fixed_in_x(self):
         import energysieve.arith as arith
 
@@ -488,6 +517,20 @@ class TestPartialSumMemory:
         # what the per-entry count leaves out is a few small fixed buffers:
         # the primes up to sqrt(x) and the exponent bins of the prefix sums
         assert peak <= max(counted) + 2**16
+
+    @pytest.mark.parametrize("x", [10**5, 10**6])
+    def test_counted_against_traced(self, monkeypatch, x):
+        import energysieve.arith as arith
+
+        counted = []
+        monkeypatch.setattr(arith, "check_allocation", lambda nbytes, what: counted.append(nbytes))
+        tracemalloc.start()
+        try:
+            arith.t_partial_sum(x, EPS_OVERRIDES)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= max(counted) + 2**16 and max(counted) <= 2 * peak
 
 
 class TestPartialSums:
