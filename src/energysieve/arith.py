@@ -6,9 +6,10 @@ where eps is a nonnegative, uniformly bounded weight per prime.  Everything
 here is exact: the ceiling is evaluated in rational arithmetic whenever eps is
 rational, and floats appear only in the partial-sum reports.
 
-`sieve_primes` is the one source of primes.  `factorize` (and through it
-`delta` and `is_squarefree`) and `singular_series` take their primes from it
-and keep the tables they sieved, so no caller handles a prime table.
+`_prime_segments` is the one source of primes: `sieve_primes` concatenates its
+segments, and `factorize` (and through it `delta` and `is_squarefree`)
+trial-divides by them one segment at a time and keeps only the factorization,
+so no caller handles a prime table.
 """
 
 from __future__ import annotations
@@ -49,22 +50,13 @@ __all__ = [
 _SEGMENT = 1 << 20  # odd values sieved at a time
 
 
-def sieve_primes(limit: int) -> np.ndarray:
-    """The primes in [2, limit], ascending, as a read-only int64 array: a
-    segmented sieve of Eratosthenes over the odd numbers past sqrt(limit).
-    Iterate it through `.tolist()`, so that exact arithmetic gets Python ints."""
-    if limit < 0:
-        raise ValueError("limit must be nonnegative")
-    if limit > SIEVE_LIMIT_CAP:
-        raise ResourceLimitError(f"sieve limit {limit} exceeds cap {SIEVE_LIMIT_CAP}")
-
+def _prime_segments(limit: int):
+    """The primes in [2, limit], ascending, as int64 arrays: first the base
+    primes up to sqrt(limit), then the primes of each segment of _SEGMENT odd
+    values past it, each sieved only when asked for.  The caller checks limit
+    and counts the memory."""
     # the base sieve reaches 2 whenever limit does, so that the segments hold odd values only
     root = max(math.isqrt(limit), min(limit, 2))
-    # the base and segment flags, and 16 bytes per prime: the chunks (each made
-    # in place) and their concatenation are both alive at the end;
-    # pi(x) < 1.26 x / ln x (Rosser and Schoenfeld 1962)
-    count = int(1.26 * limit / math.log(max(limit, 2))) + 1
-    check_allocation(root + 1 + min(_SEGMENT, limit // 2) + 16 * count, f"primes up to {limit}")
     base = np.ones(root + 1, dtype=bool)
     base[:2] = False
     for p in range(2, math.isqrt(root) + 1):
@@ -72,8 +64,7 @@ def sieve_primes(limit: int) -> np.ndarray:
             base[p * p :: p] = False
     base_primes = np.flatnonzero(base)
     odd_primes = base_primes[1:].tolist()
-
-    chunks = [base_primes]
+    yield base_primes
     lo = (root + 1) | 1
     while lo <= limit:
         # entry i of the segment stands for the odd value lo + 2i
@@ -87,11 +78,33 @@ def sieve_primes(limit: int) -> np.ndarray:
             start += p * (start % 2 == 0)  # the first odd multiple
             seg[(start - lo) // 2 :: p] = False
         found = np.flatnonzero(seg)
+        del seg  # before the next segment's flags are made
         found *= 2
         found += lo
-        chunks.append(found)
+        yield found
         lo = hi
-    primes = np.concatenate(chunks)
+
+
+def _sieve_bytes(limit: int, per_prime: int, count_to: int) -> int:
+    """Bytes of the base sieve's flags, one segment's flags and per_prime bytes
+    per prime up to count_to, for the primes up to limit, which is refused
+    above SIEVE_LIMIT_CAP; pi(x) < 1.26 x / ln x (Rosser and Schoenfeld 1962)."""
+    if limit > SIEVE_LIMIT_CAP:
+        raise ResourceLimitError(f"sieve limit {limit} exceeds cap {SIEVE_LIMIT_CAP}")
+    flags = max(math.isqrt(limit), min(limit, 2)) + 1 + min(_SEGMENT, limit // 2)
+    return flags + per_prime * (int(1.26 * count_to / math.log(max(count_to, 2))) + 1)
+
+
+def sieve_primes(limit: int) -> np.ndarray:
+    """The primes in [2, limit], ascending, as a read-only int64 array: a
+    segmented sieve of Eratosthenes over the odd numbers past sqrt(limit).
+    Iterate it through `.tolist()`, so that exact arithmetic gets Python ints."""
+    if limit < 0:
+        raise ValueError("limit must be nonnegative")
+    # 16 bytes per prime: the chunks (each made in place) and their
+    # concatenation are both alive at the end
+    check_allocation(_sieve_bytes(limit, 16, limit), f"primes up to {limit}")
+    primes = np.concatenate(list(_prime_segments(limit)))
     primes.setflags(write=False)
     return primes
 
@@ -100,45 +113,36 @@ def sieve_primes(limit: int) -> np.ndarray:
 # Factoring
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=8)
-def _primes_to(limit: int) -> np.ndarray:
-    return sieve_primes(limit)
-
-
-_FACTOR_SEGMENT = 1 << 16  # primes tested against n at a time
-
-
 def factorize(n: int) -> tuple[tuple[int, int], ...]:
-    """n as its prime powers (p, k), p ascending and k >= 1; () for n = 1.
-
-    Trial division by the primes up to a power of two >= sqrt(n), sieved once
-    per such bound and kept.
-
-    The primes are tested a segment at a time in int64: a table exists only up
-    to SIEVE_LIMIT_CAP = 2^31, so n <= 2^62 whenever one does.  A prime that
-    divides what is left of n at a segment's start also divides it after the
-    smaller primes are divided out, so each hit is divided out in turn.
-    """
+    """n as its prime powers (p, k), p ascending and k >= 1; () for n = 1."""
     if n < 1:
         raise ValueError("n must be positive")
-    limit = 64
-    while limit * limit < n:
-        limit <<= 1
-    primes = _primes_to(limit)
+    return _factors(n)
+
+
+@lru_cache(maxsize=65536)
+def _factors(n: int) -> tuple[tuple[int, int], ...]:
+    """Trial division by the primes up to sqrt(n), a sieve segment at a time in
+    int64 (sqrt(n) <= SIEVE_LIMIT_CAP = 2^31, so n < 2^63), until a segment ends
+    at a p with p^2 >= what is left of n.  A prime that divides what is left at
+    a segment's start still divides it after the smaller primes are divided out."""
+    limit = math.isqrt(n)
+    # 17 bytes per prime up to the end of the first segment, which holds the
+    # most: a segment's int64 primes, their remainders and the mask of hits,
+    # or while the next segment is sieved, its primes and the next ones
+    last = min(limit, math.isqrt(limit) + 2 + 2 * _SEGMENT)
+    check_allocation(_sieve_bytes(limit, 17, last), f"trial division of {n}")
     factors: list[tuple[int, int]] = []
     rest = n
-    for i in range(0, len(primes), _FACTOR_SEGMENT):
-        segment = primes[i : i + _FACTOR_SEGMENT]
-        if int(segment[0]) ** 2 > rest:
-            break
-        for p in segment[rest % segment == 0].tolist():
-            if p * p > rest:
-                break
+    for primes in _prime_segments(limit):
+        for p in primes[rest % primes == 0].tolist():
             k = 0
             while rest % p == 0:
                 rest //= p
                 k += 1
             factors.append((p, k))
+        if primes.size and int(primes[-1]) ** 2 >= rest:
+            break
     if rest > 1:
         # rest has no prime factor <= sqrt(rest), so it is prime
         factors.append((rest, 1))
@@ -225,19 +229,14 @@ def delta_prime_power(p: int, k: int, eps: EpsilonSpec) -> Fraction:
     return Fraction(p ** (k - 1) * (p * e.denominator + 2 * e.numerator), 2 * e.denominator)
 
 
-@lru_cache(maxsize=65536)
-def _delta(v: int, eps: EpsilonSpec) -> Fraction:
-    out = Fraction(1)
-    for p, k in factorize(v):
-        out *= delta_prime_power(p, k, eps)
-    return out
-
-
 def delta(v: int, eps: EpsilonSpec) -> Fraction:
     """Multiplicative extension of the prime-power ceiling; delta(1) = 1."""
     if v < 1:
         raise ValueError("v must be positive")
-    return _delta(v, eps)
+    out = Fraction(1)
+    for p, k in _factors(v):
+        out *= delta_prime_power(p, k, eps)
+    return out
 
 
 def is_squarefree(n: int) -> bool:
@@ -444,7 +443,8 @@ def _sieve_large(
 
 
 def _partial_sums(xs: Sequence[int], eps: EpsilonSpec) -> tuple[tuple[float, ...], ...]:
-    """For each x in xs: M(x), T(x) over squarefree n, and T(x) over all n <= x.
+    """For each x in xs, strictly increasing: M(x), T(x) over squarefree n, and
+    T(x) over all n <= x.
 
     One pass over n = 1..max(xs) in segments of at most _SERIES_SEGMENT values,
     each x ending one: `_delta_segment` sieves each segment over the primes up to
@@ -454,7 +454,7 @@ def _partial_sums(xs: Sequence[int], eps: EpsilonSpec) -> tuple[tuple[float, ...
     is.  Each value is the float nearest the exact sum of its terms, as
     math.fsum gives it.
     """
-    top = max(xs)
+    top = xs[-1]
     if top > _MAX_SQUARE_ROOT:
         raise ResourceLimitError(f"x = {top} is too large: n^2 would overflow int64")
     root = math.isqrt(top)
@@ -491,9 +491,9 @@ def _partial_sums(xs: Sequence[int], eps: EpsilonSpec) -> tuple[tuple[float, ...
         if root < q <= top and q not in beyond and np.all(q % primes):
             beyond[q] = q / 2.0 + float(v)
     default = float(eps.default)
-    at = {}
+    values = []
     lo = 1
-    for x in sorted(set(xs)):
+    for x in xs:
         while lo <= x:
             hi = min(lo + _SERIES_SEGMENT, x + 1)
             d, squarefree = _delta_segment(lo, hi, small, (large, large_factor), default, beyond)
@@ -507,8 +507,8 @@ def _partial_sums(xs: Sequence[int], eps: EpsilonSpec) -> tuple[tuple[float, ...
             m_sum.add(d)
             del d, squarefree  # before the next segment is sieved
             lo = hi
-        at[x] = (m_sum.value(), t_sums.value(1), t_sums.value())
-    return tuple(zip(*(at[x] for x in xs)))
+        values.append((m_sum.value(), t_sums.value(1), t_sums.value()))
+    return tuple(zip(*values))
 
 
 def m_partial_sum(x: int, eps: EpsilonSpec = EPS_ZERO) -> float:
@@ -534,7 +534,7 @@ def singular_series(eps: EpsilonSpec = EPS_ZERO, trunc_prime: int = 10**5) -> fl
     if trunc_prime < 2:
         raise ValueError("truncation bound must be at least 2")
     out = 1.0
-    for p in _primes_to(trunc_prime).tolist():
+    for p in sieve_primes(trunc_prime).tolist():
         e = eps.at(p)
         num, den = e.numerator, e.denominator
         # delta(p) = p/2 + eps(p) = (p den + 2 num) / (2 den); int true division
@@ -555,8 +555,6 @@ class SeriesTable:
     singular: float
 
     def __post_init__(self):
-        if list(self.xs) != sorted(set(self.xs)):
-            raise ValueError("x-grid must be strictly increasing")
         for name in ("m_values", "t_values", "t_all_values"):
             col = getattr(self, name)
             if any(not (v > 0) or not math.isfinite(v) for v in col):
@@ -571,6 +569,8 @@ def series_table(
     xs = tuple(int(x) for x in xs)
     if not xs or any(x < 1 for x in xs):
         raise ValueError("need a nonempty grid of positive x values")
+    if any(a >= b for a, b in zip(xs, xs[1:])):
+        raise ValueError("x-grid must be strictly increasing")
     m_values, t_values, t_all_values = _partial_sums(xs, eps)
     return SeriesTable(
         xs=xs,

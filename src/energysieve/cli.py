@@ -258,8 +258,6 @@ def build_parser() -> argparse.ArgumentParser:
     sw.add_argument("experiment", choices=["theorem", "ramanujan", "sidon"])
     sw.add_argument("--grid", required=True, help="comma-separated N values, e.g. 1e3,1e4")
     sw.add_argument("--set", default="squares", help="set file for the theorem sweep")
-    sw.add_argument("--seed", type=int, default=0,
-                    help="accepted and ignored: sweep rows read no random set")
     sw.add_argument("--jobs", type=int, default=1)
     sw.add_argument("--format", choices=["csv", "json"], default="csv")
     sw.add_argument("--out")

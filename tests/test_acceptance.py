@@ -247,7 +247,7 @@ def test_c11_cli_determinism(tmp_path):
                 "--seed", "7", "--out", str(gen),
             )
             sweep = tmp_path / f"sweep_{name}.csv"
-            run("sweep", "theorem", "--grid", "1e3,2e3", "--seed", "7", "--out", str(sweep))
+            run("sweep", "theorem", "--grid", "1e3,2e3", "--out", str(sweep))
             energy_out = run("energy", str(gen), "--squares").stdout
             sieve_out = run("sieve", str(gen), "--check-v", "60", "--eps", "1/2").stdout
             sweep_rows = [

@@ -169,17 +169,46 @@ class TestFactorize:
         with pytest.raises(ValueError):
             factorize(0)
 
-    @pytest.mark.parametrize("segment", [1, 3, 1 << 16])
+    @pytest.mark.parametrize("segment", [64, 1000, 1 << 20])
     def test_segments_match_trial_division(self, monkeypatch, rng, segment):
         import energysieve.arith as arith
 
-        monkeypatch.setattr(arith, "_FACTOR_SEGMENT", segment)
+        # odd values sieved per segment; the factorizations cached so far were
+        # found with the default segments
+        monkeypatch.setattr(arith, "_SEGMENT", segment)
+        arith._factors.cache_clear()
         # prime powers, a square of a prime, a product of two primes near
         # sqrt(n), primes and random n up to 10^10
         ns = [1, 2**33, 3**20, 1009**2, 99991 * 100003, 9999999967, 65537]
         ns += [rng.randint(1, 10**10) for _ in range(30)]
         for n in ns:
             assert factorize(n) == trial_division_factors(n)
+
+    @pytest.mark.parametrize("n", [10**12 + 39, 10**16 + 61])
+    def test_counted_against_traced(self, monkeypatch, n):
+        import energysieve.arith as arith
+
+        # primes: trial division runs over every segment up to sqrt(n)
+        counted = []
+        monkeypatch.setattr(arith, "check_allocation", lambda nbytes, what: counted.append(nbytes))
+        arith._factors.cache_clear()
+        tracemalloc.start()
+        try:
+            assert factorize(n) == ((n, 1),)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= max(counted) + 2**16 and max(counted) <= 2 * peak
+
+    def test_limit_refused_before_sieving(self, monkeypatch):
+        import energysieve.arith as arith
+
+        def sieve(limit):
+            raise AssertionError("sieved")
+
+        monkeypatch.setattr(arith, "_prime_segments", sieve)
+        with pytest.raises(ResourceLimitError, match="sieve limit 4294967296 exceeds cap"):
+            factorize(2**64)
 
 
 class TestDelta:
@@ -623,6 +652,17 @@ class TestSeriesTable:
     def test_bad_grid(self):
         with pytest.raises(ValueError):
             series_table([], EPS_ZERO)
+
+    def test_grid_order_checked_before_sieving(self, monkeypatch):
+        import energysieve.arith as arith
+
+        def sieve(limit):
+            raise AssertionError("sieved")
+
+        monkeypatch.setattr(arith, "sieve_primes", sieve)
+        for xs in ([10**8, 10], [10, 10]):
+            with pytest.raises(ValueError, match="strictly increasing"):
+                series_table(xs, EPS_ZERO)
 
     def test_benchmark_scale_values(self):
         # the nine partial sums of the benchmark's divisor-series reference

@@ -169,7 +169,7 @@ class TestCompositeModuliMemory:
         for module in (sieve_module, sets_module):
             monkeypatch.setattr(module, "check_allocation", lambda nbytes, what: counted.append(nbytes))
         A = IntegerSet.from_elements(100, [1, 5, 17])
-        factorize(self.V)  # its prime table is sieved once and kept
+        factorize(self.V)  # its factorization is cached
         tracemalloc.start()
         try:
             composite_moduli_check(A, self.V, EPS_HALF)
@@ -187,7 +187,7 @@ class TestCompositeModuliMemory:
         A = IntegerSet.from_elements(100, [1, 5, 17])
         # admits the class counts and the residues, but not the column as well
         monkeypatch.setenv(MEMORY_CAP_ENV, str(8 * (self.V + len(A)) + self.V // 2))
-        factorize(self.V)  # its prime table is sieved once and kept
+        factorize(self.V)  # its factorization is cached
         tracemalloc.start()
         try:
             with pytest.raises(ResourceLimitError, match="prime-power column"):
