@@ -151,8 +151,11 @@ def _cmd_sieve(args) -> int:
         row = {"Q": args.gallagher, "N": A.cap, "card": len(A), "bound": bound}
         _emit(args, list(row), [row], row)
     else:
-        trace = sieve.divisor_sum_partition(A, A.cap)
+        # the partition's refusals first; then the direct route, whose lookup
+        # peaks on a heap that does not yet hold the partition's rows
+        sieve._partition_admitted(A, A.cap)
         direct = sieve.divisor_sum_direct(A, A.cap)
+        trace = sieve.divisor_sum_partition(A, A.cap)
         if direct != trace.total:
             raise InvariantViolationError(
                 f"divisor-sum paths disagree: direct={direct} window={trace.total}"

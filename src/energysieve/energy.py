@@ -38,7 +38,8 @@ BRUTE_FORCE_GUARD = 10**9
 DIRECT_BLOCK_GUARD = 1 << 16  # blocks a direct pair count may visit: sums up to 2^33 apart
 _CHUNK = 1 << 22
 _BLOCK = 1 << 17  # values per block: direct counting's buffer stays in cache
-_GROUP = 1 << 15  # values per group of a ragged gather: pairs, or an enumeration's values
+_GROUP = 1 << 15  # pairs per group of a direct count's gather
+_LOOKUP_GROUP = 1 << 13  # values per group of a lookup enumeration's gather
 # pairs under which a cell is cut to its first and last sum; in a fuller cell
 # finding them costs more than the zeros they save
 _SPARSE = _BLOCK >> 7
@@ -215,8 +216,8 @@ def _gather(first: np.ndarray, lens: np.ndarray, ends: np.ndarray, step: int = 1
 
 def _ragged_groups(first: np.ndarray, last: np.ndarray, step: int = 1):
     """The rows first[k], first[k] + step, ... up to last[k] (empty where
-    last[k] < first[k]), gathered by `_groups` at most _GROUP values at a
-    time: yields (rows, lens, values), the group's slice of rows, their
+    last[k] < first[k]), gathered by `_groups` at most _LOOKUP_GROUP values
+    at a time: yields (rows, lens, values), the group's slice of rows, their
     lengths and their values as one int64 array.  The lengths and their
     running ends are computed once for all groups."""
     lens = last - first
@@ -225,7 +226,7 @@ def _ragged_groups(first: np.ndarray, last: np.ndarray, step: int = 1):
     lens += 1
     np.maximum(lens, 0, out=lens)
     ends = np.cumsum(lens)
-    for i, j in _groups(ends, _GROUP):
+    for i, j in _groups(ends, _LOOKUP_GROUP):
         yield slice(i, j), lens[i:j], _gather(first[i:j], lens[i:j], ends[i:j], step)
 
 
@@ -354,13 +355,14 @@ def _lags_verified(counts: np.ndarray, xs: np.ndarray) -> bool:
 def _fft_bytes(width: int, size: int, spectra: int) -> int:
     """The larger of two peaks.  While the last spectrum is made: the spectra
     (`spectra` of size // 2 + 1 complex values), the float input (`width`
-    values, the larger indicator) and the transform's scratch of `size` floats
-    (held by the FFT library, so tracemalloc does not see it).  While the
-    product is inverted: its spectrum, the output and the scratch.  Later
-    stages hold at most three arrays of the counted length.
+    values, the larger indicator) and the transform's scratch, two arrays of
+    `size` floats (held by the FFT library, so tracemalloc does not see it;
+    an rfft of 400,000 points raises the peak RSS by 6.4 MB under numpy
+    2.4).  While the product is inverted: its spectrum, the output and the
+    scratch.  Later stages hold at most three arrays of the counted length.
     """
-    made = 16 * spectra * (size // 2 + 1) + 8 * width + 8 * size
-    inverted = 16 * (size // 2 + 1) + 16 * size
+    made = 16 * spectra * (size // 2 + 1) + 8 * width + 16 * size
+    inverted = 16 * (size // 2 + 1) + 24 * size
     return max(made, inverted)
 
 

@@ -19,7 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from .arith import EPS_ZERO, EpsilonSpec, delta, delta_prime_power, factorize, sieve_primes
-from .energy import _BLOCK, _GROUP, _exact_dot, _pair_counts, _ragged_groups
+from .energy import _BLOCK, _LOOKUP_GROUP, _exact_dot, _pair_counts, _ragged_groups
 from .errors import ResourceLimitError
 from .limits import check_allocation
 from .sets import IntegerSet, _check_occupancy, _distinct, occupancy
@@ -125,7 +125,7 @@ class DifferenceTable:
     products uv of distinct pairs u < v, so u < R = isqrt(max_diff) + 1, and a
     block of L differences holds at most sum_{u < R} (L/u + 1) <= L (1 + ln R)
     + R of them.  They are gathered by `energy._ragged_groups`: a group holds at
-    most _GROUP values, or one row of at most min(L, R).
+    most _LOOKUP_GROUP values, or one row of at most min(L, R).
     """
 
     def __init__(self, A: IntegerSet, max_diff: int):
@@ -133,7 +133,7 @@ class DifferenceTable:
         self.hi = min(max_diff, int(A.elements[-1] - A.elements[0])) if len(A) > 1 else 0
         self.rows = math.isqrt(max(max_diff, 0)) + 1
         length = min(_BLOCK, self.hi)
-        group = min(max(_GROUP, min(length, self.rows)),
+        group = min(max(_LOOKUP_GROUP, min(length, self.rows)),
                     int(length * (1 + math.log(self.rows))) + self.rows)
         # per value of a group: the values, a temporary, and the last group's
         # values, which the consumer holds until the next one is made; per
@@ -235,19 +235,10 @@ def divisor_sum_partition(A: IntegerSet, N: int) -> DivisorSumTrace:
     pairs are the runs of equal base + (key - base) // v^2, that is of equal
     (a mod v, a // v^2); each element counts the run members before it.
     """
-    radius = math.isqrt(N)
+    radius = _partition_admitted(A, N)
     elems = A.elements
     width = max(N, int(elems[-1]) if len(elems) else 0) + 1
     n = len(elems)
-    # index, then per modulus the key, the class base, the window queries and
-    # their search result (the run keys, run starts and change mask reuse
-    # their space); and each of the radius rows kept, 201-209 bytes measured
-    # at 2,000-10,000 rows, with their counts as Python ints
-    check_allocation(8 * 5 * n + 216 * radius, f"partition scan of {n} elements, {radius} rows")
-    if radius > PARTITION_MODULI_GUARD:
-        raise ResourceLimitError(
-            f"partition scan over {radius} moduli exceeds guard {PARTITION_MODULI_GUARD}"
-        )
     index = np.arange(n)
     rows: list[DivisorSumRow] = []
     total = 0
@@ -267,6 +258,25 @@ def divisor_sum_partition(A: IntegerSet, N: int) -> DivisorSumTrace:
         total += window
         part_total += partition
     return DivisorSumTrace(cap=N, rows=tuple(rows), total=total, partition_total=part_total)
+
+
+def _partition_admitted(A: IntegerSet, N: int) -> int:
+    """isqrt(N), the last modulus of `divisor_sum_partition`, once the scan is
+    admitted: it is refused with a working set over the cap, or with more
+    than PARTITION_MODULI_GUARD moduli.  A caller that runs other work before
+    the scan checks here first, so that the refusal comes before that work."""
+    radius = math.isqrt(N)
+    n = len(A)
+    # index, then per modulus the key, the class base, the window queries and
+    # their search result (the run keys, run starts and change mask reuse
+    # their space); and each of the radius rows kept, 201-209 bytes measured
+    # at 2,000-10,000 rows, with their counts as Python ints
+    check_allocation(8 * 5 * n + 216 * radius, f"partition scan of {n} elements, {radius} rows")
+    if radius > PARTITION_MODULI_GUARD:
+        raise ResourceLimitError(
+            f"partition scan over {radius} moduli exceeds guard {PARTITION_MODULI_GUARD}"
+        )
+    return radius
 
 
 def _class_pairs(elems: np.ndarray, index: np.ndarray, width: int, v: int) -> tuple[int, int]:

@@ -131,6 +131,35 @@ class TestResourceRefusals:
         assert run("sieve", str(path), "--divisor-sum") == 4
         assert capsys.readouterr().err.startswith("resource limit: partition scan of 100000")
 
+    def test_divisor_sum_partition_refused_before_the_direct_route(
+            self, tmp_path, monkeypatch, capsys):
+        # the direct route runs first, so that its lookup's peak meets no
+        # partition rows, but only once the partition scan is admitted
+        direct, partition = cli.sieve.divisor_sum_direct, cli.sieve.divisor_sum_partition
+        calls = []
+        monkeypatch.setattr(cli.sieve, "divisor_sum_direct",
+                            lambda *args: calls.append("direct") or direct(*args))
+        monkeypatch.setattr(cli.sieve, "divisor_sum_partition",
+                            lambda *args: calls.append("partition") or partition(*args))
+        assert run("sieve", str(write_squares(tmp_path, 10**4)), "--divisor-sum") == 0
+        assert calls == ["direct", "partition"]
+
+        def refused(*args):
+            raise AssertionError("the direct route ran before the partition's refusals")
+
+        monkeypatch.setattr(cli.sieve, "divisor_sum_direct", refused)
+        full, far = tmp_path / "full.txt", tmp_path / "far.txt"
+        full.write_text("N=100000\n" + "".join(f"{a}\n" for a in range(1, 10**5 + 1)))
+        far.write_text(f"N={65537**2}\n1\n2\n")
+        capsys.readouterr()
+        monkeypatch.setenv(MEMORY_CAP_ENV, str(10**6))
+        assert run("sieve", str(full), "--divisor-sum") == 4
+        assert capsys.readouterr().err.startswith("resource limit: partition scan of 100000")
+        monkeypatch.delenv(MEMORY_CAP_ENV)
+        assert run("sieve", str(far), "--divisor-sum") == 4
+        assert capsys.readouterr().err == (
+            "resource limit: partition scan over 65537 moduli exceeds guard 65536\n")
+
     @pytest.mark.parametrize("message, line", [
         ("Unable to allocate 8.00 EiB for an array", "Unable to allocate 8.00 EiB for an array"),
         ("", "out of memory"),

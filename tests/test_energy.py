@@ -1,6 +1,10 @@
 import itertools
+import json
 import math
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
 from collections import Counter
 
@@ -754,7 +758,7 @@ class TestRagged:
 
     @pytest.mark.parametrize("step", [1, 2])
     def test_groups_within_limit_and_long_rows_alone(self, step):
-        G = energy._GROUP
+        G = energy._LOOKUP_GROUP
         # row lengths in values: 3, 0, G + 1 (longer than a group: alone),
         # G - 3, 3 and 0 (together exactly G), 2 G (alone), 1 and 0
         lens = [3, 0, G + 1, G - 3, 3, 0, 2 * G, 1, 0]
@@ -977,6 +981,39 @@ class TestDispatch:
         assert backend == "fft"
         assert peak <= count + 2**16
         assert count <= 2 * peak
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs VmHWM")
+    def test_fft_counted_against_peak_rss(self):
+        # tracemalloc does not see the FFT library's scratch, so the count is
+        # held against the resident peak (VmHWM: ru_maxrss keeps the forking
+        # process's peak across exec) of a fresh process: E(A, S) of the
+        # dense set, two spectra at 400,000 points
+        code = """if True:
+            import json
+            import numpy as np
+            from energysieve import energy
+            from energysieve.sets import IntegerSet, squares_up_to
+
+            def peak():
+                with open("/proc/self/status") as fh:
+                    line = next(line for line in fh if line.startswith("VmHWM:"))
+                return 1024 * int(line.split()[1])
+
+            rng = np.random.default_rng(3)
+            A = IntegerSet.from_elements(200_000, np.flatnonzero(rng.random(200_001) < 0.115)[1:])
+            S = squares_up_to(A.cap)
+            counted = []
+            energy.check_allocation = lambda nbytes, what: counted.append(nbytes)
+            before = peak()
+            energy.energy_sum_path(A, S, method="fft")
+            print(json.dumps({"rise": peak() - before, "counted": counted}))
+        """
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True, timeout=60)
+        got = json.loads(out.stdout)
+        (count,) = got["counted"]
+        assert 0 < got["rise"] <= count + 2**20
 
 
 class TestSmoothSize:

@@ -24,7 +24,7 @@ from energysieve.sieve import (
     gallagher_bound,
 )
 import energysieve.sieve as sieve_module
-from energysieve.energy import _GROUP
+from energysieve.energy import _LOOKUP_GROUP
 from conftest import make_random_set
 
 
@@ -596,9 +596,9 @@ def random_set(size, cap=10**6):
 
 
 def every_difference(D, E):
-    """Every d in [D, E], at most _GROUP at a time, as a consumer gathers."""
-    for start in range(D, E + 1, _GROUP):
-        yield np.arange(start, min(start + _GROUP, E + 1), dtype=np.int64)
+    """Every d in [D, E], at most _LOOKUP_GROUP at a time, as a consumer gathers."""
+    for start in range(D, E + 1, _LOOKUP_GROUP):
+        yield np.arange(start, min(start + _LOOKUP_GROUP, E + 1), dtype=np.int64)
 
 
 def enumerators(R):
@@ -625,7 +625,7 @@ class TestEnumerators:
     def check(values, listing, D, E):
         groups = list(values(D, E))
         for ds in groups:
-            assert ds.dtype == np.int64 and 0 < len(ds) <= _GROUP
+            assert ds.dtype == np.int64 and 0 < len(ds) <= _LOOKUP_GROUP
         got = np.sort(np.concatenate(groups)) if groups else []
         want = np.sort(listing)
         want = want[(want >= D) & (want <= E)]
@@ -786,7 +786,7 @@ class TestDifferenceTable:
                     for ds in values(D, E):
                         # every row here is under R <= 1001 values, so no
                         # group may pass the limit
-                        assert ds.dtype == np.int64 and 0 < len(ds) <= _GROUP
+                        assert ds.dtype == np.int64 and 0 < len(ds) <= _LOOKUP_GROUP
                         assert D <= ds.min() and ds.max() <= E
                         groups.append(len(ds))
                         total += len(ds)
@@ -803,12 +803,13 @@ class TestDifferenceTable:
         energy_decomposition(A, N)
         divisor_sum_direct(A, N)
         assert max(blocks) > 0
-        if max(blocks) > _GROUP:
-            assert max(groups) > _GROUP // 2  # a block's values make several full groups
+        if max(blocks) > _LOOKUP_GROUP:
+            assert max(groups) > _LOOKUP_GROUP // 2  # a block's values make several full groups
 
     def test_row_longer_than_a_group_gathered_alone(self, monkeypatch):
         # differences 1 to 39999 in one full cell, and radius isqrt(4e9) =
-        # 63245: row u = 1 of the products, v = 2 to 39999, passes the limit
+        # 63245: rows u = 1 to 4 of the products, v = u + 1 to 39999 // u,
+        # pass the limit
         A = IntegerSet.from_elements(10**5, [*range(1, 1101), 40000])
         N = 4 * 10**9
         lookup = DifferenceTable.lookup
@@ -827,8 +828,8 @@ class TestDifferenceTable:
 
         monkeypatch.setattr(DifferenceTable, "lookup", checked)
         got = divisor_sum_direct(A, N)
-        long = [g for g in groups if len(g) > _GROUP]
-        assert len(long) == 1 and long[0].tolist() == list(range(2, 40000))
+        long = [g.tolist() for g in groups if len(g) > _LOOKUP_GROUP]
+        assert long == [list(range(u * (u + 1), 40000, u)) for u in range(1, 5)]
         xs = A.elements
         d = (xs[:, None] - xs[None, :]).ravel()
         r = np.bincount(d[d > 0])
@@ -840,6 +841,7 @@ class TestDifferenceTable:
     SHAPES = {
         "sq1e6": (lambda: squares_up_to(10**6), 10**6),
         "sq1e7": (lambda: squares_up_to(10**7), 10**7),
+        "sq2e6": (lambda: squares_up_to(2 * 10**6), 2 * 10**6),  # the divisor-sum job's set
         "random2500": (lambda: random_set(2500, 10**7), 10**7),
     }
 
