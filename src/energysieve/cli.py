@@ -196,10 +196,14 @@ def _cmd_sweep(args) -> int:
     if workers > 1:
         # imported here: it pulls in multiprocessing, which start-up need not pay for
         from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_sweep_row, [args.experiment] * len(todo), todo,
-                                    [args.set] * len(todo)))
+        try:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                results = list(pool.map(_sweep_row, [args.experiment] * len(todo), todo,
+                                        [args.set] * len(todo)))
+        except BrokenProcessPool as exc:  # a worker ended abruptly, as by the OOM killer
+            raise ResourceLimitError(f"a sweep worker died: {exc}") from None
     else:
         results = [_sweep_row(args.experiment, n, args.set) for n in todo]
 

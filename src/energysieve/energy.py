@@ -35,14 +35,13 @@ __all__ = [
 ]
 
 BRUTE_FORCE_GUARD = 10**9
-DIRECT_BLOCK_GUARD = 1 << 16  # blocks a direct pair count may visit: sums up to 2^33 apart
+# cells of _GUARD_CELL values a direct pair count may visit: sums up to 2^33
+# apart, whatever length its own cells have
+DIRECT_BLOCK_GUARD = 1 << 16
+_GUARD_CELL = 1 << 17
 _CHUNK = 1 << 22
-_BLOCK = 1 << 17  # values per block: direct counting's buffer stays in cache
 _GROUP = 1 << 15  # pairs per group of a direct count's gather
 _LOOKUP_GROUP = 1 << 13  # values per group of a lookup enumeration's gather
-# pairs under which a cell is cut to its first and last sum; in a fuller cell
-# finding them costs more than the zeros they save
-_SPARSE = _BLOCK >> 7
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,16 +112,18 @@ def _report(value: int, method: str, X: IntegerSet, Y: IntegerSet) -> EnergyRepo
 # Pair-sum counting core (differences are sums against a reflected set)
 # ---------------------------------------------------------------------------
 
-def _direct_blocks(xs: np.ndarray, ys: np.ndarray, lo: int, hi: int, left: np.ndarray):
-    """Counts of x + y over [lo, hi] by the cells [lo + k _BLOCK, lo + (k + 1)
-    _BLOCK), given the first edges left = searchsorted(ys, lo - xs), which it
+def _direct_blocks(xs: np.ndarray, ys: np.ndarray, lo: int, hi: int, left: np.ndarray,
+                   cell: int):
+    """Counts of x + y over [lo, hi] by the cells [lo + k cell, lo + (k + 1)
+    cell), given the first edges left = searchsorted(ys, lo - xs), which it
     moves in place.  A cell's band is its rows x with x + ys[-1] >= start and
     x + ys[0] < end (2x < end when `ys is xs`); row x of the band is
-    ys[left:right], at most _BLOCK y, and its left edges are the right edges
+    ys[left:right], at most `cell` y, and its left edges are the right edges
     of the last cell that held it (a row below the band is spent, one above
     it has not started), so one `searchsorted` over the band per cell finds
     them.  A cell yields its counts, from its first sum to its last if it
-    holds fewer than _SPARSE pairs, and nothing if it holds no sum: the walk
+    holds fewer than cell / 128 pairs (in a fuller cell finding them costs
+    more than the zeros they save), and nothing if it holds no sum: the walk
     then jumps to the cell of the next sum, the least of x + ys[right] over
     the band and the first sum above it, so its time follows the sums, not
     the span of [lo, hi].  Every cell is counted in one buffer of a cell's
@@ -135,11 +136,12 @@ def _direct_blocks(xs: np.ndarray, ys: np.ndarray, lo: int, hi: int, left: np.nd
     same = ys is xs
     if same:
         left = np.maximum(left, np.arange(1, len(xs) + 1))
-    counts = np.zeros(min(_BLOCK, hi - lo + 1), dtype=np.int64)
+    sparse = cell >> 7
+    counts = np.zeros(min(cell, hi - lo + 1), dtype=np.int64)
     used = 0
     start = lo
     while start <= hi:
-        end = min(start + _BLOCK, hi + 1)
+        end = min(start + cell, hi + 1)
         if same:  # 2x in the cell, and the rows 2x < end
             a, top = np.searchsorted(xs, [(start + 1) // 2, (end + 1) // 2])
         else:  # x < end - ys[0], in Python integers: the bound may pass 2^63
@@ -151,7 +153,7 @@ def _direct_blocks(xs: np.ndarray, ys: np.ndarray, lo: int, hi: int, left: np.nd
         lens = right - edges
         ends = np.cumsum(lens)
         first, length = start, end - start
-        if (ends[-1] if len(ends) else 0) < _SPARSE:
+        if (ends[-1] if len(ends) else 0) < sparse:
             full = right > edges
             firsts = x[full] + ys[edges[full]]
             lasts = x[full] + ys[right[full] - 1]
@@ -167,7 +169,7 @@ def _direct_blocks(xs: np.ndarray, ys: np.ndarray, lo: int, hi: int, left: np.nd
                 following = int(nexts.min()) if len(nexts) else hi + 1
                 if following > hi:
                     return
-                start += (following - start) // _BLOCK * _BLOCK
+                start += (following - start) // cell * cell
                 left[band] = right
                 continue
             first = int(firsts.min())
@@ -366,6 +368,43 @@ def _fft_bytes(width: int, size: int, spectra: int) -> int:
     return max(made, inverted)
 
 
+# auto's estimate of direct counting's cost: ns per pair gathered and per
+# window value (fitted below, in `_pair_counts`)
+_PAIR_NS, _VALUE_NS = 7, 1.5
+# Direct counting's cell lengths: powers of two from _MIN_CELL, whose count
+# buffer (8 bytes a value) stays well inside a 2 MiB L2 cache, to _MAX_CELL,
+# past which E(S, S) at N = 1e9 ran slower (14.2-15.3 s at 2^19, 16.6-17.8 s
+# at 2^20, 17.5-19.9 s at 2^17).  The walk over the cells costs about _CELL_NS per
+# cell and _ROW_NS per row of X in a cell: the least-squares fit of the
+# relative error to in-process timings (2-CPU x86-64, numpy 2.4) of the
+# benchmark's direct streams and those of the lone rows at 1e8, at cells of
+# 2^15 to 2^21, with the gather and add skipped.  A cell is taken when that
+# overhead is at most _CELL_SHARE of the count's estimated cost: then the
+# streams of the squares and the Sidon sets at 1e7 and 1.2e7 keep 2^17, where
+# 2^16 cost them 2% to 25%, a lookup over the 1,414 squares to 2e6 takes 2^16
+# (as fast, and 0.3 MiB less), and E(S, S) takes 2^18 at 1e8 and 2^19 at 1e9.
+_MIN_CELL, _MAX_CELL = 1 << 16, 1 << 19
+_CELL_NS, _ROW_NS = 17_000, 7.4
+_CELL_SHARE = 0.11
+
+
+def _cell_length(rows: int, window: int, pairs: int) -> int:
+    """The cell length of a direct count of `pairs` gathered pairs over
+    `window` values, with `rows` rows in X: the least power of two from
+    _MIN_CELL whose walk overhead, _CELL_NS + _ROW_NS rows per cell visited
+    (at most min(cells, pairs)), is at most _CELL_SHARE of the count's cost,
+    or whose doubling saves none (the cells are as few as the pairs); at most
+    _MAX_CELL."""
+    def overhead(cell: int) -> float:
+        return min(-(-window // cell), pairs) * (_CELL_NS + _ROW_NS * rows)
+
+    budget = _CELL_SHARE * (_PAIR_NS * pairs + _VALUE_NS * window)
+    cell = _MIN_CELL
+    while cell < _MAX_CELL and overhead(cell) > budget and overhead(2 * cell) < overhead(cell):
+        cell *= 2
+    return cell
+
+
 def _pair_counts(xs: np.ndarray, ys: np.ndarray | None, lo: int, hi: int, method: str,
                  held: int = 0):
     """r(n) = #{(x, y) : x + y = n} for lo <= n <= hi, two sorted integer
@@ -373,8 +412,9 @@ def _pair_counts(xs: np.ndarray, ys: np.ndarray | None, lo: int, hi: int, method
     differences of xs (counted as sums against the reflected set, -xs[::-1]).
 
     Returns (backend, blocks, resident): `blocks` yields (offset, counts) in
-    order, at most one block per cell [lo + k _BLOCK, lo + (k + 1) _BLOCK) of
-    [lo, hi] (none if lo > hi); direct blocks are counted as they are taken,
+    order, at most one block per cell [lo + k cell, lo + (k + 1) cell) of
+    [lo, hi] (none if lo > hi), the cell length `_cell_length`'s for these
+    rows, window and pairs; direct blocks are counted as they are taken,
     one for each cell that holds a sum (a sparse cell cut to its first and
     last sum), over the cell's band of rows, into one reused buffer: a block
     is valid only until the next one is requested, so a caller that keeps
@@ -384,7 +424,8 @@ def _pair_counts(xs: np.ndarray, ys: np.ndarray | None, lo: int, hi: int, method
     counted with the backend's working set against the cap.  `auto` runs the
     backend with the lower estimated cost; a transform that fails
     verification falls back to direct counting.  Direct counting visits at
-    most min(cells, pairs) cells and refuses more than DIRECT_BLOCK_GUARD.
+    most min(cells, pairs) cells and refuses more than DIRECT_BLOCK_GUARD
+    cells of _GUARD_CELL values, whatever its own cell length.
     The transform's length is the smallest 2^a 3^b 5^c that holds every sum.
     A set paired with itself (equal arrays) is counted once: each unordered
     pair directly, one spectrum by the transform; the differences of a set
@@ -405,6 +446,8 @@ def _pair_counts(xs: np.ndarray, ys: np.ndarray | None, lo: int, hi: int, method
     spectra = 1 if lags or ys is xs else 2
     left = np.searchsorted(ys, lo - xs)
     pairs = int((np.searchsorted(ys, hi + 1 - xs) - left).sum())
+    gathered = pairs // 2 if ys is xs else pairs  # a set with itself: x < y only
+    cell = _cell_length(len(xs), hi - lo + 1, gathered)
     if method == "auto":
         # Estimated costs in nanoseconds, fitted to best-of-3 timings of both
         # backends in one process (2-CPU x86-64, numpy 2.4) on 27 shapes: the
@@ -419,10 +462,8 @@ def _pair_counts(xs: np.ndarray, ys: np.ndarray | None, lo: int, hi: int, method
         # faster backend on 26 of the 27 shapes, missing one by 4 ms.  A set
         # paired with itself gathers half the pairs; it and the differences of
         # a set make two transforms instead of three.
-        direct_cost = 7 * pairs + 1.5 * (hi - lo + 1)
+        direct_cost = _PAIR_NS * gathered + _VALUE_NS * (hi - lo + 1)
         fft_cost = 2.5 * (spectra + 1) * size * math.log2(size)
-        if ys is xs:
-            direct_cost -= 3.5 * pairs
         method = "fft" if fft_cost < direct_cost else "direct"
 
     backend = "direct"
@@ -436,21 +477,20 @@ def _pair_counts(xs: np.ndarray, ys: np.ndarray | None, lo: int, hi: int, method
             if lags:
                 first = 0
             window = counts[lo - first : hi - first + 1]
-            blocks = ((lo + i, window[i : i + _BLOCK]) for i in range(0, len(window), _BLOCK))
+            blocks = ((lo + i, window[i : i + cell]) for i in range(0, len(window), cell))
             return "fft", blocks, counts.nbytes
         backend = "fft-fallback"
         left = np.searchsorted(ys, lo - xs)
-    visits = min(-(-(hi - lo + 1) // _BLOCK), pairs)  # a cell with a sum holds a pair
+    visits = min(-(-(hi - lo + 1) // _GUARD_CELL), pairs)  # a cell with a sum holds a pair
     if visits > DIRECT_BLOCK_GUARD:
         raise ResourceLimitError(
             f"direct pair counting over {visits} blocks exceeds guard {DIRECT_BLOCK_GUARD}"
         )
     # the count buffer, which every block is a view of; a group's indices and
     # sums, two arrays at a time; eight arrays over the rows
-    cell, group = min(_BLOCK, hi - lo + 1), min(_GROUP, pairs)
-    nbytes = 8 * cell + 16 * group + 64 * len(xs)
+    nbytes = 8 * min(cell, hi - lo + 1) + 16 * min(_GROUP, pairs) + 64 * len(xs)
     check_allocation(held + nbytes, "direct pair counting")
-    return backend, _direct_blocks(xs, ys, lo, hi, left), nbytes
+    return backend, _direct_blocks(xs, ys, lo, hi, left, cell), nbytes
 
 
 def _same(xs: np.ndarray, ys: np.ndarray) -> bool:
@@ -550,16 +590,21 @@ def energy_diff_path(X: IntegerSet, Y: IntegerSet, *, method: str = "auto") -> E
 
 def _matched(rx, ry):
     """The counts of two block streams over one window, cut to the values both
-    hold; a value outside one stream's blocks has count 0 there.  A block of
-    either meets at most one of the other, the one in its cell."""
+    hold; a value outside one stream's blocks has count 0 there.  The streams
+    may have cells of different lengths, so a block of either may meet
+    several of the other; each block is used before the next of its stream
+    is requested."""
     ry = iter(ry)
     at, b = next(ry, (None, None))
     for offset, a in rx:
-        while at is not None and at + len(b) <= offset:
+        stop = offset + len(a)
+        while at is not None and at < stop:
+            first, last = max(offset, at), min(stop, at + len(b))
+            if first < last:
+                yield a[first - offset : last - offset], b[first - at : last - at]
+            if at + len(b) > stop:  # b reaches into the next block of rx
+                break
             at, b = next(ry, (None, None))
-        if at is not None and at < offset + len(a):
-            first, stop = max(offset, at), min(offset + len(a), at + len(b))
-            yield a[first - offset : stop - offset], b[first - at : stop - at]
 
 
 def energy_bruteforce(X: IntegerSet, Y: IntegerSet) -> EnergyReport:

@@ -19,7 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from .arith import EPS_ZERO, EpsilonSpec, delta, delta_prime_power, factorize, sieve_primes
-from .energy import _BLOCK, _LOOKUP_GROUP, _exact_dot, _pair_counts, _ragged_groups
+from .energy import _LOOKUP_GROUP, _cell_length, _exact_dot, _pair_counts, _ragged_groups
 from .errors import ResourceLimitError
 from .limits import check_allocation
 from .sets import IntegerSet, _check_occupancy, _distinct, occupancy
@@ -129,10 +129,15 @@ class DifferenceTable:
     """
 
     def __init__(self, A: IntegerSet, max_diff: int):
-        self.elements = A.elements
-        self.hi = min(max_diff, int(A.elements[-1] - A.elements[0])) if len(A) > 1 else 0
+        xs = self.elements = A.elements
+        self.hi = min(max_diff, int(xs[-1] - xs[0])) if len(A) > 1 else 0
         self.rows = math.isqrt(max(max_diff, 0)) + 1
-        length = min(_BLOCK, self.hi)
+        # the cell `_pair_counts` takes for the differences x - x' in [1, hi]
+        # (the enumerators' rows, though walked in every cell, move a
+        # lookup's time less than the set's)
+        pairs = int((np.arange(len(xs)) - np.searchsorted(xs, xs - self.hi)).sum())
+        self.cell = _cell_length(len(xs), self.hi, pairs)
+        length = min(self.cell, self.hi)
         group = min(max(_LOOKUP_GROUP, min(length, self.rows)),
                     int(length * (1 + math.log(self.rows))) + self.rows)
         # per value of a group: the values, a temporary, and the last group's
@@ -201,7 +206,7 @@ def divisor_sum_direct(A: IntegerSet, N: int, *, radius: int | None = None) -> i
 @dataclass(frozen=True)
 class DivisorSumRow:
     v: int
-    j_count: int               # number of length-v^2 blocks covering [1, N]
+    j_count: int               # max(1, N // v^2); the scan's blocks a // v^2 number N // v^2 + 1
     window_count: int          # pairs a > b, a = b mod v, a - b < v^2
     partition_lower_bound: int # same-class pairs inside single blocks
 

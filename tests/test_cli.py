@@ -25,6 +25,12 @@ def run(*argv):
     return cli.main(list(argv))
 
 
+def dying_row(kind, n, set_source):
+    """A sweep row whose worker process ends at once, as the OOM killer ends it;
+    at module level, so that a pool can send it to its workers."""
+    os._exit(1)
+
+
 def write_squares(tmp_path, n=16, name="sq.txt"):
     path = tmp_path / name
     assert run("gen", "squares", "--N", str(n), "--out", str(path)) == 0
@@ -605,6 +611,14 @@ class TestSweep:
         assert run("sweep", "ramanujan", "--grid", "100,200,300", "--jobs", str(jobs)) == 0
         assert made == ([] if workers is None else [workers])
         assert len(capsys.readouterr().out.splitlines()) == 4
+
+    def test_dead_worker_exit4(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "_sweep_row", dying_row)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        assert run("sweep", "ramanujan", "--grid", "100,200", "--jobs", "2") == 4
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("resource limit: a sweep worker died")
 
     def test_csv_roundtrip_integers(self, tmp_path):
         out = tmp_path / "t.csv"

@@ -58,12 +58,23 @@ def count_direct_oracle(xs, ys, lo, length):
     return counts
 
 
-def former_direct_blocks(xs, ys, lo, hi):
+def rule_cell(xs, ys, lo, hi):
+    """The cell length `_cell_length` gives the stream of `_pair_counts(xs, ys,
+    lo, hi, ...)`: its rows, window and gathered pairs."""
+    if ys is None:
+        ys = -xs[::-1]
+    elif np.array_equal(xs, ys):
+        ys = xs
+    pairs = int((np.searchsorted(ys, hi + 1 - xs) - np.searchsorted(ys, lo - xs)).sum())
+    return energy._cell_length(len(xs), hi - lo + 1, pairs // 2 if ys is xs else pairs)
+
+
+def former_direct_blocks(xs, ys, lo, hi, cell):
     """The direct kernel as it was: both edges searched in every block, the pair
     index built inline."""
     after = np.arange(1, len(xs) + 1) if ys is xs else None
-    for start in range(lo, hi + 1, energy._BLOCK):
-        length = min(energy._BLOCK, hi + 1 - start)
+    for start in range(lo, hi + 1, cell):
+        length = min(cell, hi + 1 - start)
         left = np.searchsorted(ys, start - xs)
         right = np.searchsorted(ys, start + length - xs)
         if after is not None:
@@ -74,7 +85,7 @@ def former_direct_blocks(xs, ys, lo, hi):
         counts = None
         i = done = 0
         while done < ends[-1]:
-            j = int(np.searchsorted(ends, done + energy._BLOCK, side="right"))
+            j = int(np.searchsorted(ends, done + cell, side="right"))
             rows = lens[i:j]
             idx = np.repeat(left[i:j] - ends[i:j] + rows, rows) + np.arange(done, ends[j - 1])
             sums = ys[idx] + np.repeat(xs[i:j] - start, rows)
@@ -92,20 +103,22 @@ def former_direct_blocks(xs, ys, lo, hi):
 
 def streamed(xs, ys, lo, hi, method):
     """The core's blocks over [lo, hi], checked to come in order, at most one
-    per cell lo + k _BLOCK: each whole cell from the transform, each cell
-    with a sum from direct counting; placed in a window of zeros."""
+    per cell lo + k L, L the rule's cell length: each whole cell from the
+    transform, each cell with a sum from direct counting; placed in a window
+    of zeros."""
     backend, blocks, _ = energy._pair_counts(xs, ys, lo, hi, method)
+    length = rule_cell(xs, ys, lo, hi) if lo <= hi else None
     joined = np.zeros(max(hi - lo + 1, 0), dtype=np.int64)
     at = lo
     for offset, counts in blocks:
-        cell = lo + (offset - lo) // energy._BLOCK * energy._BLOCK
-        assert at <= cell and offset + len(counts) <= min(cell + energy._BLOCK, hi + 1)
+        cell = lo + (offset - lo) // length * length
+        assert at <= cell and offset + len(counts) <= min(cell + length, hi + 1)
         if backend == "fft":
-            assert offset == at == cell and len(counts) == min(energy._BLOCK, hi + 1 - cell)
+            assert offset == at == cell and len(counts) == min(length, hi + 1 - cell)
         else:
             assert counts.any()
         joined[offset - lo : offset - lo + len(counts)] = counts
-        at = cell + energy._BLOCK
+        at = cell + length
     assert backend != "fft" or at >= hi + 1
     return backend, joined
 
@@ -265,7 +278,7 @@ class TestWindowedCore:
         ys = -Y.elements[::-1] if diff else Y.elements
         lo, hi = int(xs[0] + ys[0]), int(xs[-1] + ys[-1])
         full = count_direct_oracle(xs, ys, lo, hi - lo + 1)
-        block = energy._BLOCK
+        block = rule_cell(xs, ys, lo, hi)
         windows = [
             (lo, hi),                          # every sum, several blocks
             (lo + block // 3, hi - block // 5),  # cuts the first and last blocks
@@ -296,7 +309,7 @@ class TestWindowedCore:
         xs = X.elements
         span = int(xs[-1] - xs[0])
         full = count_direct_oracle(xs, -xs[::-1], -span, 2 * span + 1)
-        block = energy._BLOCK
+        block = rule_cell(xs, None, 0, span)
         windows = [
             (0, span),                        # every lag
             (1, span),                        # d >= 1, as the callers ask
@@ -355,7 +368,7 @@ class TestWindowedCore:
         xs = X.elements
         lo, hi = 2 * int(xs[0]), 2 * int(xs[-1])
         full = count_direct_oracle(xs, xs, lo, hi - lo + 1)
-        block = energy._BLOCK
+        block = rule_cell(xs, xs, lo, hi)
         windows = [
             (lo, hi),
             (lo + block // 3, hi - block // 5),
@@ -464,8 +477,7 @@ class TestDirectBlocks:
     }
 
     @staticmethod
-    def windows(lo, hi):
-        block = energy._BLOCK
+    def windows(lo, hi, block):
         mid = (lo + hi) // 2
         return [
             (lo, hi),                              # every sum
@@ -478,22 +490,25 @@ class TestDirectBlocks:
         ]
 
     @staticmethod
-    def blocks(xs, ys, lo, hi):
-        """The kernel given its first edges, as `_pair_counts` gives them; each
-        block copied, since it is valid only until the next is requested."""
+    def blocks(xs, ys, lo, hi, cell=None):
+        """The kernel given its first edges, as `_pair_counts` gives them, in
+        cells of the rule's length unless `cell` is given; each block copied,
+        since it is valid only until the next is requested."""
+        cell = cell or rule_cell(xs, ys, lo, hi)
         return [(offset, counts.copy()) for offset, counts in
-                energy._direct_blocks(xs, ys, lo, hi, np.searchsorted(ys, lo - xs))]
+                energy._direct_blocks(xs, ys, lo, hi, np.searchsorted(ys, lo - xs), cell)]
 
-    def assert_same_blocks(self, xs, ys, lo, hi):
+    def assert_same_blocks(self, xs, ys, lo, hi, cell=None):
         """The former kernel's blocks less those without a sum, and cut to their
-        first and last sum where they hold fewer than _SPARSE pairs (x < y when
-        `ys is xs`: a count 2c(n) + [n = 2x] is odd at each 2x)."""
-        got = self.blocks(xs, ys, lo, hi)
+        first and last sum where they hold fewer than cell / 128 pairs (x < y
+        when `ys is xs`: a count 2c(n) + [n = 2x] is odd at each 2x)."""
+        cell = cell or rule_cell(xs, ys, lo, hi)
+        got = self.blocks(xs, ys, lo, hi, cell)
         want = []
-        for offset, counts in former_direct_blocks(xs, ys, lo, hi):
+        for offset, counts in former_direct_blocks(xs, ys, lo, hi, cell):
             held = np.flatnonzero(counts)
             pairs = counts.sum() if ys is not xs else (counts.sum() - (counts % 2).sum()) // 2
-            if len(held) and pairs < energy._SPARSE:
+            if len(held) and pairs < cell >> 7:
                 want.append((offset + held[0], counts[held[0] : held[-1] + 1]))
             elif len(held):
                 want.append((offset, counts))
@@ -508,7 +523,7 @@ class TestDirectBlocks:
         xs = X.elements
         ys = -Y.elements[::-1] if diff else Y.elements
         lo, hi = int(xs[0] + ys[0]), int(xs[-1] + ys[-1])
-        for a, b in self.windows(lo, hi):
+        for a, b in self.windows(lo, hi, rule_cell(xs, ys, lo, hi)):
             if lo <= a <= b <= hi:
                 self.assert_same_blocks(xs, ys, a, b)
 
@@ -516,17 +531,32 @@ class TestDirectBlocks:
     def test_set_paired_with_itself(self, rng, case):
         xs = self.CASES[case](rng)[0].elements
         lo, hi = 2 * int(xs[0]), 2 * int(xs[-1])
-        for a, b in self.windows(lo, hi):
+        for a, b in self.windows(lo, hi, rule_cell(xs, xs, lo, hi)):
             if lo <= a <= b <= hi:
                 self.assert_same_blocks(xs, xs, a, b)         # the same array
                 self.assert_same_blocks(xs, xs.copy(), a, b)  # an equal one
 
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_longest_cells(self, rng, case):
+        # sums, differences and the set with itself in cells of _MAX_CELL,
+        # which the rule gives only to far larger counts than these
+        X, Y = self.CASES[case](rng)
+        xs = X.elements
+        cell = energy._MAX_CELL
+        for ys in (Y.elements, -Y.elements[::-1], xs):
+            lo, hi = int(xs[0] + ys[0]), int(xs[-1] + ys[-1])
+            for a, b in self.windows(lo, hi, cell):
+                if lo <= a <= b <= hi:
+                    self.assert_same_blocks(xs, ys, a, b, cell)
+
     def test_far_apart_clusters_leave_blocks_without_pairs(self, rng):
         xs = self.CASES["clusters"](rng)[0].elements
         lo, hi = 2 * int(xs[0]), 2 * int(xs[-1])
-        # sums near 2, 10^6 and 2 10^6: three of sixteen cells, each with over
-        # _SPARSE pairs, so whole
-        block = energy._BLOCK
+        # sums near 2, 10^6 and 2 10^6: three cells of 2^17 (the rule's), the
+        # first, eighth and last of sixteen, each with over 2^17 / 128 pairs,
+        # so whole
+        block = rule_cell(xs, xs, lo, hi)
+        assert block == 1 << 17
         assert [(offset, len(counts)) for offset, counts in self.blocks(xs, xs, lo, hi)] == [
             (lo, block), (lo + 7 * block, block), (lo + 15 * block, hi + 1 - lo - 15 * block)]
         self.assert_same_blocks(xs, xs, lo, hi)
@@ -540,7 +570,8 @@ class TestDirectBlocks:
         xs = X.elements
         ys = -xs[::-1] if lags else -Y.elements[::-1]
         lo, hi = int(xs[0] + ys[0]), int(xs[-1] + ys[-1])
-        for a, b in self.windows(lo, hi) + [(lo + 100, hi - 100), (-5 * energy._BLOCK, hi)]:
+        block = rule_cell(xs, ys, lo, hi)
+        for a, b in self.windows(lo, hi, block) + [(lo + 100, hi - 100), (-5 * block, hi)]:
             if lo <= a <= b <= hi:
                 self.assert_same_blocks(xs, ys, a, b)
 
@@ -577,9 +608,10 @@ class TestDirectBlocks:
                 edges.append(len(v))
             return searchsorted(a, v, *args, **kwargs)
 
+        block = rule_cell(xs, ys, lo, hi)
         monkeypatch.setattr(np, "searchsorted", spy)
-        block = energy._BLOCK
-        cells = [lo + (offset - lo) // block * block for offset, _ in self.blocks(xs, ys, lo, hi)]
+        cells = [lo + (offset - lo) // block * block
+                 for offset, _ in self.blocks(xs, ys, lo, hi, block)]
         blocks = len(cells)
         # each cell searches its band once: the rows x with x + max Y >= start
         # and x + min Y < end (2x < end for a set with itself); every cell
@@ -597,15 +629,15 @@ class TestDirectBlocks:
         _, stream, _ = energy._pair_counts(xs, ys, lo, hi, "direct")
         assert len(list(stream)) == blocks and edges == [len(xs)] * 2 + band
         edges.clear()
-        assert len(list(former_direct_blocks(xs, ys, lo, hi))) == blocks
+        assert len(list(former_direct_blocks(xs, ys, lo, hi, block))) == blocks
         assert len(edges) == 2 * blocks
 
     def test_empty_cells_cost_one_search_each_jump(self, monkeypatch):
-        # one sum in every third cell: beside the first edges, the walk searches
-        # the cells with a sum and the empty cell after each but the last,
-        # never the cell between
+        # one sum in every third cell or sparser, whatever length the rule
+        # takes: beside the first edges, the walk searches the cells with a
+        # sum and the empty cell after each but the last, never those between
         xs = np.array([5], dtype=np.int64)
-        ys = np.arange(1, 668, dtype=np.int64) * 3 * energy._BLOCK
+        ys = np.arange(1, 668, dtype=np.int64) * 3 * energy._MAX_CELL
         lo, hi = 5 + int(ys[0]), 5 + int(ys[-1])
         searchsorted = np.searchsorted
         edges = []
@@ -615,22 +647,38 @@ class TestDirectBlocks:
                 edges.append(len(v))
             return searchsorted(a, v, *args, **kwargs)
 
+        cell = rule_cell(xs, ys, lo, hi)
         monkeypatch.setattr(np, "searchsorted", spy)
-        blocks = self.blocks(xs, ys, lo, hi)
+        blocks = self.blocks(xs, ys, lo, hi, cell)
         assert [(offset, list(counts)) for offset, counts in blocks] == [
             (5 + int(y), [1]) for y in ys]
         assert len(edges) == 1 + len(ys) + len(ys) - 1
 
     def test_visits_over_the_guard_refused_before_counting(self):
-        # one sum in each of guard + 1 cells, 2^33 values apart and more
+        # one sum in each of guard + 1 cells of 2^17, 2^33 values apart and
+        # more; the rule's cells are 2^16, as long cells save nothing here
+        guard, unit = energy.DIRECT_BLOCK_GUARD, energy._GUARD_CELL
         xs = np.array([5], dtype=np.int64)
-        ys = np.arange(1, energy.DIRECT_BLOCK_GUARD + 2, dtype=np.int64) * 3 * energy._BLOCK
+        ys = np.arange(1, guard + 2, dtype=np.int64) * 3 * unit
         lo, hi = 5 + int(ys[0]), 5 + int(ys[-1])
+        assert rule_cell(xs, ys, lo, hi) == energy._MIN_CELL
         with pytest.raises(ResourceLimitError, match=f"over {len(ys)} blocks exceeds guard"):
             energy._pair_counts(xs, ys, lo, hi, "direct")
         # as many cells, but only a few sums: visited by the sums
         _, blocks, _ = energy._pair_counts(xs, ys[[0, -1]], lo, hi, "direct")
         assert [offset for offset, _ in blocks] == [lo, hi]
+        # k multiples of 2^17 with themselves: 2k - 1 cells of 2^17, each with
+        # a sum, so the guard refuses k = 2^15 + 1 and admits 2^15, though the
+        # rule's cells, its longest, are fewer
+        for k in ((1 << 15) + 1, 1 << 15):
+            xs = np.arange(k, dtype=np.int64) * unit
+            lo, hi = 0, 2 * int(xs[-1])
+            assert rule_cell(xs, xs, lo, hi) == energy._MAX_CELL
+            if 2 * k - 1 > guard:
+                with pytest.raises(ResourceLimitError, match=f"over {2 * k - 1} blocks exceeds"):
+                    energy._pair_counts(xs, xs, lo, hi, "direct")
+            else:
+                assert energy._pair_counts(xs, xs, lo, hi, "direct")[0] == "direct"
 
     @pytest.mark.parametrize("swap", [False, True])
     @pytest.mark.parametrize("methods",
@@ -641,11 +689,68 @@ class TestDirectBlocks:
         if swap:
             X, Y = Y, X
         m = min(int(X.elements[-1] - X.elements[0]), int(Y.elements[-1] - Y.elements[0]))
+        # the streams' cells differ: a block of the longer meets two of the other
+        assert {rule_cell(Z.elements, None, 1, m) for Z in (X, Y)} == {1 << 16, 1 << 17}
         rx, ry = (energy._pair_counts(Z.elements, -Z.elements[::-1], 1, m, method)[1]
                   for Z, method in zip((X, Y), methods))
         got = sum(int(np.dot(a, b)) for a, b in energy._matched(rx, ry))
         fx, fy = (streamed(Z.elements, -Z.elements[::-1], 1, m, "direct")[1] for Z in (X, Y))
         assert got == int(np.dot(fx, fy)) > 0
+
+
+class TestCellLength:
+    """`_cell_length` as a function of a stream's rows, window and gathered
+    pairs alone, on the direct streams of the benchmark's jobs and of the lone
+    rows; no counting runs."""
+
+    @staticmethod
+    def sums(X, Y):
+        xs, ys = X.elements, Y.elements
+        return rule_cell(xs, ys, int(xs[0] + ys[0]), int(xs[-1] + ys[-1])).bit_length() - 1
+
+    @pytest.mark.parametrize("N, expected", [
+        (10**6, {"S+S": 17, "S'+S": 16, "X+S": 16, "X-X": 16, "lookup": 16, "S' lookup": 16}),
+        (10**7, {"S+S": 17, "S'+S": 17, "X+S": 17, "X-X": 17, "lookup": 17, "S' lookup": 17}),
+        (12 * 10**6, {"S+S": 17, "S'+S": 17, "X+S": 17, "X-X": 17, "lookup": 17, "S' lookup": 17}),
+    ])
+    def test_sweep_streams(self, N, expected):
+        """The `sweeps` jobs' streams (ramanujan's S+S; theorem's S+S, S'+S
+        and two lookups; sidon's X-X and X+S) take 2^16 or 2^17, never more."""
+        from energysieve.correlation import largest_sidon_prime
+        from energysieve.sets import mod4_restrict
+        from energysieve.sieve import DifferenceTable
+
+        S = squares_up_to(N)
+        restricted = mod4_restrict(S)
+        X = sidon_set(largest_sidon_prime(N), N)
+        span = int(X.elements[-1] - X.elements[0])
+        assert {
+            "S+S": self.sums(S, squares_up_to(N)),
+            "S'+S": self.sums(restricted, S),
+            "X+S": self.sums(X, S),
+            "X-X": rule_cell(X.elements, None, 1, span).bit_length() - 1,
+            "lookup": DifferenceTable(S, N).cell.bit_length() - 1,
+            "S' lookup": DifferenceTable(restricted, (math.isqrt(N) // 2) ** 2).cell.bit_length() - 1,
+        } == expected
+
+    def test_divisor_sum_lookup_takes_the_least(self):
+        from energysieve.sieve import DifferenceTable
+
+        S = squares_up_to(2 * 10**6)  # the divisor-series job's 1,414 squares
+        table = DifferenceTable(S, math.isqrt(2 * 10**6) ** 2)
+        assert table.cell == energy._MIN_CELL == rule_cell(S.elements, None, 1, table.hi)
+
+    @pytest.mark.parametrize("N, cell", [(10**8, 18), (10**9, 19)])
+    def test_lone_rows_take_longer_cells(self, N, cell):
+        assert self.sums(squares_up_to(N), squares_up_to(N)) == cell
+
+    def test_cells_grow_with_rows_per_pair(self):
+        rule = energy._cell_length
+        # one pair per cell saves nothing by longer cells; a window with no
+        # pair is one cell
+        assert rule(10**6, 10**10, 1000) == rule(1, 10**5, 0) == energy._MIN_CELL
+        lengths = [rule(rows, 10**9, 10**8) for rows in (10, 10**3, 10**4, 10**5, 10**6)]
+        assert lengths == sorted(lengths) and lengths[-1] == energy._MAX_CELL
 
 
 class TestBlockLifetime:
@@ -982,13 +1087,13 @@ class TestDispatch:
         assert peak <= count + 2**16
         assert count <= 2 * peak
 
-    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs VmHWM")
-    def test_fft_counted_against_peak_rss(self):
-        # tracemalloc does not see the FFT library's scratch, so the count is
-        # held against the resident peak (VmHWM: ru_maxrss keeps the forking
-        # process's peak across exec) of a fresh process: E(A, S) of the
-        # dense set, two spectra at 400,000 points
-        code = """if True:
+    @staticmethod
+    def peak_rise(make, count):
+        """The resident peak's rise (VmHWM: ru_maxrss keeps the forking
+        process's peak across exec) over one count in a fresh process, and the
+        bytes counted for it: `make` makes the sets X and Y from numpy, and
+        `count` is the count's statement."""
+        code = f"""if True:
             import json
             import numpy as np
             from energysieve import energy
@@ -999,21 +1104,46 @@ class TestDispatch:
                     line = next(line for line in fh if line.startswith("VmHWM:"))
                 return 1024 * int(line.split()[1])
 
-            rng = np.random.default_rng(3)
-            A = IntegerSet.from_elements(200_000, np.flatnonzero(rng.random(200_001) < 0.115)[1:])
-            S = squares_up_to(A.cap)
+            {make}
             counted = []
             energy.check_allocation = lambda nbytes, what: counted.append(nbytes)
             before = peak()
-            energy.energy_sum_path(A, S, method="fft")
-            print(json.dumps({"rise": peak() - before, "counted": counted}))
+            {count}
+            print(json.dumps({{"rise": peak() - before, "counted": counted}}))
         """
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                              text=True, check=True, timeout=60)
         got = json.loads(out.stdout)
         (count,) = got["counted"]
-        assert 0 < got["rise"] <= count + 2**20
+        return got["rise"], count
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs VmHWM")
+    def test_fft_counted_against_peak_rss(self):
+        # tracemalloc does not see the FFT library's scratch, so the count is
+        # held against the resident peak of a fresh process: E(A, S) of the
+        # dense set, two spectra at 400,000 points
+        rise, count = self.peak_rise(
+            "rng = np.random.default_rng(3); "
+            "X = IntegerSet.from_elements(200_000, np.flatnonzero(rng.random(200_001) < 0.115)[1:]); "
+            "Y = squares_up_to(X.cap)",
+            'energy.energy_sum_path(X, Y, method="fft")')
+        assert 0 < rise <= count + 2**20
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs VmHWM")
+    def test_long_cells_counted_against_peak_rss(self):
+        # 2,000 random elements of [1, 1e8] with 2,000 more: few pairs for the
+        # rows and the window, so the rule takes cells longer than 2^17, and
+        # every page of their 2 MiB buffer holds a sum
+        make = ("rng = np.random.default_rng(5); "
+                "X, Y = (IntegerSet.from_elements(10**8, rng.choice(10**8, 2000, replace=False) + 1) "
+                "for _ in range(2))")
+        rise, count = self.peak_rise(make, 'energy.energy_sum_path(X, Y, method="direct")')
+        rng = np.random.default_rng(5)
+        xs, ys = (np.sort(rng.choice(10**8, 2000, replace=False) + 1) for _ in range(2))
+        cell = rule_cell(xs, ys, int(xs[0] + ys[0]), int(xs[-1] + ys[-1]))
+        assert cell > 1 << 17 and count >= 8 * cell
+        assert 0 < rise <= count + 2**20
 
 
 class TestSmoothSize:
