@@ -88,18 +88,7 @@ def _records(columns, objs) -> list[dict]:
 # ---------------------------------------------------------------------------
 
 def _cmd_gen(args) -> int:
-    if args.kind == "squares":
-        result = sets.squares_up_to(args.N)
-    elif args.kind == "sidon":
-        if args.p is None:
-            raise ValueError("gen sidon requires --p")
-        result = sets.sidon_set(args.p, args.N)
-    elif args.kind == "quadratic":
-        result = sets.quadratic_image(args.a, args.b, args.c, args.N)
-    else:  # random-avoiding
-        result = sets.residue_avoiding_random(
-            args.N, _parse_eps(args.eps), args.P, args.seed, strategy=args.strategy
-        )
+    result = args.make(args)
     sets.write_set(result, args.out)
     print(f"wrote {len(result)} elements (N={result.cap}) to {args.out}", file=sys.stderr)
     return 0
@@ -107,13 +96,7 @@ def _cmd_gen(args) -> int:
 
 def _load_pair(args):
     A = sets.read_set(args.set_a)
-    if args.squares:
-        B = sets.squares_up_to(A.cap)
-    elif args.set_b:
-        B = sets.read_set(args.set_b)
-    else:
-        raise ValueError("need a second set file or --squares")
-    return A, B
+    return A, sets.squares_up_to(A.cap) if args.squares else sets.read_set(args.set_b)
 
 
 def _cmd_energy(args) -> int:
@@ -167,7 +150,7 @@ def _cmd_sieve(args) -> int:
     return 0
 
 
-def _sweep_row(kind: str, n: int, set_source: str) -> correlation.ExperimentRow:
+def _sweep_row(kind: str, n: int, set_source: str | None) -> correlation.ExperimentRow:
     if kind == "ramanujan":
         return correlation.ramanujan_row(n)
     if kind == "sidon":
@@ -183,6 +166,7 @@ def _sweep_row(kind: str, n: int, set_source: str) -> correlation.ExperimentRow:
 
 def _cmd_sweep(args) -> int:
     grid = _parse_grid(args.grid)
+    source = getattr(args, "set", None)  # only the theorem sweep reads a set
     cap = max_sweep_n()
     truncated_at = None
     todo = []
@@ -201,11 +185,11 @@ def _cmd_sweep(args) -> int:
         try:
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 results = list(pool.map(_sweep_row, [args.experiment] * len(todo), todo,
-                                        [args.set] * len(todo)))
+                                        [source] * len(todo)))
         except BrokenProcessPool as exc:  # a worker ended abruptly, as by the OOM killer
             raise ResourceLimitError(f"a sweep worker died: {exc}") from None
     else:
-        results = [_sweep_row(args.experiment, n, args.set) for n in todo]
+        results = [_sweep_row(args.experiment, n, source) for n in todo]
 
     columns = ("N", "card_A", "card_S", "energy", "lower_bound", "ratio_AS", "ratio_log",
                "seconds")
@@ -230,44 +214,57 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = top.add_subparsers(dest="command", required=True)
 
-    gen = sub.add_parser("gen", help="generate a set file")
-    gen.add_argument("kind", choices=["squares", "sidon", "quadratic", "random-avoiding"])
-    gen.add_argument("--N", type=int, required=True, help="ambient cap [1, N]")
-    gen.add_argument("--p", type=int, help="prime for the Sidon construction")
-    gen.add_argument("--a", type=int, default=1)
-    gen.add_argument("--b", type=int, default=0)
-    gen.add_argument("--c", type=int, default=0)
-    gen.add_argument("--P", type=int, default=13, help="sieve primes up to P")
-    gen.add_argument("--eps", default="1/2", help="epsilon constant or config file")
-    gen.add_argument("--seed", type=int, default=0)
-    gen.add_argument("--strategy", choices=["qr", "uniform"], default="qr")
-    gen.add_argument("--out", required=True)
+    made = argparse.ArgumentParser(add_help=False)  # every generated set's options
+    made.add_argument("--N", type=int, required=True, help="ambient cap [1, N]")
+    made.add_argument("--out", required=True)
+    gen = sub.add_parser("gen", help="generate a set file").add_subparsers(
+        dest="kind", required=True)
+    gen.add_parser("squares", parents=[made]).set_defaults(
+        make=lambda a: sets.squares_up_to(a.N))
+    sidon = gen.add_parser("sidon", parents=[made])
+    sidon.add_argument("--p", type=int, required=True, help="prime for the Sidon construction")
+    sidon.set_defaults(make=lambda a: sets.sidon_set(a.p, a.N))
+    quadratic = gen.add_parser("quadratic", parents=[made])
+    for flag, default in (("--a", 1), ("--b", 0), ("--c", 0)):
+        quadratic.add_argument(flag, type=int, default=default)
+    quadratic.set_defaults(make=lambda a: sets.quadratic_image(a.a, a.b, a.c, a.N))
+    avoiding = gen.add_parser("random-avoiding", parents=[made])
+    avoiding.add_argument("--P", type=int, default=13, help="sieve primes up to P")
+    avoiding.add_argument("--eps", default="1/2", help="epsilon constant or config file")
+    avoiding.add_argument("--seed", type=int, default=0)
+    avoiding.add_argument("--strategy", choices=["qr", "uniform"], default="qr")
+    avoiding.set_defaults(make=lambda a: sets.residue_avoiding_random(
+        a.N, _parse_eps(a.eps), a.P, a.seed, strategy=a.strategy))
 
-    en = sub.add_parser("energy", help="energy between two set files")
+    emitted = argparse.ArgumentParser(add_help=False)  # every table's options
+    emitted.add_argument("--format", choices=["csv", "json"], default="csv")
+    emitted.add_argument("--out")
+
+    en = sub.add_parser("energy", parents=[emitted], help="energy between two set files")
     en.add_argument("set_a")
-    en.add_argument("set_b", nargs="?")
-    en.add_argument("--squares", action="store_true", help="use squares up to A's cap as B")
+    second = en.add_mutually_exclusive_group(required=True)
+    second.add_argument("set_b", nargs="?")
+    second.add_argument("--squares", action="store_true", help="use squares up to A's cap as B")
     en.add_argument("--method", choices=["sum", "diff", "brute", "all"], default="all")
-    en.add_argument("--format", choices=["csv", "json"], default="csv")
-    en.add_argument("--out")
 
-    sv = sub.add_parser("sieve", help="modulus checks, larger-sieve bound, divisor sums")
+    sv = sub.add_parser("sieve", parents=[emitted],
+                        help="modulus checks, larger-sieve bound, divisor sums")
     sv.add_argument("set_a")
     group = sv.add_mutually_exclusive_group(required=True)
     group.add_argument("--check-v", type=int, dest="check_v")
     group.add_argument("--gallagher", type=int, metavar="Q")
     group.add_argument("--divisor-sum", action="store_true", dest="divisor_sum")
     sv.add_argument("--eps", default="0")
-    sv.add_argument("--format", choices=["csv", "json"], default="csv")
-    sv.add_argument("--out")
 
-    sw = sub.add_parser("sweep", help="experiment rows over a grid of N")
-    sw.add_argument("experiment", choices=["theorem", "ramanujan", "sidon"])
-    sw.add_argument("--grid", required=True, help="comma-separated N values, e.g. 1e3,1e4")
-    sw.add_argument("--set", default="squares", help="set file for the theorem sweep")
-    sw.add_argument("--jobs", type=int, default=1)
-    sw.add_argument("--format", choices=["csv", "json"], default="csv")
-    sw.add_argument("--out")
+    rows = argparse.ArgumentParser(add_help=False, parents=[emitted])  # every sweep's options
+    rows.add_argument("--grid", required=True, help="comma-separated N values, e.g. 1e3,1e4")
+    rows.add_argument("--jobs", type=int, default=1)
+    sweep = sub.add_parser("sweep", help="experiment rows over a grid of N").add_subparsers(
+        dest="experiment", required=True)
+    sweep.add_parser("theorem", parents=[rows]).add_argument(
+        "--set", default="squares", help="set file, or the squares up to each N")
+    sweep.add_parser("ramanujan", parents=[rows])
+    sweep.add_parser("sidon", parents=[rows])
     return top
 
 

@@ -19,7 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from .arith import EPS_ZERO, EpsilonSpec, delta, delta_prime_power, factorize, sieve_primes
-from .energy import _LOOKUP_GROUP, _cell_length, _exact_dot, _pair_counts, _ragged_groups
+from .energy import _LOOKUP_GROUP, _exact_dot, _pair_counts, _ragged_groups
 from .errors import ResourceLimitError
 from .limits import check_allocation
 from .sets import IntegerSet, _check_occupancy, _distinct, occupancy
@@ -125,21 +125,16 @@ class DifferenceTable:
     products uv of distinct pairs u < v, so u < R = isqrt(max_diff) + 1, and a
     block of L differences holds at most sum_{u < R} (L/u + 1) <= L (1 + ln R)
     + R of them.  They are gathered by `energy._ragged_groups`: a group holds at
-    most _LOOKUP_GROUP values, or one row of at most min(L, R).
+    most _LOOKUP_GROUP values, or one row of at most min(L, R) <= min(hi, R).
     """
 
     def __init__(self, A: IntegerSet, max_diff: int):
         xs = self.elements = A.elements
         self.hi = min(max_diff, int(xs[-1] - xs[0])) if len(A) > 1 else 0
         self.rows = math.isqrt(max(max_diff, 0)) + 1
-        # the cell `_pair_counts` takes for the differences x - x' in [1, hi]
-        # (the enumerators' rows, though walked in every cell, move a
-        # lookup's time less than the set's)
-        pairs = int((np.arange(len(xs)) - np.searchsorted(xs, xs - self.hi)).sum())
-        self.cell = _cell_length(len(xs), self.hi, pairs)
-        length = min(self.cell, self.hi)
-        group = min(max(_LOOKUP_GROUP, min(length, self.rows)),
-                    int(length * (1 + math.log(self.rows))) + self.rows)
+        # a block holds L <= hi differences, whatever cell `_pair_counts` takes
+        group = min(max(_LOOKUP_GROUP, min(self.hi, self.rows)),
+                    int(self.hi * (1 + math.log(self.rows))) + self.rows)
         # per value of a group: the values, a temporary, and the last group's
         # values, which the consumer holds until the next one is made; per
         # row, the enumerators' row arrays (a consumer's own rows among them,

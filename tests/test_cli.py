@@ -81,6 +81,27 @@ class TestGen:
         assert run("gen", "nonsense", "--N", "10", "--out", "x") == 2
 
 
+@pytest.mark.parametrize("argv, foreign", [
+    (["gen", "squares", "--N", "16", "--seed", "3"], "--seed"),
+    (["gen", "sidon", "--p", "5", "--N", "60", "--a", "2"], "--a"),
+    (["gen", "quadratic", "--N", "10", "--P", "7"], "--P"),
+    (["gen", "random-avoiding", "--N", "100", "--p", "5"], "--p"),
+    (["sweep", "ramanujan", "--grid", "100", "--set", "{set}"], "--set"),
+    (["sweep", "sidon", "--grid", "100", "--set", "{set}"], "--set"),
+    (["energy", "{set}", "{set}", "--squares"], "--squares"),
+])
+def test_option_the_command_does_not_read_is_a_usage_error(tmp_path, capsys, argv, foreign):
+    """Each command takes only the options it reads: a foreign one exits 2
+    with a usage error before anything is written."""
+    path = write_squares(tmp_path)
+    out = tmp_path / "out.txt"
+    capsys.readouterr()
+    assert run(*(a.format(set=path) for a in argv), "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: ") and foreign in err.splitlines()[-1]
+    assert not out.exists()
+
+
 class TestResourceRefusals:
     """Inputs whose tables would not fit exit 4 before allocating, without a traceback."""
 
@@ -835,13 +856,22 @@ def test_every_invocation_exits_with_a_contract_code(tmp_path, monkeypatch):
 
     fmt, out = opt("--format", ["csv", "json", "xml"]), opt("--out", CLI_OUTS)
     grid = st.lists(st.sampled_from(CLI_VALUES), max_size=3).map(",".join)
+    values = {**dict.fromkeys(["--N", "--p", "--a", "--b", "--c", "--P", "--seed"], CLI_VALUES),
+              "--eps": CLI_EPS, "--strategy": ["qr", "uniform", "other"], "--set": CLI_FILES}
+    gen_own = {"squares": [], "sidon": ["--p"], "quadratic": ["--a", "--b", "--c"],
+               "random-avoiding": ["--P", "--eps", "--seed", "--strategy"], "other": [], "": []}
+    gen_flags = [f for own in gen_own.values() for f in own]
+
+    def command(head, own, foreign, *rest):
+        """head, each of its own options or not, at most one foreign option, then rest"""
+        extra = [st.sampled_from(foreign).flatmap(lambda f: opt(f, values[f]))] if foreign else []
+        return st.tuples(st.just(head), *(opt(f, values[f]) for f in own),
+                         st.one_of(st.just([]), *extra), *rest)
+
     commands = st.one_of(
-        st.tuples(
-            st.just(["gen"]), st.sampled_from([["squares"], ["sidon"], ["quadratic"],
-                                               ["random-avoiding"], ["other"], []]),
-            *(opt(f, CLI_VALUES) for f in ("--N", "--p", "--a", "--b", "--c", "--P", "--seed")),
-            opt("--eps", CLI_EPS), opt("--strategy", ["qr", "uniform", "other"]), out,
-        ),
+        *(command(["gen", kind] if kind else ["gen"], ["--N", *own],
+                  [f for f in gen_flags if f not in own], out)
+          for kind, own in gen_own.items()),
         st.tuples(
             st.just(["energy"]), one(CLI_FILES), st.one_of(st.just([]), one(CLI_FILES)),
             st.sampled_from([[], ["--squares"]]),
@@ -853,11 +883,11 @@ def test_every_invocation_exits_with_a_contract_code(tmp_path, monkeypatch):
                       st.just(["--divisor-sum"]), st.just(["--divisor-sum", "--check-v", "3"])),
             opt("--eps", CLI_EPS), fmt, out,
         ),
-        st.tuples(
-            st.just(["sweep"]), st.sampled_from([["theorem"], ["ramanujan"], ["sidon"], ["other"]]),
-            st.one_of(st.just([]), grid.map(lambda g: ["--grid", g])), opt("--set", CLI_FILES),
-            opt("--jobs", CLI_VALUES), fmt, out,
-        ),
+        *(command(["sweep", experiment], ["--set"] if experiment == "theorem" else [],
+                  [] if experiment == "theorem" else ["--set"],
+                  st.one_of(st.just([]), grid.map(lambda g: ["--grid", g])),
+                  opt("--jobs", CLI_VALUES), fmt, out)
+          for experiment in ("theorem", "ramanujan", "sidon", "other")),
     ).map(lambda parts: [a.format(**paths) for part in parts for a in part])
 
     class Stalled(BaseException):
