@@ -87,6 +87,13 @@ def _records(columns, objs) -> list[dict]:
 # Subcommands
 # ---------------------------------------------------------------------------
 
+def _random_avoiding(args) -> sets.IntegerSet:
+    if args.seed is not None and args.strategy != "uniform":
+        args.parser.error("--seed is read only under --strategy uniform")
+    return sets.residue_avoiding_random(args.N, _parse_eps(args.eps), args.P, args.seed or 0,
+                                        strategy=args.strategy)
+
+
 def _cmd_gen(args) -> int:
     result = args.make(args)
     sets.write_set(result, args.out)
@@ -150,15 +157,11 @@ def _cmd_sieve(args) -> int:
     return 0
 
 
-def _sweep_row(kind: str, n: int, set_source: str | None) -> correlation.ExperimentRow:
-    if kind == "ramanujan":
-        return correlation.ramanujan_row(n)
-    if kind == "sidon":
-        return correlation.sidon_row(n)
-    if set_source == "squares":
+def _theorem_row(args, n: int) -> correlation.ExperimentRow:
+    if args.set == "squares":
         A = sets.squares_up_to(n)
     else:
-        A = sets.read_set(set_source)
+        A = sets.read_set(args.set)
         if A.cap > n:
             raise ValueError(f"set cap {A.cap} exceeds sweep point N={n}")
     return correlation.correlation_row(A, n)
@@ -166,34 +169,11 @@ def _sweep_row(kind: str, n: int, set_source: str | None) -> correlation.Experim
 
 def _cmd_sweep(args) -> int:
     grid = _parse_grid(args.grid)
-    source = getattr(args, "set", None)  # only the theorem sweep reads a set
     cap = max_sweep_n()
-    truncated_at = None
-    todo = []
-    for n in grid:
-        if n > cap:
-            truncated_at = n
-            break
-        todo.append(n)
-    # a pool starts all its workers at once: no more than rows or CPUs
-    workers = min(args.jobs, len(todo), os.cpu_count() or 1)
-    if workers > 1:
-        # imported here: it pulls in multiprocessing, which start-up need not pay for
-        from concurrent.futures import ProcessPoolExecutor
-        from concurrent.futures.process import BrokenProcessPool
-
-        try:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(_sweep_row, [args.experiment] * len(todo), todo,
-                                        [source] * len(todo)))
-        except BrokenProcessPool as exc:  # a worker ended abruptly, as by the OOM killer
-            raise ResourceLimitError(f"a sweep worker died: {exc}") from None
-    else:
-        results = [_sweep_row(args.experiment, n, source) for n in todo]
-
+    truncated_at = next((n for n in grid if n > cap), None)
     columns = ("N", "card_A", "card_S", "energy", "lower_bound", "ratio_AS", "ratio_log",
                "seconds")
-    rows = _records(columns, results)
+    rows = _records(columns, [args.row(args, n) for n in grid if n <= cap])
     if truncated_at is not None:
         _emit(args, columns, rows, {"rows": rows, "truncated_at": truncated_at},
               f"# truncated: N={truncated_at} exceeds cap {cap}")
@@ -231,10 +211,9 @@ def build_parser() -> argparse.ArgumentParser:
     avoiding = gen.add_parser("random-avoiding", parents=[made])
     avoiding.add_argument("--P", type=int, default=13, help="sieve primes up to P")
     avoiding.add_argument("--eps", default="1/2", help="epsilon constant or config file")
-    avoiding.add_argument("--seed", type=int, default=0)
+    avoiding.add_argument("--seed", type=int, help="read under --strategy uniform (default 0)")
     avoiding.add_argument("--strategy", choices=["qr", "uniform"], default="qr")
-    avoiding.set_defaults(make=lambda a: sets.residue_avoiding_random(
-        a.N, _parse_eps(a.eps), a.P, a.seed, strategy=a.strategy))
+    avoiding.set_defaults(make=_random_avoiding)
 
     emitted = argparse.ArgumentParser(add_help=False)  # every table's options
     emitted.add_argument("--format", choices=["csv", "json"], default="csv")
@@ -258,30 +237,34 @@ def build_parser() -> argparse.ArgumentParser:
 
     rows = argparse.ArgumentParser(add_help=False, parents=[emitted])  # every sweep's options
     rows.add_argument("--grid", required=True, help="comma-separated N values, e.g. 1e3,1e4")
-    rows.add_argument("--jobs", type=int, default=1)
     sweep = sub.add_parser("sweep", help="experiment rows over a grid of N").add_subparsers(
         dest="experiment", required=True)
-    sweep.add_parser("theorem", parents=[rows]).add_argument(
-        "--set", default="squares", help="set file, or the squares up to each N")
-    sweep.add_parser("ramanujan", parents=[rows])
-    sweep.add_parser("sidon", parents=[rows])
+    theorem = sweep.add_parser("theorem", parents=[rows])
+    theorem.add_argument("--set", default="squares", help="set file, or the squares up to each N")
+    theorem.set_defaults(row=_theorem_row)
+    sweep.add_parser("ramanujan", parents=[rows]).set_defaults(
+        row=lambda a, n: correlation.ramanujan_row(n))
+    sweep.add_parser("sidon", parents=[rows]).set_defaults(
+        row=lambda a, n: correlation.sidon_row(n))
+
+    # each command's own parser reports its usage errors, so that they name the command
+    for commands in (sub, gen, sweep):
+        for parser in commands.choices.values():
+            parser.set_defaults(parser=parser)
     return top
 
 
+COMMANDS = {"gen": _cmd_gen, "energy": _cmd_energy, "sieve": _cmd_sieve, "sweep": _cmd_sweep}
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
+        args, unread = build_parser().parse_known_args(argv)
+        if unread:
+            args.parser.error("unrecognized arguments: " + " ".join(unread))
+        return COMMANDS[args.command](args)
+    except SystemExit as exc:  # a usage error, or --help
         return int(exc.code or 0)
-    try:
-        if args.command == "gen":
-            return _cmd_gen(args)
-        if args.command == "energy":
-            return _cmd_energy(args)
-        if args.command == "sieve":
-            return _cmd_sieve(args)
-        return _cmd_sweep(args)
     except InvariantViolationError as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return INVARIANT_EXIT

@@ -244,7 +244,7 @@ def test_c11_cli_determinism(tmp_path):
             gen = tmp_path / f"set_{name}.txt"
             run(
                 "gen", "random-avoiding", "--N", "2000", "--P", "13", "--eps", "1/2",
-                "--seed", "7", "--out", str(gen),
+                "--strategy", "uniform", "--seed", "7", "--out", str(gen),
             )
             sweep = tmp_path / f"sweep_{name}.csv"
             run("sweep", "theorem", "--grid", "1e3,2e3", "--out", str(sweep))

@@ -1,4 +1,3 @@
-import concurrent.futures
 import csv
 import json
 import os
@@ -23,12 +22,6 @@ from energysieve.sets import read_set, sidon_set, is_sidon
 
 def run(*argv):
     return cli.main(list(argv))
-
-
-def dying_row(kind, n, set_source):
-    """A sweep row whose worker process ends at once, as the OOM killer ends it;
-    at module level, so that a pool can send it to its workers."""
-    os._exit(1)
 
 
 def write_squares(tmp_path, n=16, name="sq.txt"):
@@ -63,7 +56,7 @@ class TestGen:
     def test_random_avoiding_deterministic(self, tmp_path):
         p1, p2 = tmp_path / "r1.txt", tmp_path / "r2.txt"
         args = ["gen", "random-avoiding", "--N", "1000", "--P", "13", "--eps", "0.5",
-                "--seed", "7", "--out"]
+                "--strategy", "uniform", "--seed", "7", "--out"]
         assert run(*args, str(p1)) == 0
         assert run(*args, str(p2)) == 0
         assert p1.read_bytes() == p2.read_bytes()
@@ -89,17 +82,23 @@ class TestGen:
     (["sweep", "ramanujan", "--grid", "100", "--set", "{set}"], "--set"),
     (["sweep", "sidon", "--grid", "100", "--set", "{set}"], "--set"),
     (["energy", "{set}", "{set}", "--squares"], "--squares"),
+    (["sweep", "ramanujan", "--grid", "100", "--jobs", "2"], "--jobs"),
+    (["gen", "random-avoiding", "--N", "100", "--seed", "7"], "--seed"),
+    (["gen", "random-avoiding", "--N", "100", "--strategy", "qr", "--seed", "7"], "--seed"),
 ])
 def test_option_the_command_does_not_read_is_a_usage_error(tmp_path, capsys, argv, foreign):
     """Each command takes only the options it reads: a foreign one exits 2
-    with a usage error before anything is written."""
+    with the command's own usage error before anything is written."""
     path = write_squares(tmp_path)
     out = tmp_path / "out.txt"
     capsys.readouterr()
     assert run(*(a.format(set=path) for a in argv), "--out", str(out)) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("usage: ") and foreign in err.splitlines()[-1]
-    assert not out.exists()
+    stdout, err = capsys.readouterr()
+    command = "energysieve " + " ".join(argv[:2] if argv[0] in ("gen", "sweep") else argv[:1])
+    assert err.startswith(f"usage: {command} [-h]")
+    last = err.splitlines()[-1]
+    assert last.startswith(f"{command}: error: ") and foreign in last
+    assert stdout == "" and not out.exists()
 
 
 class TestResourceRefusals:
@@ -598,48 +597,19 @@ class TestSweep:
         assert out == ""
         assert len(err.splitlines()) == 1 and err.startswith(f"error: {name} {text!r} is not")
 
-    def test_jobs_deterministic(self, tmp_path):
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        assert run("sweep", "ramanujan", "--grid", "1e3,2e3,4e3", "--jobs", "1",
-                   "--out", str(a)) == 0
-        assert run("sweep", "ramanujan", "--grid", "1e3,2e3,4e3", "--jobs", "2",
-                   "--out", str(b)) == 0
-        strip = lambda p: [l.rsplit(",", 1)[0] for l in p.read_text().splitlines()]
-        assert strip(a) == strip(b)
+    @pytest.mark.parametrize("experiment", ["ramanujan", "theorem", "sidon"])
+    def test_rows_do_not_depend_on_the_rows_before_them(self, tmp_path, experiment):
+        """A grid gives the rows of one run per grid value, each begun with a cold
+        factorization cache: so a grid may be split over processes and joined."""
+        def rows(grid):
+            arith._factors.cache_clear()
+            out = tmp_path / f"{grid}.csv"
+            assert run("sweep", experiment, "--grid", grid, "--out", str(out)) == 0
+            return [line.rsplit(",", 1)[0] for line in out.read_text().splitlines()]
 
-    @pytest.mark.parametrize(
-        "jobs, cpus, workers",
-        [(64, 8, 3), (64, 2, 2), (2, 8, 2), (1, 8, None), (64, None, None), (64, 1, None)],
-    )
-    def test_jobs_clamped_to_rows_and_cpus(self, monkeypatch, capsys, jobs, cpus, workers):
-        made = []
-
-        class RecordingPool:
-            def __init__(self, max_workers):
-                made.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, *iterables):
-                return map(fn, *iterables)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
-        assert run("sweep", "ramanujan", "--grid", "100,200,300", "--jobs", str(jobs)) == 0
-        assert made == ([] if workers is None else [workers])
-        assert len(capsys.readouterr().out.splitlines()) == 4
-
-    def test_dead_worker_exit4(self, monkeypatch, capsys):
-        monkeypatch.setattr(cli, "_sweep_row", dying_row)
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
-        assert run("sweep", "ramanujan", "--grid", "100,200", "--jobs", "2") == 4
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert len(err.splitlines()) == 1 and err.startswith("resource limit: a sweep worker died")
+        whole = rows("1e3,2e3,4e3")
+        header, *joined = [line for n in ("1e3", "2e3", "4e3") for line in rows(n)]
+        assert whole == [header] + [line for line in joined if line != header]
 
     def test_csv_roundtrip_integers(self, tmp_path):
         out = tmp_path / "t.csv"
@@ -804,7 +774,7 @@ def test_csv_rows_equal_json_rows():
 
 
 def test_import_starts_no_process_machinery():
-    # a sweep imports the pool only when it makes one; every CLI run is a new process
+    # every CLI run is one process: sweep rows run one after another in it
     code = (
         "import sys, energysieve.cli; "
         "print(sorted(m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules))"
@@ -838,7 +808,6 @@ def test_every_invocation_exits_with_a_contract_code(tmp_path, monkeypatch):
     # small caps: huge sizes are refused (exit 4) instead of allocated
     monkeypatch.setenv("ENERGYSIEVE_MEMORY_CAP", str(1 << 24))
     monkeypatch.setenv("ENERGYSIEVE_MAX_N", str(10**5))
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 1)  # no worker processes
     paths = {}
     for name, text in CLI_FILE_TEXT.items():
         (tmp_path / name).write_text(text)
@@ -886,7 +855,7 @@ def test_every_invocation_exits_with_a_contract_code(tmp_path, monkeypatch):
         *(command(["sweep", experiment], ["--set"] if experiment == "theorem" else [],
                   [] if experiment == "theorem" else ["--set"],
                   st.one_of(st.just([]), grid.map(lambda g: ["--grid", g])),
-                  opt("--jobs", CLI_VALUES), fmt, out)
+                  fmt, out)
           for experiment in ("theorem", "ramanujan", "sidon", "other")),
     ).map(lambda parts: [a.format(**paths) for part in parts for a in part])
 
