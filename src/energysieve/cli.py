@@ -129,9 +129,11 @@ def _cmd_energy(args) -> int:
 
 
 def _cmd_sieve(args) -> int:
+    if args.eps is not None and args.check_v is None:
+        args.parser.error("--eps is read only under --check-v")
     A = sets.read_set(args.set_a)
-    eps = _parse_eps(args.eps)
     if args.check_v is not None:
+        eps = _parse_eps("0" if args.eps is None else args.eps)
         res = sieve.composite_moduli_check(A, args.check_v, eps)
         columns = ("v", "card", "delta", "lhs", "rhs", "hypothesis_ok", "holds")
         (row,) = _records(columns, [res])
@@ -233,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--check-v", type=int, dest="check_v")
     group.add_argument("--gallagher", type=int, metavar="Q")
     group.add_argument("--divisor-sum", action="store_true", dest="divisor_sum")
-    sv.add_argument("--eps", default="0")
+    sv.add_argument("--eps", help="read under --check-v (default 0)")
 
     rows = argparse.ArgumentParser(add_help=False, parents=[emitted])  # every sweep's options
     rows.add_argument("--grid", required=True, help="comma-separated N values, e.g. 1e3,1e4")

@@ -41,7 +41,6 @@ DIRECT_BLOCK_GUARD = 1 << 16
 _GUARD_CELL = 1 << 17
 _CHUNK = 1 << 22
 _GROUP = 1 << 15  # pairs per group of a direct count's gather
-_LOOKUP_GROUP = 1 << 13  # values per group of a lookup enumeration's gather
 
 
 @dataclass(frozen=True, eq=False)
@@ -214,22 +213,6 @@ def _gather(first: np.ndarray, lens: np.ndarray, ends: np.ndarray, step: int = 1
         starts *= step
     out += np.repeat(first - starts, lens)
     return out
-
-
-def _ragged_groups(first: np.ndarray, last: np.ndarray, step: int = 1):
-    """The rows first[k], first[k] + step, ... up to last[k] (empty where
-    last[k] < first[k]), gathered by `_groups` at most _LOOKUP_GROUP values
-    at a time: yields (rows, lens, values), the group's slice of rows, their
-    lengths and their values as one int64 array.  The lengths and their
-    running ends are computed once for all groups."""
-    lens = last - first
-    if step != 1:
-        lens //= step
-    lens += 1
-    np.maximum(lens, 0, out=lens)
-    ends = np.cumsum(lens)
-    for i, j in _groups(ends, _LOOKUP_GROUP):
-        yield slice(i, j), lens[i:j], _gather(first[i:j], lens[i:j], ends[i:j], step)
 
 
 def _indicator(v: np.ndarray) -> np.ndarray:
@@ -412,15 +395,15 @@ def _pair_counts(xs: np.ndarray, ys: np.ndarray | None, lo: int, hi: int, method
     differences of xs (counted as sums against the reflected set, -xs[::-1]).
 
     Returns (backend, blocks, resident): `blocks` yields (offset, counts) in
-    order, at most one block per cell [lo + k cell, lo + (k + 1) cell) of
-    [lo, hi] (none if lo > hi), the cell length `_cell_length`'s for these
-    rows, window and pairs; direct blocks are counted as they are taken,
-    one for each cell that holds a sum (a sparse cell cut to its first and
-    last sum), over the cell's band of rows, into one reused buffer: a block
-    is valid only until the next one is requested, so a caller that keeps
-    one copies it.  FFT blocks are views of the verified transform, one for
-    every whole cell; `resident` is the bytes they hold meanwhile.  [lo, hi] lies
-    within the range of sums.  `held`, the bytes the caller keeps alive, is
+    order (none if lo > hi); `resident` is the bytes they hold meanwhile.  A
+    verified transform is one block, its view of [lo, hi].  Direct counting
+    yields one block for each cell [lo + k cell, lo + (k + 1) cell) of
+    [lo, hi] that holds a sum (a sparse cell cut to its first and last sum),
+    the cell length `_cell_length`'s for these rows, window and pairs,
+    counted as it is taken, over the cell's band of rows, into one reused
+    buffer: a block is valid only until the next one is requested, so a
+    caller that keeps one copies it.  [lo, hi] lies within the range of
+    sums.  `held`, the bytes the caller keeps alive, is
     counted with the backend's working set against the cap.  `auto` runs the
     backend with the lower estimated cost; a transform that fails
     verification falls back to direct counting.  Direct counting visits at
@@ -447,7 +430,6 @@ def _pair_counts(xs: np.ndarray, ys: np.ndarray | None, lo: int, hi: int, method
     left = np.searchsorted(ys, lo - xs)
     pairs = int((np.searchsorted(ys, hi + 1 - xs) - left).sum())
     gathered = pairs // 2 if ys is xs else pairs  # a set with itself: x < y only
-    cell = _cell_length(len(xs), hi - lo + 1, gathered)
     if method == "auto":
         # Estimated costs in nanoseconds, fitted to best-of-3 timings of both
         # backends in one process (2-CPU x86-64, numpy 2.4) on 27 shapes: the
@@ -476,11 +458,10 @@ def _pair_counts(xs: np.ndarray, ys: np.ndarray | None, lo: int, hi: int, method
         if counts is not None:
             if lags:
                 first = 0
-            window = counts[lo - first : hi - first + 1]
-            blocks = ((lo + i, window[i : i + cell]) for i in range(0, len(window), cell))
-            return "fft", blocks, counts.nbytes
+            return "fft", iter([(lo, counts[lo - first : hi - first + 1])]), counts.nbytes
         backend = "fft-fallback"
         left = np.searchsorted(ys, lo - xs)
+    cell = _cell_length(len(xs), hi - lo + 1, gathered)
     visits = min(-(-(hi - lo + 1) // _GUARD_CELL), pairs)  # a cell with a sum holds a pair
     if visits > DIRECT_BLOCK_GUARD:
         raise ResourceLimitError(
@@ -590,10 +571,10 @@ def energy_diff_path(X: IntegerSet, Y: IntegerSet, *, method: str = "auto") -> E
 
 def _matched(rx, ry):
     """The counts of two block streams over one window, cut to the values both
-    hold; a value outside one stream's blocks has count 0 there.  The streams
-    may have cells of different lengths, so a block of either may meet
-    several of the other; each block is used before the next of its stream
-    is requested."""
+    hold; a value outside one stream's blocks has count 0 there.  Blocks may
+    differ in length (a transform's one block, direct cells of other
+    lengths), so a block of either may meet several of the other; each block
+    is used before the next of its stream is requested."""
     ry = iter(ry)
     at, b = next(ry, (None, None))
     for offset, a in rx:

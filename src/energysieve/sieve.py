@@ -19,7 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from .arith import EPS_ZERO, EpsilonSpec, delta, delta_prime_power, factorize, sieve_primes
-from .energy import _LOOKUP_GROUP, _exact_dot, _pair_counts, _ragged_groups
+from .energy import _exact_dot, _gather, _groups, _pair_counts
 from .errors import ResourceLimitError
 from .limits import check_allocation
 from .sets import IntegerSet, _check_occupancy, _distinct, occupancy
@@ -38,6 +38,7 @@ __all__ = [
 ]
 
 PARTITION_MODULI_GUARD = 1 << 16  # moduli of one partition scan, one pass each: N < 65537^2
+_LOOKUP_GROUP = 1 << 13  # values per group of a lookup enumeration's gather
 
 
 @dataclass(frozen=True)
@@ -118,13 +119,14 @@ def gallagher_bound(A: IntegerSet, Q: int) -> float | None:
 
 class DifferenceTable:
     """Sums of r_{A-A}(d) over [1, min(max_diff, span of A)], streamed block by
-    block from `energy._pair_counts`; no count is stored.
+    block from `energy._pair_counts` (a verified transform is one block); no
+    count is stored.
 
     `lookup` takes enumerators: values(D, E) yields, in groups, the int64
     differences in [D, E] to sum r at, with multiplicity.  Each consumer's are
     products uv of distinct pairs u < v, so u < R = isqrt(max_diff) + 1, and a
     block of L differences holds at most sum_{u < R} (L/u + 1) <= L (1 + ln R)
-    + R of them.  They are gathered by `energy._ragged_groups`: a group holds at
+    + R of them.  They are gathered by `_ragged_groups`: a group holds at
     most _LOOKUP_GROUP values, or one row of at most min(L, R) <= min(hi, R).
     """
 
@@ -132,7 +134,7 @@ class DifferenceTable:
         xs = self.elements = A.elements
         self.hi = min(max_diff, int(xs[-1] - xs[0])) if len(A) > 1 else 0
         self.rows = math.isqrt(max(max_diff, 0)) + 1
-        # a block holds L <= hi differences, whatever cell `_pair_counts` takes
+        # a block holds L <= hi differences, whatever block `_pair_counts` yields
         group = min(max(_LOOKUP_GROUP, min(self.hi, self.rows)),
                     int(self.hi * (1 + math.log(self.rows))) + self.rows)
         # per value of a group: the values, a temporary, and the last group's
@@ -153,6 +155,22 @@ class DifferenceTable:
                     ds -= start
                     totals[i] += int(counts[ds].sum())
         return tuple(totals)
+
+
+def _ragged_groups(first: np.ndarray, last: np.ndarray, step: int = 1):
+    """The rows first[k], first[k] + step, ... up to last[k] (empty where
+    last[k] < first[k]), gathered by `energy._groups` at most _LOOKUP_GROUP
+    values at a time: yields (rows, lens, values), the group's slice of rows,
+    their lengths and their values as one int64 array.  The lengths and
+    their running ends are computed once for all groups."""
+    lens = last - first
+    if step != 1:
+        lens //= step
+    lens += 1
+    np.maximum(lens, 0, out=lens)
+    ends = np.cumsum(lens)
+    for i, j in _groups(ends, _LOOKUP_GROUP):
+        yield slice(i, j), lens[i:j], _gather(first[i:j], lens[i:j], ends[i:j], step)
 
 
 def _products(u: np.ndarray, low, high, step: int = 1):

@@ -85,6 +85,8 @@ class TestGen:
     (["sweep", "ramanujan", "--grid", "100", "--jobs", "2"], "--jobs"),
     (["gen", "random-avoiding", "--N", "100", "--seed", "7"], "--seed"),
     (["gen", "random-avoiding", "--N", "100", "--strategy", "qr", "--seed", "7"], "--seed"),
+    (["sieve", "{set}", "--gallagher", "30", "--eps", "7"], "--eps"),
+    (["sieve", "{set}", "--divisor-sum", "--eps", "1/2"], "--eps"),
 ])
 def test_option_the_command_does_not_read_is_a_usage_error(tmp_path, capsys, argv, foreign):
     """Each command takes only the options it reads: a foreign one exits 2
@@ -830,6 +832,11 @@ def test_every_invocation_exits_with_a_contract_code(tmp_path, monkeypatch):
     gen_own = {"squares": [], "sidon": ["--p"], "quadratic": ["--a", "--b", "--c"],
                "random-avoiding": ["--P", "--eps", "--seed", "--strategy"], "other": [], "": []}
     gen_flags = [f for own in gen_own.values() for f in own]
+    sieve_modes = [  # (one mode, or none, or two; the options that mode reads)
+        (st.sampled_from(CLI_VALUES).map(lambda v: ["--check-v", v]), ["--eps"]),
+        (st.sampled_from(CLI_VALUES).map(lambda v: ["--gallagher", v]), []),
+        (st.sampled_from([["--divisor-sum"], [], ["--divisor-sum", "--check-v", "3"]]), []),
+    ]
 
     def command(head, own, foreign, *rest):
         """head, each of its own options or not, at most one foreign option, then rest"""
@@ -846,12 +853,9 @@ def test_every_invocation_exits_with_a_contract_code(tmp_path, monkeypatch):
             st.sampled_from([[], ["--squares"]]),
             opt("--method", ["sum", "diff", "brute", "all", "other"]), fmt, out,
         ),
-        st.tuples(
-            st.just(["sieve"]), one(CLI_FILES),
-            st.one_of(opt("--check-v", CLI_VALUES), opt("--gallagher", CLI_VALUES),
-                      st.just(["--divisor-sum"]), st.just(["--divisor-sum", "--check-v", "3"])),
-            opt("--eps", CLI_EPS), fmt, out,
-        ),
+        *(command(["sieve"], own, [f for f in ["--eps"] if f not in own], one(CLI_FILES), mode,
+                  fmt, out)
+          for mode, own in sieve_modes),
         *(command(["sweep", experiment], ["--set"] if experiment == "theorem" else [],
                   [] if experiment == "theorem" else ["--set"],
                   st.one_of(st.just([]), grid.map(lambda g: ["--grid", g])),

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import energysieve.energy as energy
+import energysieve.sieve as sieve
 from energysieve.energy import (
     cauchy_schwarz_check,
     energy_bruteforce,
@@ -102,24 +103,25 @@ def former_direct_blocks(xs, ys, lo, hi, cell):
 
 
 def streamed(xs, ys, lo, hi, method):
-    """The core's blocks over [lo, hi], checked to come in order, at most one
-    per cell lo + k L, L the rule's cell length: each whole cell from the
-    transform, each cell with a sum from direct counting; placed in a window
-    of zeros."""
+    """The core's blocks over [lo, hi], placed in a window of zeros: a
+    verified transform's, checked to be one block covering [lo, hi]; direct
+    counting's, checked to come in order, at most one per cell lo + k L, L
+    the rule's cell length, each with a sum."""
     backend, blocks, _ = energy._pair_counts(xs, ys, lo, hi, method)
-    length = rule_cell(xs, ys, lo, hi) if lo <= hi else None
     joined = np.zeros(max(hi - lo + 1, 0), dtype=np.int64)
+    if backend == "fft":
+        ((offset, counts),) = blocks
+        assert offset == lo and len(counts) == hi - lo + 1
+        joined[:] = counts
+        return backend, joined
+    length = rule_cell(xs, ys, lo, hi) if lo <= hi else None
     at = lo
     for offset, counts in blocks:
         cell = lo + (offset - lo) // length * length
         assert at <= cell and offset + len(counts) <= min(cell + length, hi + 1)
-        if backend == "fft":
-            assert offset == at == cell and len(counts) == min(length, hi + 1 - cell)
-        else:
-            assert counts.any()
+        assert counts.any()
         joined[offset - lo : offset - lo + len(counts)] = counts
         at = cell + length
-    assert backend != "fft" or at >= hi + 1
     return backend, joined
 
 
@@ -352,6 +354,52 @@ class TestWindowedCore:
         assert backend == "fft"
         assert (counts == full[span + 1 :]).all()
         assert transforms == (["rfft", "irfft"] if diff else ["rfft", "rfft", "irfft"])
+
+    @staticmethod
+    def random_stream(rng, form):
+        """(xs, ys, windows, oracle) for the `random` case's sums, its first set
+        with itself, and that set's lags; each first window is longer than one
+        cell, the second cuts both ends."""
+        X, Y = TestWindowedCore.CASES["random"](rng)
+        xs = X.elements
+        if form == "lags":
+            span = int(xs[-1] - xs[0])
+            full = count_direct_oracle(xs, -xs[::-1], -span, 2 * span + 1)[span:]
+            return xs, None, [(0, span), (1, span - 3)], lambda a, b: full[a : b + 1]
+        ys = xs if form == "self" else Y.elements
+        lo, hi = int(xs[0] + ys[0]), int(xs[-1] + ys[-1])
+        full = count_direct_oracle(xs, ys, lo, hi - lo + 1)
+        return xs, ys, [(lo, hi), (lo + 7, hi - 5)], lambda a, b: full[a - lo : b - lo + 1]
+
+    @pytest.mark.parametrize("form", ["sums", "self", "lags"])
+    def test_transform_is_one_block(self, rng, form):
+        xs, ys, windows, oracle = self.random_stream(rng, form)
+        for lo, hi in windows:
+            assert hi - lo + 1 > rule_cell(xs, ys, lo, hi)
+            backend, blocks, _ = energy._pair_counts(xs, ys, lo, hi, "fft")
+            ((offset, counts),) = blocks
+            assert backend == "fft" and offset == lo and len(counts) == hi - lo + 1
+            assert (counts == oracle(lo, hi)).all()
+
+    @pytest.mark.parametrize("method, backend", [
+        ("fft", "fft"), ("direct", "direct"), ("failing", "fft-fallback"),
+    ])
+    @pytest.mark.parametrize("form", ["sums", "self", "lags"])
+    def test_cell_rule_runs_only_for_direct_counting(self, monkeypatch, rng, form, method,
+                                                     backend):
+        xs, ys, windows, oracle = self.random_stream(rng, form)
+        calls = []
+        rule = energy._cell_length
+        monkeypatch.setattr(energy, "_cell_length", lambda *args: calls.append(args) or rule(*args))
+        if method == "failing":
+            monkeypatch.setattr(energy, "_count_fft", lambda *args: None)
+        lo, hi = windows[0]
+        got, blocks, _ = energy._pair_counts(xs, ys, lo, hi, "direct" if method == "direct" else "fft")
+        counts = np.zeros(hi - lo + 1, dtype=np.int64)
+        for offset, block in blocks:
+            counts[offset - lo : offset - lo + len(block)] = block
+        assert got == backend and (counts == oracle(lo, hi)).all()
+        assert len(calls) == (backend != "fft")
 
     def test_reflected_window_is_symmetric(self, rng):
         X = make_random_set(rng, 3 * 10**5, 400)
@@ -763,8 +811,6 @@ class TestBlockLifetime:
 
     @pytest.fixture
     def poison(self, monkeypatch):
-        import energysieve.sieve as sieve
-
         count = energy._pair_counts
 
         def poisoned(*args, **kwargs):
@@ -838,7 +884,7 @@ class TestRagged:
     @staticmethod
     def gathered(first, last, step):
         """The groups of `_ragged_groups`, checked to cover their rows in order."""
-        groups = list(energy._ragged_groups(first, last, step))
+        groups = list(sieve._ragged_groups(first, last, step))
         at = 0
         for rows, lens, values in groups:
             assert rows.start == at and len(lens) == rows.stop - at and values.dtype == np.int64
@@ -866,7 +912,7 @@ class TestRagged:
 
     @pytest.mark.parametrize("step", [1, 2])
     def test_groups_within_limit_and_long_rows_alone(self, step):
-        G = energy._LOOKUP_GROUP
+        G = sieve._LOOKUP_GROUP
         # row lengths in values: 3, 0, G + 1 (longer than a group: alone),
         # G - 3, 3 and 0 (together exactly G), 2 G (alone), 1 and 0
         lens = [3, 0, G + 1, G - 3, 3, 0, 2 * G, 1, 0]

@@ -17,6 +17,7 @@ from energysieve.sets import (
 )
 from energysieve.sieve import (
     DifferenceTable,
+    _LOOKUP_GROUP,
     composite_moduli_check,
     divisor_growth_report,
     divisor_sum_direct,
@@ -24,7 +25,6 @@ from energysieve.sieve import (
     gallagher_bound,
 )
 import energysieve.sieve as sieve_module
-from energysieve.energy import _LOOKUP_GROUP
 from conftest import make_random_set
 
 
@@ -906,6 +906,30 @@ class TestDifferenceTable:
         total = DifferenceTable(A, A.cap).lookup(every_difference)
         assert backends == ["fft"]
         assert total == (len(A) * (len(A) - 1) // 2,)
+
+    def test_transform_enumerated_once(self):
+        """The transform is one block, so each enumerator is asked for its
+        values once, over the table's whole window."""
+        rng = np.random.default_rng(3)
+        A = IntegerSet.from_elements(200_000, np.flatnonzero(rng.random(200_001) < 0.115)[1:])
+        radius = math.isqrt(A.cap)
+        u = np.arange(1, radius, dtype=np.int64)
+        table = DifferenceTable(A, radius * radius)
+        calls = {}
+
+        def counted(name, values):
+            def inner(D, E):
+                calls.setdefault(name, []).append((D, E))
+                return values(D, E)
+            return inner
+
+        totals = table.lookup(counted("every", every_difference),
+                              counted("products", sieve_module._products(u, u + 1, radius)))
+        assert sieve_module._pair_counts(A.elements, None, 1, table.hi, "auto")[0] == "fft"
+        assert calls == {"every": [(1, table.hi)], "products": [(1, table.hi)]}
+        xs = A.elements
+        within = int((np.arange(len(xs)) - np.searchsorted(xs, xs - table.hi)).sum())
+        assert totals == (within, divisor_sum_partition(A, A.cap).total)
 
 
 class TestGrowthReport:
