@@ -15,15 +15,15 @@ so no caller handles a prime table.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import ResourceLimitError
 from .limits import SIEVE_LIMIT_CAP, check_allocation, exact_fraction
+from .records import Checked, Frozen
 
 __all__ = [
     "EpsilonSpec",
@@ -153,21 +153,30 @@ def _factors(n: int) -> tuple[tuple[int, int], ...]:
 # The epsilon weights and the occupancy ceiling
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class EpsilonSpec:
+class EpsilonSpec(Frozen):
     """Nonnegative weight eps(p) per prime: a default plus optional overrides."""
 
+    __slots__ = ("default", "overrides")
     default: Fraction
-    overrides: tuple[tuple[int, Fraction], ...] = ()
+    overrides: tuple[tuple[int, Fraction], ...]
 
-    def __post_init__(self):
-        if self.default < 0:
+    def __init__(self, default: Fraction, overrides: tuple[tuple[int, Fraction], ...] = ()):
+        if default < 0:
             raise ValueError("eps default must be >= 0")
-        for p, v in self.overrides:
+        for p, v in overrides:
             if p < 2:
                 raise ValueError(f"override key {p} is not a prime candidate")
             if v < 0:
                 raise ValueError(f"eps({p}) must be >= 0")
+        super().__init__(default, overrides)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.default, self.overrides) == (other.default, other.overrides)
+
+    def __hash__(self):
+        return hash((self.default, self.overrides))
 
     @property
     def bound(self) -> Fraction:
@@ -543,10 +552,7 @@ def singular_series(eps: EpsilonSpec = EPS_ZERO, trunc_prime: int = 10**5) -> fl
     return out
 
 
-@dataclass(frozen=True)
-class SeriesTable:
-    """Partial sums on an increasing grid, plus the truncated Euler product."""
-
+class _SeriesFields(NamedTuple):
     xs: tuple[int, ...]
     m_values: tuple[float, ...]
     t_values: tuple[float, ...]        # squarefree-restricted
@@ -554,7 +560,13 @@ class SeriesTable:
     trunc_prime: int
     singular: float
 
-    def __post_init__(self):
+
+class SeriesTable(Checked, _SeriesFields):
+    """Partial sums on an increasing grid, plus the truncated Euler product."""
+
+    __slots__ = ()
+
+    def _check(self):
         for name in ("m_values", "t_values", "t_all_values"):
             col = getattr(self, name)
             if any(not (v > 0) or not math.isfinite(v) for v in col):

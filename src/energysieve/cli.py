@@ -12,7 +12,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import fields
 
 from . import correlation, energy, sets, sieve
 from .arith import EpsilonSpec
@@ -79,8 +78,8 @@ def _emit(args, columns, rows, payload=None, footer=None) -> None:
 
 
 def _records(columns, objs) -> list[dict]:
-    """Row dicts from dataclasses whose fields are in column order."""
-    return [dict(zip(columns, (getattr(o, f.name) for f in fields(o)))) for o in objs]
+    """Row dicts from NamedTuples whose `_fields` are in column order."""
+    return [dict(zip(columns, o)) for o in objs]
 
 
 # ---------------------------------------------------------------------------

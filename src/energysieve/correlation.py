@@ -13,13 +13,14 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .arith import EPS_HALF, EpsilonSpec, sieve_primes
 from .energy import _exact_dot, _pair_counts, _sum_window, energy_sum_path
 from .errors import InvariantViolationError
+from .records import Checked
 from .sets import IntegerSet, is_sidon, mod4_restrict, occupancy, sidon_set, squares_up_to
 from .sieve import DifferenceTable, _products, _square_differences, _under_ceiling, divisor_sum_direct
 
@@ -41,8 +42,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class DecompositionReport:
+class DecompositionReport(NamedTuple):
     cap: int
     card_a: int
     card_s: int
@@ -100,8 +100,7 @@ def is_diff_of_squares(k: int) -> bool:
     return k % 4 != 2
 
 
-@dataclass(frozen=True)
-class LowerBoundReport:
+class LowerBoundReport(NamedTuple):
     cap: int
     card: int              # |A| before restriction
     restricted_card: int   # |A'| in the dominant class mod 4
@@ -131,8 +130,7 @@ def energy_lower_bound(A: IntegerSet, N: int) -> LowerBoundReport:
     )
 
 
-@dataclass(frozen=True)
-class QuadraticHitsReport:
+class QuadraticHitsReport(NamedTuple):
     shift: int                      # n* maximizing r_{A+S}; smallest on ties
     count: int                      # max_n r_{A+S}(n)
     witnesses: tuple[tuple[int, int], ...]  # (x, a) with a = shift - x^2 in A
@@ -180,8 +178,7 @@ def quadratic_hits(A: IntegerSet, N: int) -> QuadraticHitsReport:
     )
 
 
-@dataclass(frozen=True)
-class SidonEnergyReport:
+class SidonEnergyReport(NamedTuple):
     cap: int
     card: int
     squares_card: int
@@ -236,8 +233,7 @@ def ramanujan_ratio(N: int, *, method: str = "auto") -> float:
 # Sweep rows
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ExperimentRow:
+class _RowFields(NamedTuple):
     n: int
     card_a: int
     card_s: int
@@ -247,7 +243,11 @@ class ExperimentRow:
     ratio_log: float   # see each builder
     seconds: float
 
-    def __post_init__(self):
+
+class ExperimentRow(Checked, _RowFields):
+    __slots__ = ()
+
+    def _check(self):
         if self.energy < self.card_a * self.card_s:
             raise InvariantViolationError("energy below the trivial |A||S| floor")
 

@@ -13,12 +13,13 @@ the verification fails.  Every sum of products goes through one accumulator,
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import InvariantViolationError, ResourceLimitError
 from .limits import check_allocation
+from .records import Checked, Frozen
 from .sets import IntegerSet
 
 __all__ = [
@@ -43,20 +44,21 @@ _CHUNK = 1 << 22
 _GROUP = 1 << 15  # pairs per group of a direct count's gather
 
 
-@dataclass(frozen=True, eq=False)
-class RepFunction:
+class RepFunction(Frozen):
     """Counts r(n) over a tight value window: counts[i] = r(offset + i).
 
     `backend` names the counting that produced them: "direct", "fft", or
     "fft-fallback" (the transform failed verification and direct counting ran).
     """
 
+    __slots__ = ("offset", "counts", "backend")
     offset: int
     counts: np.ndarray
-    backend: str = "direct"
+    backend: str
 
-    def __post_init__(self):
-        self.counts.setflags(write=False)
+    def __init__(self, offset: int, counts: np.ndarray, backend: str = "direct"):
+        counts.setflags(write=False)
+        super().__init__(offset, counts, backend)
 
     def at(self, n: int) -> int:
         i = n - self.offset
@@ -75,14 +77,17 @@ class RepFunction:
         return np.flatnonzero(self.counts) + self.offset
 
 
-@dataclass(frozen=True)
-class EnergyReport:
+class _EnergyFields(NamedTuple):
     value: int
     method: str
     lower_trivial: int
     upper_trivial: int
 
-    def __post_init__(self):
+
+class EnergyReport(Checked, _EnergyFields):
+    __slots__ = ()
+
+    def _check(self):
         if not self.lower_trivial <= self.value <= self.upper_trivial:
             raise InvariantViolationError(
                 f"energy {self.value} outside trivial bounds "
@@ -90,8 +95,7 @@ class EnergyReport:
             )
 
 
-@dataclass(frozen=True)
-class CauchySchwarzReport:
+class CauchySchwarzReport(NamedTuple):
     lhs: int  # E(X,Y)^2
     rhs: int  # E(X,X) * E(Y,Y)
     holds: bool

@@ -11,7 +11,6 @@ import itertools
 import math
 import random
 import warnings
-from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
@@ -19,6 +18,7 @@ import numpy as np
 from .arith import EpsilonSpec, delta_prime_power, factorize, sieve_primes
 from .errors import SetFileError
 from .limits import check_allocation
+from .records import Frozen
 
 __all__ = [
     "IntegerSet",
@@ -44,15 +44,16 @@ def _distinct(v: np.ndarray) -> np.ndarray:
     return v[first]
 
 
-@dataclass(frozen=True, eq=False)
-class IntegerSet:
+class IntegerSet(Frozen):
     """Immutable set of integers in [1, cap], held as its sorted elements."""
 
+    __slots__ = ("cap", "elements")
     cap: int
     elements: np.ndarray
 
-    def __post_init__(self):
-        self.elements.setflags(write=False)
+    def __init__(self, cap: int, elements: np.ndarray):
+        elements.setflags(write=False)
+        super().__init__(cap, elements)
 
     @classmethod
     def from_elements(cls, cap: int, elements: Iterable[int]) -> "IntegerSet":
@@ -256,11 +257,19 @@ def mod4_restrict(A: IntegerSet) -> IntegerSet:
 # ---------------------------------------------------------------------------
 
 _WRITE_SLICE = 1 << 12  # elements formatted per write
+# Bytes per line that parsing a set file holds at its peak, beside the file's
+# bytes and the body's copy of them: in the one numpy pass an int64 value and
+# the set's copy of it; in the line parser the Python int, the list and set
+# entries that hold it and the set's array (its whole peak measured 75-174
+# bytes a line at 10^3 to 1.6 10^5 lines, as the set's table doubles)
+_PLAIN_LINE_BYTES = 8 + 8
+_LINE_BYTES = 192
 
 
 def _read_plain(path) -> tuple[int, np.ndarray] | None:
     """(cap, elements) of a file in the form `write_set` writes, parsed in one
-    numpy pass; None for any other file.
+    numpy pass; None for any other file.  Either way the memory that its
+    parser holds is first counted against the cap.
 
     That form is an `N=<digits>` header with a positive cap, then one integer
     per newline-terminated line: ASCII digits with no leading zero, strictly
@@ -268,11 +277,14 @@ def _read_plain(path) -> tuple[int, np.ndarray] | None:
     """
     with open(path, "rb") as fh:
         header, newline, body = fh.read().partition(b"\n")
-    if not (newline and header.startswith(b"N=") and header[2:].isdigit()):
-        return None
-    cap = int(header[2:])
-    if (cap < 1 or body.translate(None, b"0123456789\n") or body.startswith((b"\n", b"0"))
-            or b"\n\n" in body or b"\n0" in body or (body and not body.endswith(b"\n"))):
+    cap = int(header[2:]) if newline and header.startswith(b"N=") and header[2:].isdigit() else 0
+    plain = not (cap < 1 or body.translate(None, b"0123456789\n")
+                 or body.startswith((b"\n", b"0")) or b"\n\n" in body or b"\n0" in body
+                 or (body and not body.endswith(b"\n")))
+    lines = body.count(b"\n") + 1
+    per_line = _PLAIN_LINE_BYTES if plain else _LINE_BYTES
+    check_allocation(2 * (len(header) + len(body)) + per_line * lines, f"set file of {lines} lines")
+    if not plain:
         return None
     values = np.fromstring(body, dtype=np.int64, sep="\n")
     if len(values) and (values[-1] > min(cap, 10**18 - 1) or (values[1:] <= values[:-1]).any()):

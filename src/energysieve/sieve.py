@@ -13,8 +13,8 @@ no counting with it; the two totals agree exactly, pair for pair.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,8 +41,7 @@ PARTITION_MODULI_GUARD = 1 << 16  # moduli of one partition scan, one pass each:
 _LOOKUP_GROUP = 1 << 13  # values per group of a lookup enumeration's gather
 
 
-@dataclass(frozen=True)
-class SieveCheckResult:
+class SieveCheckResult(NamedTuple):
     """One modulus check of |A|^2/delta(v) against the class-count square sum."""
 
     modulus: int
@@ -216,16 +215,14 @@ def divisor_sum_direct(A: IntegerSet, N: int, *, radius: int | None = None) -> i
     return table.lookup(_products(u, u + 1, radius))[0]
 
 
-@dataclass(frozen=True)
-class DivisorSumRow:
+class DivisorSumRow(NamedTuple):
     v: int
     j_count: int               # max(1, N // v^2); the scan's blocks a // v^2 number N // v^2 + 1
     window_count: int          # pairs a > b, a = b mod v, a - b < v^2
     partition_lower_bound: int # same-class pairs inside single blocks
 
 
-@dataclass(frozen=True)
-class DivisorSumTrace:
+class DivisorSumTrace(NamedTuple):
     cap: int
     rows: tuple[DivisorSumRow, ...]
     total: int
@@ -287,9 +284,9 @@ def _partition_admitted(A: IntegerSet, N: int) -> int:
     n = len(A)
     # index, then per modulus the key, the class base, the window queries and
     # their search result (the run keys, run starts and change mask reuse
-    # their space); and each of the radius rows kept, 201-209 bytes measured
+    # their space); and each of the radius rows kept, 156-181 bytes measured
     # at 2,000-10,000 rows, with their counts as Python ints
-    check_allocation(8 * 5 * n + 216 * radius, f"partition scan of {n} elements, {radius} rows")
+    check_allocation(8 * 5 * n + 192 * radius, f"partition scan of {n} elements, {radius} rows")
     if radius > PARTITION_MODULI_GUARD:
         raise ResourceLimitError(
             f"partition scan over {radius} moduli exceeds guard {PARTITION_MODULI_GUARD}"
@@ -324,8 +321,7 @@ def _class_pairs(elems: np.ndarray, index: np.ndarray, width: int, v: int) -> tu
     return window, pairs - int(starts.sum())
 
 
-@dataclass(frozen=True)
-class DivisorGrowthReport:
+class DivisorGrowthReport(NamedTuple):
     cap: int
     card: int
     total: int

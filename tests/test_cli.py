@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from energysieve import arith, cli, correlation, energy, limits
+from energysieve import arith, cli, correlation, energy, limits, sets
 from energysieve.energy import EnergyReport
 from energysieve.limits import MEMORY_CAP_ENV, check_allocation
 from energysieve.sets import read_set, sidon_set, is_sidon
@@ -155,9 +155,24 @@ class TestResourceRefusals:
     def test_divisor_sum_partition_over_small_cap(self, tmp_path, monkeypatch, capsys):
         path = tmp_path / "full.txt"
         path.write_text("N=100000\n" + "".join(f"{a}\n" for a in range(1, 10**5 + 1)))
-        monkeypatch.setenv(MEMORY_CAP_ENV, str(10**6))
+        # reading the file is counted at 2.8 MB, the scan at 4.1 MB
+        monkeypatch.setenv(MEMORY_CAP_ENV, str(3 * 10**6))
         assert run("sieve", str(path), "--divisor-sum") == 4
         assert capsys.readouterr().err.startswith("resource limit: partition scan of 100000")
+
+    def test_set_file_over_small_cap(self, tmp_path, monkeypatch, capsys):
+        # 22,857 elements of [1, 2 * 10^5] in the writer's form: about 147 KB of
+        # text, counted with its parse at 660 KB
+        path = tmp_path / "A.txt"
+        elements = np.random.default_rng(5).choice(2 * 10**5, 22857, replace=False) + 1
+        sets.write_set(sets.IntegerSet.from_elements(2 * 10**5, elements), path)
+        monkeypatch.setenv(MEMORY_CAP_ENV, str(250000))
+        assert run("sieve", str(path), "--gallagher", "400") == 4
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("resource limit: set file of 22858 ")
+        assert len(captured.err.splitlines()) == 1 and "Traceback" not in captured.err
+        monkeypatch.setenv(MEMORY_CAP_ENV, str(10**6))
+        assert run("sieve", str(path), "--gallagher", "400") == 0
 
     def test_divisor_sum_partition_refused_before_the_direct_route(
             self, tmp_path, monkeypatch, capsys):
@@ -180,7 +195,7 @@ class TestResourceRefusals:
         full.write_text("N=100000\n" + "".join(f"{a}\n" for a in range(1, 10**5 + 1)))
         far.write_text(f"N={65537**2}\n1\n2\n")
         capsys.readouterr()
-        monkeypatch.setenv(MEMORY_CAP_ENV, str(10**6))
+        monkeypatch.setenv(MEMORY_CAP_ENV, str(3 * 10**6))  # admits reading the file
         assert run("sieve", str(full), "--divisor-sum") == 4
         assert capsys.readouterr().err.startswith("resource limit: partition scan of 100000")
         monkeypatch.delenv(MEMORY_CAP_ENV)
@@ -785,6 +800,22 @@ def test_import_starts_no_process_machinery():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True, timeout=60)
     assert out.stdout.strip() == "[]"
+
+
+def test_import_defines_no_dataclass_and_loads_no_cli_modules():
+    # a fresh process: what `import energysieve` adds to what numpy loaded
+    code = (
+        "import dataclasses, inspect, sys, numpy; before = set(sys.modules); "
+        "import energysieve; added = set(sys.modules) - before; "
+        "package = [m for n, m in sys.modules.items() if n.startswith('energysieve.')]; "
+        "print(sorted(c.__qualname__ for m in package for c in vars(m).values() "
+        "if inspect.isclass(c) and dataclasses.is_dataclass(c))); "
+        "print(sorted(added & {'argparse', 'json'}))"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=60)
+    assert out.stdout.splitlines() == ["[]", "[]"]
 
 
 # Values for every integer option and grid point: small, boundary, negative,

@@ -657,6 +657,45 @@ class TestSetFiles:
         with pytest.raises(SetFileError):
             read_set(path)
 
+    @pytest.mark.parametrize("elements, comment", [
+        # a dense set of 22,857 in [1, 2 * 10^5], in the writer's form and with
+        # a comment, which sends it through the line parser
+        (np.random.default_rng(5).choice(2 * 10**5, 22857, replace=False) + 1, ""),
+        (np.random.default_rng(5).choice(2 * 10**5, 22857, replace=False) + 1, "# note\n"),
+        (np.arange(1, 10**4 + 1, dtype=np.int64) ** 4, ""),  # 17-digit lines
+        (np.arange(1, 20001, dtype=np.int64), "# note\n"),
+    ])
+    def test_reading_counts_its_peak(self, tmp_path, monkeypatch, elements, comment):
+        """Counted against traced: peak <= counted + 64 KiB, and counted <= 2
+        peak for a file in the writer's form."""
+        path = tmp_path / "s.txt"
+        write_set(IntegerSet.from_elements(2**62, elements), path)
+        path.write_text(path.read_text() + comment)
+        counted = []
+        monkeypatch.setattr(sets, "check_allocation", lambda nbytes, what: counted.append(nbytes))
+        tracemalloc.start()
+        try:
+            A = read_set(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(A) == len(elements) and len(counted) == 1
+        assert peak <= counted[0] + 2**16
+        assert comment or counted[0] <= 2 * peak
+
+    def test_reading_refused_over_cap(self, tmp_path, monkeypatch):
+        path = tmp_path / "s.txt"
+        write_set(squares_up_to(10**8), path)  # 10^4 lines of up to 9 digits
+        monkeypatch.setenv("ENERGYSIEVE_MEMORY_CAP", str(10**5))
+        parsed = []
+        monkeypatch.setattr(sets.np, "fromstring", lambda *args, **kw: parsed.append(args))
+        with pytest.raises(ResourceLimitError, match=r"^set file of 10001 lines needs \d+ bytes"):
+            read_set(path)
+        path.write_text(path.read_text() + "# note\n")
+        with pytest.raises(ResourceLimitError, match=r"^set file of 10002 lines needs"):
+            read_set(path)
+        assert parsed == []
+
 
 def parse_outcome(path, plain: bool):
     """What read_set makes of a file: the set, or the error; and its warnings.
