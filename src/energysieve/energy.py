@@ -219,12 +219,6 @@ def _gather(first: np.ndarray, lens: np.ndarray, ends: np.ndarray, step: int = 1
     return out
 
 
-def _indicator(v: np.ndarray) -> np.ndarray:
-    f = np.zeros(int(v[-1] - v[0]) + 1)
-    f[v - v[0]] = 1.0
-    return f
-
-
 def _smooth_size(length: int) -> int:
     """The smallest 2^a 3^b 5^c >= length, a transform length with only the
     radices 2, 3 and 5; never above the next power of two."""
@@ -242,40 +236,133 @@ def _smooth_size(length: int) -> int:
     return best
 
 
-def _count_fft(xs: np.ndarray, ys: np.ndarray | None, length: int, size: int
+# A transform counts chunks of at most _MAX_CHUNK values of each indicator,
+# so its size, and the FFT library's scratch, do not grow with the span
+_MAX_CHUNK = 1 << 14
+
+
+def _chunking(width: int) -> tuple[int, int]:
+    """(B, M) for indicators at most `width` values long: the chunk length
+    B = ceil(width / K) of the K = ceil(width / _MAX_CHUNK) chunks that fit
+    the span tightly, and the transform size M, the smallest 2^a 3^b 5^c
+    that holds the 2B - 1 sums of two chunks."""
+    chunks = -(-width // _MAX_CHUNK)
+    chunk = -(-width // chunks)
+    return chunk, _smooth_size(2 * chunk - 1)
+
+
+def _chunk_spectra(v: np.ndarray, chunk: int, size: int) -> np.ndarray:
+    """One row per chunk of `chunk` values of v's indicator, from v[0] on:
+    its rfft at `size` points.  One array, so that nothing is freed in
+    pieces that the allocator may keep."""
+    rows = int(v[-1] - v[0]) // chunk + 1
+    starts = int(v[0]) + chunk * np.arange(rows + 1)
+    ends = np.searchsorted(v, starts)
+    spectra = np.empty((rows, size // 2 + 1), dtype=complex)
+    f = np.empty(chunk)
+    for i in range(rows):
+        f[:] = 0
+        f[v[ends[i] : ends[i + 1]] - starts[i]] = 1.0
+        spectra[i] = np.fft.rfft(f, size)
+    return spectra
+
+
+def _store_rounded(counts: np.ndarray, at: int, values: np.ndarray, rounded: np.ndarray
+                   ) -> bool:
+    """Stores the floats `values`, rounded, in the int32 counts[at:], the
+    part that falls inside counts, and overwrites them and the scratch
+    `rounded`; False if one sits 0.25 or more from its rounding (or is NaN)
+    or rounds outside int32."""
+    lo, hi = max(at, 0), min(at + len(values), len(counts))
+    if lo >= hi:
+        return True
+    values = values[lo - at : hi - at]
+    rounded = np.rint(values, out=rounded[: hi - lo])
+    values -= rounded
+    np.abs(values, out=values)
+    if not (values.max() < 0.25 and -2**31 < rounded.min() and rounded.max() < 2**31):
+        return False
+    counts[lo:hi] = rounded
+    return True
+
+
+def _count_fft(xs: np.ndarray, ys: np.ndarray | None, length: int, chunk: int, size: int
                ) -> np.ndarray | None:
     """Integer convolution of the two indicator vectors, from their least sum
-    on; None if not verified.  When `ys is xs` one spectrum is made and
-    squared.  When `ys` is None (the differences of xs) one spectrum F is
-    made and |F|^2 inverted: the counts r(d) at the lags d = 0 .. length - 1,
-    and r(-d) = r(d).
+    on, as `length` int64 counts; None if not verified.  Each indicator is
+    cut into chunks of `chunk` values from its least element, each chunk
+    transformed at `size` >= 2 chunk - 1 points (`_chunking`), and the
+    spectra of a set held as one array.  Chunks i of X and j of Y meet in
+    output block i + j, the 2 chunk - 1 sums from (i + j) chunk on: block s
+    inverts the sum of X_i Y_j over i + j = s, and its last chunk - 1 values
+    overlap the next block's first.  When `ys is xs` one set of spectra is
+    made and each pair of chunks i < j taken once, doubled.  When `ys` is
+    None (the differences of xs) block s inverts the sum of X_{j+s}
+    conj(X_j): the lags s chunk .. (s + 1) chunk - 1 at the front of the
+    transform and (s - 1) chunk + 1 .. s chunk - 1 wrapped to its end, for
+    the lags d = 0 .. length - 1, and r(-d) = r(d).
 
-    The rounded output must sit within 0.25 of the floats, be nonnegative,
-    and match exact identities of the pair counts (`_sums_verified`,
-    `_lags_verified`).
+    A block's overlap with the next is carried over as floats and added to
+    that block's, so each count is rounded once: it must sit within 0.25 of
+    its float (`_store_rounded`), and is stored in one int32 array, which is
+    widened to int64 once the spectra are freed.  The counts must then be
+    nonnegative and match exact identities of the pair counts
+    (`_sums_verified`, `_lags_verified`).
     """
-    spec = np.fft.rfft(_indicator(xs), size)
-    if ys is None:
-        re, im = spec.real, spec.imag  # |F|^2 in place
-        re *= re
-        im *= im
-        re += im
-        im[...] = 0
+    if length > _MOMENT_LENGTH:
+        return None
+    lags = ys is None
+    fx = _chunk_spectra(xs, chunk, size)
+    fy = fx if lags or ys is xs else _chunk_spectra(ys, chunk, size)
+    counts = np.zeros(length, dtype=np.int32)
+    kx, ky = len(fx), len(fy)
+    spec = np.empty(size // 2 + 1, dtype=complex)
+    term = np.empty_like(spec)
+    carry = np.zeros(chunk)  # the floats of the last block's values that the next one meets
+    rounded = np.empty(chunk)
+    for s in range(kx if lags else kx + ky - 1):
+        if lags:  # X_{j+s} conj(X_j)
+            pairs = [(j + s, j) for j in range(kx - s)]
+        elif fy is fx:  # X_i X_{s-i} with i < s - i, doubled, then the square
+            pairs = [(i, s - i) for i in range(max(0, s - kx + 1), (s + 1) // 2)]
+        else:
+            pairs = [(i, s - i) for i in range(max(0, s - ky + 1), min(s, kx - 1) + 1)]
+        spec[:] = 0
+        for i, j in pairs:
+            if lags:
+                np.conjugate(fy[j], out=term)
+                term *= fx[i]
+            else:
+                np.multiply(fx[i], fy[j], out=term)
+            spec += term
+        if fy is fx and not lags:
+            spec *= 2
+            if s % 2 == 0:
+                np.multiply(fx[s // 2], fx[s // 2], out=term)
+                spec += term
+        conv = np.fft.irfft(spec, size)
+        if lags:  # lags from (s - 1) chunk + 1, wrapped to the end, and from s chunk
+            carry[1:] += conv[size - chunk + 1 :]
+            placed = _store_rounded(counts, (s - 1) * chunk, carry, rounded)
+            carry[:] = conv[:chunk]
+        else:  # sums from s chunk
+            conv[: chunk - 1] += carry[: chunk - 1]
+            placed = _store_rounded(counts, s * chunk, conv[:chunk], rounded)
+            carry[: chunk - 1] = conv[chunk : 2 * chunk - 1]
+        del conv
+        if not placed:
+            return None
+    if lags:
+        placed = _store_rounded(counts, (kx - 1) * chunk, carry, rounded)
     else:
-        spec *= spec if ys is xs else np.fft.rfft(_indicator(ys), size)
-    conv = np.fft.irfft(spec, size)[:length]
-    del spec
-    rounded = np.rint(conv)
-    conv -= rounded
-    np.abs(conv, out=conv)
-    if conv.max() >= 0.25:
+        placed = _store_rounded(counts, (kx + ky - 1) * chunk, carry[: chunk - 1], rounded)
+    if not placed:
         return None
-    del conv
-    counts = rounded.astype(np.int64)
-    del rounded
-    if counts.min() < 0 or length > _MOMENT_LENGTH:
+    del fx, fy, spec, term, carry, rounded
+    counts = counts.astype(np.int64)
+    if counts.min() < 0:
         return None
-    verified = _lags_verified(counts, xs) if ys is None else _sums_verified(counts, xs, ys)
+    verified = _lags_verified(counts, xs) if lags else _sums_verified(counts, xs, ys)
     return counts if verified else None
 
 
@@ -295,13 +382,16 @@ def _moments(counts: np.ndarray, top: int) -> tuple[int, int]:
     """sum(i c[i]) and sum(i^2 c[i]) over the indices i, given 0 <= c[i] <=
     top < 2^31 and fewer than 2^31 indices.  Each run of _RUN indices from k
     (i = k + j) sums c, j c and j^2 c in int64, each below 2^31 _RUN^3 =
-    2^61; `_exact_dot` weighs the run sums by k and k^2."""
-    runs = np.zeros(-(-len(counts) // _RUN) * _RUN, dtype=np.int64)
-    runs[: len(counts)] = counts
-    runs = runs.reshape(-1, _RUN)
+    2^61; `_exact_dot` weighs the run sums by k and k^2.  The whole runs are
+    a view of `counts` (contiguous int64); only the last, partial run is a
+    new array."""
+    whole = len(counts) - len(counts) % _RUN
+    runs, last = counts[:whole].reshape(-1, _RUN), counts[whole:]
     j = np.arange(_RUN, dtype=np.int64)
-    c0, c1, c2 = runs.sum(axis=1), runs @ j, runs @ (j * j)
-    del runs
+    jj = j * j
+    c0 = np.append(runs.sum(axis=1), last.sum())
+    c1 = np.append(runs @ j, last @ j[: len(last)])
+    c2 = np.append(runs @ jj, last @ jj[: len(last)])
     k = np.arange(len(c0), dtype=np.int64) * _RUN
     ones = np.ones_like(k)
     end = len(counts) + _RUN  # k + j < end
@@ -341,23 +431,29 @@ def _lags_verified(counts: np.ndarray, xs: np.ndarray) -> bool:
     return first == spread and second == n * u2 - u1 * u1
 
 
-def _fft_bytes(width: int, size: int, spectra: int) -> int:
-    """The larger of two peaks.  While the last spectrum is made: the spectra
-    (`spectra` of size // 2 + 1 complex values), the float input (`width`
-    values, the larger indicator) and the transform's scratch, two arrays of
-    `size` floats (held by the FFT library, so tracemalloc does not see it;
-    an rfft of 400,000 points raises the peak RSS by 6.4 MB under numpy
-    2.4).  While the product is inverted: its spectrum, the output and the
-    scratch.  Later stages hold at most three arrays of the counted length.
+def _fft_bytes(length: int, chunk: int, size: int, rows: int) -> int:
+    """The larger of two peaks of `_count_fft` for `length` counts.  While
+    the chunks are transformed: the `rows` chunk spectra, 16 bytes a point
+    over size // 2 + 1 points (16 bytes per value of each indicator's span),
+    the int32 counts and one chunk's transform, 48 bytes a point at most:
+    a block's spectrum and one product term (8 each), the carried and the
+    rounded floats of a chunk (4 each), the float output (8) and the FFT
+    library's scratch, two arrays of `size` floats (16; tracemalloc does not
+    see it).  While the counts are widened to int64: both copies of them,
+    12 bytes a count.  So one set of spectra costs about 24 bytes per value
+    of the span (20 for the lags), two about 40: a dense set in [1, 2 10^5]
+    counts 6.3 MB against itself, 5.5 MB for its lags and 9.6 MB with the
+    squares.
     """
-    made = 16 * spectra * (size // 2 + 1) + 8 * width + 16 * size
-    inverted = 16 * (size // 2 + 1) + 24 * size
-    return max(made, inverted)
+    spectra = 16 * rows * (size // 2 + 1)
+    return max(spectra + 4 * length + 48 * size, 12 * length)
 
 
-# auto's estimate of direct counting's cost: ns per pair gathered and per
-# window value (fitted below, in `_pair_counts`)
+# auto's estimates: direct counting's ns per pair gathered and per window
+# value, the transform's per size * log2(size) of each chunk transform and
+# per point of each product of two chunk spectra (fitted in `_pair_counts`)
 _PAIR_NS, _VALUE_NS = 7, 1.5
+_TRANSFORM_NS, _PRODUCT_NS = 1.5, 2.5
 # Direct counting's cell lengths: powers of two from _MIN_CELL, whose count
 # buffer (8 bytes a value) stays well inside a 2 MiB L2 cache, to _MAX_CELL,
 # past which E(S, S) at N = 1e9 ran slower (14.2-15.3 s at 2^19, 16.6-17.8 s
@@ -413,10 +509,15 @@ def _pair_counts(xs: np.ndarray, ys: np.ndarray | None, lo: int, hi: int, method
     verification falls back to direct counting.  Direct counting visits at
     most min(cells, pairs) cells and refuses more than DIRECT_BLOCK_GUARD
     cells of _GUARD_CELL values, whatever its own cell length.
-    The transform's length is the smallest 2^a 3^b 5^c that holds every sum.
-    A set paired with itself (equal arrays) is counted once: each unordered
-    pair directly, one spectrum by the transform; the differences of a set
-    take one spectrum too, and the transform keeps the lags d >= 0.
+    The transform counts every sum (every lag d >= 0 of the differences) in
+    chunks of B values of each indicator, B the least length that cuts the
+    longer span into ceil(span / _MAX_CHUNK) chunks, each transformed at the
+    smallest 2^a 3^b 5^c that holds 2B - 1 sums (`_count_fft`); its working
+    set is the chunk spectra and the int32 counts (`_fft_bytes`), not a
+    transform of the whole span.  A set paired with itself (equal arrays) is
+    counted once: each unordered pair directly, each pair of chunks once by
+    the transform, from one set of spectra; the differences of a set take
+    one set of spectra too, and the transform keeps the lags d >= 0.
     """
     if method not in ("auto", "direct", "fft"):
         raise ValueError(f"unknown counting method {method!r}")
@@ -429,36 +530,45 @@ def _pair_counts(xs: np.ndarray, ys: np.ndarray | None, lo: int, hi: int, method
         ys = xs
     first = int(xs[0] + ys[0])
     length = int(xs[-1] + ys[-1]) - first + 1
-    size = _smooth_size(length)
-    spectra = 1 if lags or ys is xs else 2
+    wx, wy = int(xs[-1] - xs[0]) + 1, int(ys[-1] - ys[0]) + 1
+    chunk, size = _chunking(max(wx, wy))
+    kx, ky = -(-wx // chunk), -(-wy // chunk)  # chunks of X and of Y
+    if lags or ys is xs:  # one set of spectra; each pair of chunks once
+        rows, inverses, products = kx, kx if lags else 2 * kx - 1, kx * (kx + 1) // 2
+    else:
+        rows, inverses, products = kx + ky, kx + ky - 1, kx * ky
     left = np.searchsorted(ys, lo - xs)
     pairs = int((np.searchsorted(ys, hi + 1 - xs) - left).sum())
     gathered = pairs // 2 if ys is xs else pairs  # a set with itself: x < y only
     if method == "auto":
-        # Estimated costs in nanoseconds, fitted to best-of-3 timings of both
-        # backends in one process (2-CPU x86-64, numpy 2.4) on 27 shapes: the
-        # squares to 4e6 with themselves, and random sets of density 0.001 to
-        # 0.5 in [1, 6e4] to [1, 2e6] with themselves, with the squares and as
-        # differences (pairs 8e4 to 1.5e9).  Direct counting pays 7 ns per pair
+        # Estimated costs in nanoseconds.  Direct counting pays 7 ns per pair
         # gathered and 1.5 ns per window value, the least-squares fit of the
-        # relative error.  The FFT, verification included, pays 0.8 to 2.3 ns
-        # per size * log2(size) for each transform at its 5-smooth size there,
-        # rising with the size, and 1.6 to 2.7 on the transforms of a dense set
-        # of 23k in [1, 2e5] (size 4e5); 2.5 is kept.  These weights pick the
-        # faster backend on 26 of the 27 shapes, missing one by 4 ms.  A set
-        # paired with itself gathers half the pairs; it and the differences of
-        # a set make two transforms instead of three.
+        # relative error to best-of-3 timings in one process (2-CPU x86-64,
+        # numpy 2.4) on 27 shapes: the squares to 4e6 with themselves, and
+        # random sets of density 0.001 to 0.5 in [1, 6e4] to [1, 2e6] with
+        # themselves, with the squares and as differences (pairs 8e4 to
+        # 1.5e9).  The chunked transform, verification included, pays
+        # _TRANSFORM_NS per size * log2(size) for each forward and inverse
+        # transform of a chunk and _PRODUCT_NS per point of each product of
+        # two chunk spectra: on 50 such shapes (the squares to 1e6 and 4e6
+        # and random sets in [1, 6e4] to [1, 2e6]) the least-squares fit is
+        # 0.9 and 2.4, which misses the per-call cost of small transforms and
+        # picks the slower backend on 2 of the 37 shapes timed both ways; 1.5
+        # and 2.5 pick the faster one on all 37, and keep E(A', S) of the
+        # benchmark's dense set direct (15-20 ms, against 30-34 ms by
+        # transform).  A set paired with itself gathers half the pairs.
         direct_cost = _PAIR_NS * gathered + _VALUE_NS * (hi - lo + 1)
-        fft_cost = 2.5 * (spectra + 1) * size * math.log2(size)
+        fft_cost = ((rows + inverses) * _TRANSFORM_NS * size * math.log2(size)
+                    + products * _PRODUCT_NS * (size // 2 + 1))
         method = "fft" if fft_cost < direct_cost else "direct"
 
     backend = "direct"
     if method == "fft":
         del left  # not held through the transform's peak; a fallback searches again
-        width = max(int(xs[-1] - xs[0]), int(ys[-1] - ys[0])) + 1
-        check_allocation(held + _fft_bytes(width, size, spectra), "FFT pair counting")
-        # the lags 0 .. span of the differences are the first `width` sums
-        counts = _count_fft(xs, None if lags else ys, width if lags else length, size)
+        # the lags 0 .. span of the differences are the first wx sums
+        length = wx if lags else length
+        check_allocation(held + _fft_bytes(length, chunk, size, rows), "FFT pair counting")
+        counts = _count_fft(xs, None if lags else ys, length, chunk, size)
         if counts is not None:
             if lags:
                 first = 0

@@ -258,11 +258,11 @@ def mod4_restrict(A: IntegerSet) -> IntegerSet:
 
 _WRITE_SLICE = 1 << 12  # elements formatted per write
 # Bytes per line that parsing a set file holds at its peak, beside the file's
-# bytes and the body's copy of them: in the one numpy pass an int64 value and
-# the set's copy of it; in the line parser the Python int, the list and set
-# entries that hold it and the set's array (its whole peak measured 75-174
-# bytes a line at 10^3 to 1.6 10^5 lines, as the set's table doubles)
-_PLAIN_LINE_BYTES = 8 + 8
+# bytes and the body's copy of them: in the one numpy pass an int64 value,
+# which becomes the set's array; in the line parser the Python int, the list
+# and set entries that hold it and the set's array (its whole peak measured
+# 75-174 bytes a line at 10^3 to 1.6 10^5 lines, as the set's table doubles)
+_PLAIN_LINE_BYTES = 8
 _LINE_BYTES = 192
 
 
@@ -295,7 +295,11 @@ def _read_plain(path) -> tuple[int, np.ndarray] | None:
 def read_set(path) -> IntegerSet:
     plain = _read_plain(path)
     if plain is not None:
-        return IntegerSet.from_elements(*plain)
+        cap, values = plain
+        # the values are checked as `from_elements` would check them, and
+        # held by nothing else, so the set takes them without a copy; an
+        # empty set's cap is still checked there
+        return IntegerSet(cap, values) if len(values) else IntegerSet.from_elements(cap, values)
     with open(path, encoding="utf-8") as fh:
         cap = None
         elements: list[int] = []

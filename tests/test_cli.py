@@ -355,9 +355,11 @@ class TestEnergy:
         xs = read_set(path).elements
         width = int(xs[-1] - xs[0]) + 1
         # the transform of the differences as it was counted: two spectra and
-        # the float input at 2^19 points; now one spectrum at a 5-smooth size
+        # the float input at 2^19 points; now one spectrum per chunk of the
+        # set, each at a 5-smooth size, and the counts of the lags
         former = 16 * 2 * (2**18 + 1) + 8 * 2**19 + 8 * width
-        now = energy._fft_bytes(width, energy._smooth_size(2 * width - 1), 1)
+        chunk, size = energy._chunking(width)
+        now = energy._fft_bytes(width, chunk, size, -(-width // chunk))
         assert now < former
         capsys.readouterr()
         monkeypatch.delenv(MEMORY_CAP_ENV, raising=False)

@@ -353,7 +353,14 @@ class TestWindowedCore:
         backend, counts = streamed(xs, None if diff else -xs[::-1], 1, span, "fft")
         assert backend == "fft"
         assert (counts == full[span + 1 :]).all()
-        assert transforms == (["rfft", "irfft"] if diff else ["rfft", "rfft", "irfft"])
+        # one spectrum per chunk of X and one inverse per block of lags; as
+        # sums against the reflected set, its chunks are transformed too and
+        # each sum of two chunk indices is a block
+        chunk, _ = energy._chunking(span + 1)
+        k = -(-(span + 1) // chunk)
+        assert k > 1
+        assert transforms == (["rfft"] * k + ["irfft"] * k if diff
+                              else ["rfft"] * 2 * k + ["irfft"] * (2 * k - 1))
 
     @staticmethod
     def random_stream(rng, form):
@@ -469,8 +476,10 @@ class TestWindowedCore:
         if method == "direct":
             assert sum(size for size, _ in gathered) == n * (n - 1) // 2  # each pair x < y once
             assert {weight for _, weight in gathered} == {2}
-        else:
-            assert len(transforms) == 1
+        else:  # one spectrum per chunk of X
+            width = int(xs[-1] - xs[0]) + 1
+            chunk, _ = energy._chunking(width)
+            assert len(transforms) == -(-width // chunk) > 1
 
     @pytest.mark.parametrize("path", [energy_sum_path, energy_diff_path])
     @pytest.mark.parametrize("method", ["direct", "fft"])
@@ -973,28 +982,49 @@ class TestDispatch:
         assert rep.backend == "fft-fallback"
         assert (rep.counts == rep_sum(X, X, method="direct").counts).all()
 
+    @staticmethod
+    def verified_counts(monkeypatch, name):
+        """The counts that `_sums_verified` or `_lags_verified` (`name`) is
+        given, with its verdicts: a spy."""
+        seen, verdicts = [], []
+        check = getattr(energy, name)
+
+        def spy(counts, *args):
+            seen.append(counts.copy())
+            verdicts.append(check(counts, *args))
+            return verdicts[-1]
+
+        monkeypatch.setattr(energy, name, spy)
+        return seen, verdicts
+
+    # chunks of at most 1,000 values: the sets of [1, 5000] below take five
+    CHUNK = 1000
+
     def test_first_moment_rejects_cancelling_errors(self, monkeypatch):
         X = IntegerSet.from_elements(5000, random.Random(5).sample(range(1, 5001), 400))
-        length = 2 * int(X.elements[-1] - X.elements[0]) + 1
+        monkeypatch.setattr(energy, "_MAX_CHUNK", self.CHUNK)
         irfft = np.fft.irfft
-        seen = []
+        inverses = []
 
         def shifted(spec, n):
-            # move one pair from the smallest sum to the next: the total,
-            # the signs and every rounding distance are unchanged
+            # in the first block, move one pair from the smallest sum to the
+            # next: the total, the signs and every rounding distance are
+            # unchanged
             out = irfft(spec, n)
-            out[0] -= 1.0
-            out[1] += 1.0
-            seen.append(out[:length].copy())
+            if not inverses:
+                out[0] -= 1.0
+                out[1] += 1.0
+            inverses.append(n)
             return out
 
         monkeypatch.setattr(np.fft, "irfft", shifted)
+        seen, verdicts = self.verified_counts(monkeypatch, "_sums_verified")
         rep = rep_sum(X, X, method="fft")
-        (conv,) = seen
-        rounded = np.rint(conv)
-        assert np.abs(conv - rounded).max() < 0.25
-        assert rounded.min() >= 0
-        assert rounded.sum() == len(X) ** 2
+        assert len(inverses) == 9  # 2 K - 1 blocks of K = 5 chunks
+        (counts,) = seen  # every block passed its rounding
+        assert counts.min() >= 0
+        assert counts.sum() == len(X) ** 2
+        assert verdicts == [False]
         assert rep.backend == "fft-fallback"
         assert (rep.counts == rep_sum(X, X, method="direct").counts).all()
 
@@ -1004,15 +1034,17 @@ class TestDispatch:
         made = []
 
         def shifted(f, n):
-            # the indicator moved up one place: squared, every count moves up
-            # two, with the same rounding, signs and (if none leaves) total
+            # each chunk of the indicator moved up one place: squared, every
+            # count moves up two, with the same rounding and signs
             spec = rfft(f, n)
             made.append(n)
             return spec * np.exp(-2j * np.pi * np.arange(len(spec)) / n)
 
+        monkeypatch.setattr(energy, "_MAX_CHUNK", self.CHUNK)
         monkeypatch.setattr(np.fft, "rfft", shifted)
         rep = rep_sum(X, X, method="fft")
-        assert len(made) == 1
+        _, size = energy._chunking(int(X.elements[-1] - X.elements[0]) + 1)
+        assert made == [size] * 5  # one spectrum per chunk, shared by both sides
         assert rep.backend == "fft-fallback"
         assert (rep.counts == rep_sum(X, X, method="direct").counts).all()
 
@@ -1033,30 +1065,38 @@ class TestDispatch:
 
     def test_second_moment_rejects_cancelling_errors(self, monkeypatch):
         X = IntegerSet.from_elements(5000, random.Random(5).sample(range(1, 5001), 400))
-        length = 2 * int(X.elements[-1] - X.elements[0]) + 1
+        width = int(X.elements[-1] - X.elements[0]) + 1
+        length = 2 * width - 1
         k = length // 2
+        monkeypatch.setattr(energy, "_MAX_CHUNK", self.CHUNK)
+        chunk, _ = energy._chunking(width)
+        block = (k - 1) // chunk  # the block whose first chunk values hold k - 1
         irfft = np.fft.irfft
-        seen = []
+        inverses = []
 
         def spread(spec, n):
             # one pair from the middle sum to each neighbour: the total, the
             # signs, the rounding and the first moment are unchanged, the
             # second moment grows by 2
             out = irfft(spec, n)
-            out[k - 1 : k + 2] += [1.0, -2.0, 1.0]
-            seen.append(out[:length].copy())
+            if len(inverses) == block:
+                at = k - 1 - block * chunk
+                out[at : at + 3] += [1.0, -2.0, 1.0]
+            inverses.append(n)
             return out
 
         monkeypatch.setattr(np.fft, "irfft", spread)
+        seen, verdicts = self.verified_counts(monkeypatch, "_sums_verified")
         rep = rep_sum(X, X, method="fft")
-        (conv,) = seen
-        rounded = np.rint(conv)
-        assert np.abs(conv - rounded).max() < 0.25 and rounded.min() >= 0
-        assert rounded.sum() == len(X) ** 2
+        assert len(inverses) == 9
+        (counts,) = seen
+        assert counts.min() >= 0
+        assert counts.sum() == len(X) ** 2
         i = np.arange(length)
         direct = rep_sum(X, X, method="direct").counts
-        assert (rounded * i).sum() == (direct * i).sum()
-        assert (rounded * i * i).sum() == (direct * i * i).sum() + 2
+        assert (counts * i).sum() == (direct * i).sum()
+        assert (counts * i * i).sum() == (direct * i * i).sum() + 2
+        assert verdicts == [False]
         assert rep.backend == "fft-fallback"
         assert (rep.counts == direct).all()
 
@@ -1086,20 +1126,23 @@ class TestDispatch:
             "second-moment": (wrong * d * d).sum() != (true * d * d).sum(),
         }
         assert [name for name, fails in failing.items() if fails] == [error]
+        monkeypatch.setattr(energy, "_MAX_CHUNK", self.CHUNK)
         irfft = np.fft.irfft
+        inverses = []
 
         def shifted(spec, n):
             out = irfft(spec, n)
-            out[:4] += delta  # whole numbers: every rounding distance is kept
+            if not inverses:  # the first block, whose first values are lags 0 .. 3
+                out[:4] += delta  # whole numbers: every rounding distance is kept
+            inverses.append(n)
             return out
 
         monkeypatch.setattr(np.fft, "irfft", shifted)
-        verdicts = []
-        lags_verified = energy._lags_verified
-        monkeypatch.setattr(energy, "_lags_verified",
-                            lambda *args: verdicts.append(lags_verified(*args)) or verdicts[-1])
+        seen, verdicts = self.verified_counts(monkeypatch, "_lags_verified")
         # the lags asked for as such, which take the one-spectrum checks
         backend, counts = streamed(xs, None, 0, span, "fft")
+        assert len(inverses) == 5  # a block per chunk
+        assert (seen[0] == wrong).all()
         assert verdicts == [False]
         assert backend == "fft-fallback"
         assert (counts == true).all()
@@ -1170,14 +1213,17 @@ class TestDispatch:
     @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs VmHWM")
     def test_fft_counted_against_peak_rss(self):
         # tracemalloc does not see the FFT library's scratch, so the count is
-        # held against the resident peak of a fresh process: E(A, S) of the
-        # dense set, two spectra at 400,000 points
-        rise, count = self.peak_rise(
-            "rng = np.random.default_rng(3); "
-            "X = IntegerSet.from_elements(200_000, np.flatnonzero(rng.random(200_001) < 0.115)[1:]); "
-            "Y = squares_up_to(X.cap)",
-            'energy.energy_sum_path(X, Y, method="fft")')
-        assert 0 < rise <= count + 2**20
+        # held against the resident peak of a fresh process: the dense set
+        # with itself (one set of spectra), its lags, and E(A, S) (two sets),
+        # spans of 200,000
+        make = ("rng = np.random.default_rng(3); "
+                "X = IntegerSet.from_elements(200_000, np.flatnonzero(rng.random(200_001) < 0.115)[1:]); "
+                "Y = squares_up_to(X.cap)")
+        for count in ('energy.energy_sum_path(X, X, method="fft")',
+                      'energy.energy_diff_path(X, X, method="fft")',
+                      'energy.energy_sum_path(X, Y, method="fft")'):
+            rise, counted = self.peak_rise(make, count)
+            assert 0 < rise <= counted + 2**20, count
 
     @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs VmHWM")
     def test_long_cells_counted_against_peak_rss(self):
@@ -1193,6 +1239,77 @@ class TestDispatch:
         cell = rule_cell(xs, ys, int(xs[0] + ys[0]), int(xs[-1] + ys[-1]))
         assert cell > 1 << 17 and count >= 8 * cell
         assert 0 < rise <= count + 2**20
+
+
+class TestChunkedTransform:
+    """The chunked transform against direct counting, with `==`, under a
+    chunk bound of B = 64: spans of k B - 1, k B and k B + 1 values, an
+    empty chunk, sets of different chunk counts and a single chunk."""
+
+    B = 64
+
+    @pytest.fixture(autouse=True)
+    def small_chunks(self, monkeypatch):
+        monkeypatch.setattr(energy, "_MAX_CHUNK", self.B)
+
+    @staticmethod
+    def spread(width, density, seed, gaps=()):
+        """A set of span `width` from 1000 on, each value inside kept with
+        probability `density`, none in the half-open ranges `gaps`."""
+        rng = np.random.default_rng(seed)
+        keep = rng.random(width) < density
+        keep[[0, -1]] = True
+        for a, b in gaps:
+            keep[a:b] = False
+        return np.flatnonzero(keep).astype(np.int64) + 1000
+
+    @staticmethod
+    def check(xs, ys):
+        if ys is None:
+            lo, hi = 0, int(xs[-1] - xs[0])
+        else:
+            lo, hi = int(xs[0] + ys[0]), int(xs[-1] + ys[-1])
+        backend, counts = streamed(xs, ys, lo, hi, "fft")
+        assert backend == "fft"
+        assert (counts == streamed(xs, ys, lo, hi, "direct")[1]).all()
+
+    @pytest.mark.parametrize("form", ["sums", "self", "lags"])
+    @pytest.mark.parametrize("width, chunk", [(3 * 64 - 1, 64), (3 * 64, 64), (3 * 64 + 1, 49)])
+    @pytest.mark.parametrize("density", [0.1, 0.6])
+    def test_spans_around_whole_chunks(self, form, width, chunk, density):
+        assert energy._chunking(width)[0] == chunk == -(-width // -(-width // self.B))
+        xs = self.spread(width, density, width)
+        ys = {"sums": self.spread(width, density, width + 1), "self": xs, "lags": None}[form]
+        self.check(xs, ys)
+
+    @pytest.mark.parametrize("form", ["sums", "self", "lags"])
+    def test_empty_chunk(self, form):
+        # 140 values missing from the 300 of the span: chunks 2 and 3 of
+        # the 5 chunks of 60 hold none
+        xs = self.spread(300, 0.3, 1, gaps=[(110, 250)])
+        assert energy._chunking(300)[0] == 60
+        assert not ((xs - xs[0] >= 120) & (xs - xs[0] < 240)).any()
+        ys = {"sums": self.spread(250, 0.3, 2), "self": xs, "lags": None}[form]
+        self.check(xs, ys)
+
+    @pytest.mark.parametrize("swap", [False, True])
+    def test_different_chunk_counts(self, swap):
+        # chunks of 63: four of X, two of Y, in either order
+        xs, ys = self.spread(250, 0.4, 3), self.spread(70, 0.5, 4)
+        assert energy._chunking(250)[0] == 63
+        self.check(*((ys, xs) if swap else (xs, ys)))
+
+    @pytest.mark.parametrize("form", ["sums", "self", "lags"])
+    def test_single_chunk(self, form):
+        xs = self.spread(self.B, 0.5, 5)
+        ys = {"sums": self.spread(40, 0.5, 6), "self": xs, "lags": None}[form]
+        self.check(xs, ys)
+
+    @pytest.mark.parametrize("form", ["sums", "self", "lags"])
+    def test_one_element(self, form):
+        xs = np.array([7], dtype=np.int64)
+        ys = {"sums": self.spread(200, 0.5, 7), "self": xs, "lags": None}[form]
+        self.check(xs, ys)
 
 
 class TestSmoothSize:
