@@ -251,28 +251,37 @@ def _chunking(width: int) -> tuple[int, int]:
     return chunk, _smooth_size(2 * chunk - 1)
 
 
-def _chunk_spectra(v: np.ndarray, chunk: int, size: int) -> np.ndarray:
-    """One row per chunk of `chunk` values of v's indicator, from v[0] on:
-    its rfft at `size` points.  One array, so that nothing is freed in
-    pieces that the allocator may keep."""
-    rows = int(v[-1] - v[0]) // chunk + 1
-    starts = int(v[0]) + chunk * np.arange(rows + 1)
+def _chunk_spectra(v: np.ndarray, chunk: int, size: int, first: int, out: np.ndarray
+                   ) -> np.ndarray:
+    """Fills row r of `out` with the rfft at `size` points of chunk first + r
+    of v's indicator, the `chunk` values from v[0] + (first + r) chunk on,
+    and returns it.  One array, so that nothing is freed in pieces that the
+    allocator may keep."""
+    starts = int(v[0]) + chunk * np.arange(first, first + len(out) + 1)
     ends = np.searchsorted(v, starts)
-    spectra = np.empty((rows, size // 2 + 1), dtype=complex)
     f = np.empty(chunk)
-    for i in range(rows):
+    for i in range(len(out)):
         f[:] = 0
         f[v[ends[i] : ends[i + 1]] - starts[i]] = 1.0
-        spectra[i] = np.fft.rfft(f, size)
-    return spectra
+        out[i] = np.fft.rfft(f, size)
+    return out
 
 
-def _store_rounded(counts: np.ndarray, at: int, values: np.ndarray, rounded: np.ndarray
-                   ) -> bool:
-    """Stores the floats `values`, rounded, in the int32 counts[at:], the
-    part that falls inside counts, and overwrites them and the scratch
-    `rounded`; False if one sits 0.25 or more from its rounding (or is NaN)
-    or rounds outside int32."""
+def _count_type(xs: np.ndarray, ys: np.ndarray | None) -> np.dtype:
+    """The type of a transform's counts (`_count_fft`): uint16 if the bound
+    on a stored count is below 2^16, else int32.  A count of x + x' or of
+    x - x' is at most |X|; for two sets the counts of Y's halves are added,
+    each at most min(|X|, |Y_h|), so their sum is at most min(2|X|, |Y|)."""
+    top = len(xs) if ys is None or ys is xs else min(2 * len(xs), len(ys))
+    return np.dtype(np.uint16 if top < 1 << 16 else np.int32)
+
+
+def _store_rounded(counts: np.ndarray, at: int, values: np.ndarray, rounded: np.ndarray,
+                   bound: int) -> bool:
+    """Adds the floats `values`, rounded, to counts[at:], the part that falls
+    inside counts, and overwrites them and the scratch `rounded`; False if
+    one sits 0.25 or more from its rounding (or is NaN) or rounds outside
+    [0, bound]."""
     lo, hi = max(at, 0), min(at + len(values), len(counts))
     if lo >= hi:
         return True
@@ -280,9 +289,10 @@ def _store_rounded(counts: np.ndarray, at: int, values: np.ndarray, rounded: np.
     rounded = np.rint(values, out=rounded[: hi - lo])
     values -= rounded
     np.abs(values, out=values)
-    if not (values.max() < 0.25 and -2**31 < rounded.min() and rounded.max() < 2**31):
+    if not (values.max() < 0.25 and 0 <= rounded.min() and rounded.max() <= bound):
         return False
-    counts[lo:hi] = rounded
+    part = counts[lo:hi]
+    np.add(part, rounded, out=part, casting="unsafe")  # whole numbers: exact
     return True
 
 
@@ -291,77 +301,98 @@ def _count_fft(xs: np.ndarray, ys: np.ndarray | None, length: int, chunk: int, s
     """Integer convolution of the two indicator vectors, from their least sum
     on, as `length` int64 counts; None if not verified.  Each indicator is
     cut into chunks of `chunk` values from its least element, each chunk
-    transformed at `size` >= 2 chunk - 1 points (`_chunking`), and the
-    spectra of a set held as one array.  Chunks i of X and j of Y meet in
-    output block i + j, the 2 chunk - 1 sums from (i + j) chunk on: block s
-    inverts the sum of X_i Y_j over i + j = s, and its last chunk - 1 values
-    overlap the next block's first.  When `ys is xs` one set of spectra is
-    made and each pair of chunks i < j taken once, doubled.  When `ys` is
-    None (the differences of xs) block s inverts the sum of X_{j+s}
-    conj(X_j): the lags s chunk .. (s + 1) chunk - 1 at the front of the
-    transform and (s - 1) chunk + 1 .. s chunk - 1 wrapped to its end, for
-    the lags d = 0 .. length - 1, and r(-d) = r(d).
+    transformed at `size` >= 2 chunk - 1 points (`_chunking`).  Chunks i of
+    X and j of Y meet in output block i + j, the 2 chunk - 1 sums from
+    (i + j) chunk on: block s inverts the sum of X_i Y_j over i + j = s, and
+    its last chunk - 1 values overlap the next block's first.  X's spectra
+    are held as one array for the whole count.  Y's ky chunks are taken in
+    two halves, the first ceil(ky / 2) and the rest, into one array of
+    ceil(ky / 2) rows: each half's spectra are made, every block its
+    products reach is inverted, and its counts are added to the held ones,
+    so a block that both halves reach is inverted twice.  When `ys is xs`
+    one set of spectra is made and each pair of chunks i < j taken once,
+    doubled.  When `ys` is None (the differences of xs) block s inverts the
+    sum of X_{j+s} conj(X_j): the lags s chunk .. (s + 1) chunk - 1 at the
+    front of the transform and (s - 1) chunk + 1 .. s chunk - 1 wrapped to
+    its end, for the lags d = 0 .. length - 1, and r(-d) = r(d).
 
     A block's overlap with the next is carried over as floats and added to
-    that block's, so each count is rounded once: it must sit within 0.25 of
-    its float (`_store_rounded`), and is stored in one int32 array, which is
-    widened to int64 once the spectra are freed.  The counts must then be
-    nonnegative and match exact identities of the pair counts
-    (`_sums_verified`, `_lags_verified`).
+    that block's, so each count of a half, an integer vector, is rounded
+    once: it must sit within 0.25 of its float and lie in [0, bound], the
+    bound |X| for a set with itself or its lags and min(|X|, |Y_h|) for a
+    half of Y (`_store_rounded`).  The counts are held in `_count_type`'s
+    uint16 or int32, which the sum of the halves' bounds fits, and widened
+    to int64 once the spectra are freed.  They must then match exact
+    identities of the pair counts (`_sums_verified`, `_lags_verified`).
     """
     if length > _MOMENT_LENGTH:
         return None
-    lags = ys is None
-    fx = _chunk_spectra(xs, chunk, size)
-    fy = fx if lags or ys is xs else _chunk_spectra(ys, chunk, size)
-    counts = np.zeros(length, dtype=np.int32)
-    kx, ky = len(fx), len(fy)
-    spec = np.empty(size // 2 + 1, dtype=complex)
-    term = np.empty_like(spec)
-    carry = np.zeros(chunk)  # the floats of the last block's values that the next one meets
-    rounded = np.empty(chunk)
-    for s in range(kx if lags else kx + ky - 1):
-        if lags:  # X_{j+s} conj(X_j)
-            pairs = [(j + s, j) for j in range(kx - s)]
-        elif fy is fx:  # X_i X_{s-i} with i < s - i, doubled, then the square
-            pairs = [(i, s - i) for i in range(max(0, s - kx + 1), (s + 1) // 2)]
-        else:
-            pairs = [(i, s - i) for i in range(max(0, s - ky + 1), min(s, kx - 1) + 1)]
-        spec[:] = 0
-        for i, j in pairs:
-            if lags:
-                np.conjugate(fy[j], out=term)
-                term *= fx[i]
-            else:
-                np.multiply(fx[i], fy[j], out=term)
-            spec += term
-        if fy is fx and not lags:
-            spec *= 2
-            if s % 2 == 0:
-                np.multiply(fx[s // 2], fx[s // 2], out=term)
+    lags, same = ys is None, ys is xs
+    points = size // 2 + 1
+    kx = int(xs[-1] - xs[0]) // chunk + 1
+    fx = _chunk_spectra(xs, chunk, size, 0, np.empty((kx, points), dtype=complex))
+    counts = np.zeros(length, dtype=_count_type(xs, ys))
+
+    def add_blocks(fy: np.ndarray, first: int, bound: int) -> bool:
+        """Adds the counts of X's chunks with Y's chunks first, first + 1, ..
+        (the rows of fy; fx itself for a set with itself or its lags)."""
+        last = first + len(fy) - 1
+        spec = np.empty(points, dtype=complex)
+        term = np.empty_like(spec)
+        carry = np.zeros(chunk)  # the floats of the last block's values that the next one meets
+        rounded = np.empty(chunk)
+        for s in range(kx) if lags else range(first, kx + last):
+            if lags:  # X_{j+s} conj(X_j)
+                pairs = [(j + s, j) for j in range(kx - s)]
+            elif same:  # X_i X_{s-i} with i < s - i, doubled, then the square
+                pairs = [(i, s - i) for i in range(max(0, s - kx + 1), (s + 1) // 2)]
+            else:  # X_i Y_{s-i}, with Y's chunk `first` in row 0 of fy
+                pairs = [(i, s - i - first)
+                         for i in range(max(0, s - last), min(s - first, kx - 1) + 1)]
+            spec[:] = 0
+            for i, j in pairs:
+                if lags:
+                    np.conjugate(fy[j], out=term)
+                    term *= fx[i]
+                else:
+                    np.multiply(fx[i], fy[j], out=term)
                 spec += term
-        conv = np.fft.irfft(spec, size)
-        if lags:  # lags from (s - 1) chunk + 1, wrapped to the end, and from s chunk
-            carry[1:] += conv[size - chunk + 1 :]
-            placed = _store_rounded(counts, (s - 1) * chunk, carry, rounded)
-            carry[:] = conv[:chunk]
-        else:  # sums from s chunk
-            conv[: chunk - 1] += carry[: chunk - 1]
-            placed = _store_rounded(counts, s * chunk, conv[:chunk], rounded)
-            carry[: chunk - 1] = conv[chunk : 2 * chunk - 1]
-        del conv
-        if not placed:
+            if same:
+                spec *= 2
+                if s % 2 == 0:
+                    np.multiply(fx[s // 2], fx[s // 2], out=term)
+                    spec += term
+            conv = np.fft.irfft(spec, size)
+            if lags:  # lags from (s - 1) chunk + 1, wrapped to the end, and from s chunk
+                carry[1:] += conv[size - chunk + 1 :]
+                placed = _store_rounded(counts, (s - 1) * chunk, carry, rounded, bound)
+                carry[:] = conv[:chunk]
+            else:  # sums from s chunk
+                conv[: chunk - 1] += carry[: chunk - 1]
+                placed = _store_rounded(counts, s * chunk, conv[:chunk], rounded, bound)
+                carry[: chunk - 1] = conv[chunk : 2 * chunk - 1]
+            del conv
+            if not placed:
+                return False
+        if lags:
+            return _store_rounded(counts, (kx - 1) * chunk, carry, rounded, bound)
+        return _store_rounded(counts, (kx + last) * chunk, carry[: chunk - 1], rounded, bound)
+
+    if lags or same:
+        if not add_blocks(fx, 0, len(xs)):
             return None
-    if lags:
-        placed = _store_rounded(counts, (kx - 1) * chunk, carry, rounded)
     else:
-        placed = _store_rounded(counts, (kx + ky - 1) * chunk, carry[: chunk - 1], rounded)
-    if not placed:
-        return None
-    del fx, fy, spec, term, carry, rounded
+        ky = int(ys[-1] - ys[0]) // chunk + 1
+        half = -(-ky // 2)
+        fy = np.empty((half, points), dtype=complex)
+        for first in range(0, ky, half):
+            rows = _chunk_spectra(ys, chunk, size, first, fy[: min(half, ky - first)])
+            a, b = np.searchsorted(ys, int(ys[0]) + chunk * np.array([first, first + len(rows)]))
+            if not add_blocks(rows, first, min(len(xs), int(b - a))):
+                return None
+        del fy, rows
+    del fx
     counts = counts.astype(np.int64)
-    if counts.min() < 0:
-        return None
     verified = _lags_verified(counts, xs) if lags else _sums_verified(counts, xs, ys)
     return counts if verified else None
 
@@ -380,11 +411,12 @@ def _power_sums(u: np.ndarray) -> tuple[int, int]:
 
 def _moments(counts: np.ndarray, top: int) -> tuple[int, int]:
     """sum(i c[i]) and sum(i^2 c[i]) over the indices i, given 0 <= c[i] <=
-    top < 2^31 and fewer than 2^31 indices.  Each run of _RUN indices from k
-    (i = k + j) sums c, j c and j^2 c in int64, each below 2^31 _RUN^3 =
-    2^61; `_exact_dot` weighs the run sums by k and k^2.  The whole runs are
-    a view of `counts` (contiguous int64); only the last, partial run is a
-    new array."""
+    top < 2^31 and fewer than 2^31 indices.  Each run r of _RUN indices
+    (i = r _RUN + j) sums c, j c and j^2 c in int64, each below 2^31 _RUN^3 =
+    2^61; `_exact_dot` weighs the run sums by r and r^2, and the sums are
+    multiplied by _RUN and _RUN^2 after, so that its bounds keep the runs
+    in few slices.  The whole runs are a view of `counts` (contiguous
+    int64); only the last, partial run is a new array."""
     whole = len(counts) - len(counts) % _RUN
     runs, last = counts[:whole].reshape(-1, _RUN), counts[whole:]
     j = np.arange(_RUN, dtype=np.int64)
@@ -392,11 +424,14 @@ def _moments(counts: np.ndarray, top: int) -> tuple[int, int]:
     c0 = np.append(runs.sum(axis=1), last.sum())
     c1 = np.append(runs @ j, last @ j[: len(last)])
     c2 = np.append(runs @ jj, last @ jj[: len(last)])
-    k = np.arange(len(c0), dtype=np.int64) * _RUN
-    ones = np.ones_like(k)
-    end = len(counts) + _RUN  # k + j < end
-    first = _exact_dot([(c0, k), (c1, ones)], top * _RUN * end)
-    second = _exact_dot([(c0, k * k), (c1, 2 * k), (c2, ones)], top * _RUN * end * end)
+    r = np.arange(len(c0), dtype=np.int64)
+    ones = np.ones_like(r)
+    # c0 <= top _RUN, c1 <= top _RUN^2, c2 <= top _RUN^3 and r < len(r)
+    b = top * _RUN * len(r)
+    first = _RUN * _exact_dot([(c0, r)], b) + _exact_dot([(c1, ones)], top * _RUN**2)
+    second = (_RUN**2 * _exact_dot([(c0, r * r)], b * len(r))
+              + 2 * _RUN * _exact_dot([(c1, r)], b * _RUN)
+              + _exact_dot([(c2, ones)], top * _RUN**3))
     return first, second
 
 
@@ -431,22 +466,23 @@ def _lags_verified(counts: np.ndarray, xs: np.ndarray) -> bool:
     return first == spread and second == n * u2 - u1 * u1
 
 
-def _fft_bytes(length: int, chunk: int, size: int, rows: int) -> int:
-    """The larger of two peaks of `_count_fft` for `length` counts.  While
-    the chunks are transformed: the `rows` chunk spectra, 16 bytes a point
-    over size // 2 + 1 points (16 bytes per value of each indicator's span),
-    the int32 counts and one chunk's transform, 48 bytes a point at most:
-    a block's spectrum and one product term (8 each), the carried and the
-    rounded floats of a chunk (4 each), the float output (8) and the FFT
+def _fft_bytes(length: int, size: int, rows: int, itemsize: int) -> int:
+    """The larger of two peaks of `_count_fft` for `length` counts of
+    `itemsize` bytes (`_count_type`).  While the chunks are transformed: the
+    `rows` chunk spectra held at once (one set's, or X's and half of Y's),
+    16 bytes a point over size // 2 + 1 points (16 bytes per value of each
+    held span), the counts and one chunk's transform, 48 bytes a point at
+    most: a block's spectrum and one product term (8 each), the carried and
+    the rounded floats of a chunk (4 each), the float output (8) and the FFT
     library's scratch, two arrays of `size` floats (16; tracemalloc does not
     see it).  While the counts are widened to int64: both copies of them,
-    12 bytes a count.  So one set of spectra costs about 24 bytes per value
-    of the span (20 for the lags), two about 40: a dense set in [1, 2 10^5]
-    counts 6.3 MB against itself, 5.5 MB for its lags and 9.6 MB with the
-    squares.
+    10 or 12 bytes a count.  So with uint16 counts a set with itself costs
+    about 20 bytes per value of the span, its lags 18 and two sets 28: a
+    dense set in [1, 2 10^5] counts 5.5 MB against itself, 5.1 MB for its
+    lags and 7.3 MB with the squares.
     """
     spectra = 16 * rows * (size // 2 + 1)
-    return max(spectra + 4 * length + 48 * size, 12 * length)
+    return max(spectra + itemsize * length + 48 * size, (itemsize + 8) * length)
 
 
 # auto's estimates: direct counting's ns per pair gathered and per window
@@ -513,11 +549,12 @@ def _pair_counts(xs: np.ndarray, ys: np.ndarray | None, lo: int, hi: int, method
     chunks of B values of each indicator, B the least length that cuts the
     longer span into ceil(span / _MAX_CHUNK) chunks, each transformed at the
     smallest 2^a 3^b 5^c that holds 2B - 1 sums (`_count_fft`); its working
-    set is the chunk spectra and the int32 counts (`_fft_bytes`), not a
-    transform of the whole span.  A set paired with itself (equal arrays) is
-    counted once: each unordered pair directly, each pair of chunks once by
-    the transform, from one set of spectra; the differences of a set take
-    one set of spectra too, and the transform keeps the lags d >= 0.
+    set is X's chunk spectra, one half of Y's at a time, and the uint16 or
+    int32 counts (`_fft_bytes`), not a transform of the whole span.  A set
+    paired with itself (equal arrays) is counted once: each unordered pair
+    directly, each pair of chunks once by the transform, from one set of
+    spectra; the differences of a set take one set of spectra too, and the
+    transform keeps the lags d >= 0.
     """
     if method not in ("auto", "direct", "fft"):
         raise ValueError(f"unknown counting method {method!r}")
@@ -534,9 +571,11 @@ def _pair_counts(xs: np.ndarray, ys: np.ndarray | None, lo: int, hi: int, method
     chunk, size = _chunking(max(wx, wy))
     kx, ky = -(-wx // chunk), -(-wy // chunk)  # chunks of X and of Y
     if lags or ys is xs:  # one set of spectra; each pair of chunks once
-        rows, inverses, products = kx, kx if lags else 2 * kx - 1, kx * (kx + 1) // 2
-    else:
-        rows, inverses, products = kx + ky, kx + ky - 1, kx * ky
+        forwards = rows = kx
+        inverses, products = kx if lags else 2 * kx - 1, kx * (kx + 1) // 2
+    else:  # X's spectra held and Y's in halves, each inverting kx - 1 blocks past its chunks
+        forwards, rows = kx + ky, kx + -(-ky // 2)
+        inverses, products = ky + (kx - 1) * min(ky, 2), kx * ky
     left = np.searchsorted(ys, lo - xs)
     pairs = int((np.searchsorted(ys, hi + 1 - xs) - left).sum())
     gathered = pairs // 2 if ys is xs else pairs  # a set with itself: x < y only
@@ -558,7 +597,7 @@ def _pair_counts(xs: np.ndarray, ys: np.ndarray | None, lo: int, hi: int, method
         # benchmark's dense set direct (15-20 ms, against 30-34 ms by
         # transform).  A set paired with itself gathers half the pairs.
         direct_cost = _PAIR_NS * gathered + _VALUE_NS * (hi - lo + 1)
-        fft_cost = ((rows + inverses) * _TRANSFORM_NS * size * math.log2(size)
+        fft_cost = ((forwards + inverses) * _TRANSFORM_NS * size * math.log2(size)
                     + products * _PRODUCT_NS * (size // 2 + 1))
         method = "fft" if fft_cost < direct_cost else "direct"
 
@@ -567,7 +606,8 @@ def _pair_counts(xs: np.ndarray, ys: np.ndarray | None, lo: int, hi: int, method
         del left  # not held through the transform's peak; a fallback searches again
         # the lags 0 .. span of the differences are the first wx sums
         length = wx if lags else length
-        check_allocation(held + _fft_bytes(length, chunk, size, rows), "FFT pair counting")
+        itemsize = _count_type(xs, None if lags else ys).itemsize
+        check_allocation(held + _fft_bytes(length, size, rows, itemsize), "FFT pair counting")
         counts = _count_fft(xs, None if lags else ys, length, chunk, size)
         if counts is not None:
             if lags:

@@ -359,7 +359,8 @@ class TestEnergy:
         # set, each at a 5-smooth size, and the counts of the lags
         former = 16 * 2 * (2**18 + 1) + 8 * 2**19 + 8 * width
         chunk, size = energy._chunking(width)
-        now = energy._fft_bytes(width, chunk, size, -(-width // chunk))
+        now = energy._fft_bytes(width, size, -(-width // chunk),
+                                energy._count_type(xs, None).itemsize)
         assert now < former
         capsys.readouterr()
         monkeypatch.delenv(MEMORY_CAP_ENV, raising=False)
@@ -677,7 +678,8 @@ class TestAutoBackends:
         assert self.job(backends, tmp_path, "energy", a, a, "--method", "sum") == ["fft"]
         assert self.job(backends, tmp_path, "energy", a, a, "--method", "diff") == ["fft"]
         assert self.job(backends, tmp_path, "energy", a, "--squares", "--method", "sum") == ["fft"]
-        # E(A', S) is the close call, about 36.4e6 ns direct against 55.8e6 by transform
+        # E(A', S) is the close call, about 36.4e6 ns direct against 50.4e6 by
+        # transform; E(A, S) is 72.1e6 direct against 50.4e6 by transform
         assert self.job(backends, tmp_path, "sweep", "theorem", "--set", a,
                         "--grid", "200000") == ["fft", "fft", "direct", "fft"]
 

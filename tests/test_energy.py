@@ -261,6 +261,24 @@ class TestExactDot:
         for bound in (0, 10, 2**63):
             assert _exact_dot([(empty, empty)], bound) == 0
 
+    @pytest.mark.parametrize("length, top", [(1, 5), (1024, 2**31 - 1), (3 * 1024 + 7, 2**31 - 1),
+                                             (5000, 1), (4 * 10**5, 23_000)])
+    def test_moments(self, length, top):
+        counts = np.random.default_rng(length).integers(0, top + 1, length)
+        i = np.arange(length).astype(object)
+        c = counts.astype(object)
+        assert energy._moments(counts, top) == ((i * c).sum(), (i * i * c).sum())
+
+    def test_moments_take_whole_slices(self, monkeypatch):
+        # the dense set's 4e5 self-sum counts, each at most 23,000: every
+        # product sum of the runs is one np.dot
+        counts = np.random.default_rng(2).integers(0, 23_001, 4 * 10**5)
+        dots = []
+        dot = np.dot
+        monkeypatch.setattr(np, "dot", lambda a, b: dots.append(len(a)) or dot(a, b))
+        energy._moments(counts, 23_000)
+        assert dots == [-(-len(counts) // energy._RUN)] * 5
+
 
 class TestWindowedCore:
     """The block-streaming core against the former direct backend, with `==`."""
@@ -354,13 +372,15 @@ class TestWindowedCore:
         assert backend == "fft"
         assert (counts == full[span + 1 :]).all()
         # one spectrum per chunk of X and one inverse per block of lags; as
-        # sums against the reflected set, its chunks are transformed too and
-        # each sum of two chunk indices is a block
+        # sums against the reflected set, its chunks are transformed too, in
+        # two halves, and each half inverts every block its chunks reach
         chunk, _ = energy._chunking(span + 1)
         k = -(-(span + 1) // chunk)
+        h = -(-k // 2)
         assert k > 1
-        assert transforms == (["rfft"] * k + ["irfft"] * k if diff
-                              else ["rfft"] * 2 * k + ["irfft"] * (2 * k - 1))
+        halves = (["rfft"] * h + ["irfft"] * (k + h - 1)
+                  + ["rfft"] * (k - h) + ["irfft"] * (2 * k - h - 1))
+        assert transforms == ["rfft"] * k + (["irfft"] * k if diff else halves)
 
     @staticmethod
     def random_stream(rng, form):
@@ -1102,9 +1122,10 @@ class TestDispatch:
 
     # changes at lags 0 to 3 that keep the total r(0) + 2 sum_{d>=1} r(d), so
     # that exactly one of r(0) = |X|, the first moment and the second moment
-    # fails
+    # fails; r(0) stays in [0, |X|], the rounding's bound (raised above |X|,
+    # it is refused before the identities: `test_rounding_above_bound_falls_back`)
     LAG_ERRORS = {
-        "lag-0": [2, -3, 3, -1],
+        "lag-0": [-2, 3, -3, 1],
         "first-moment": [0, 5, -8, 3],
         "second-moment": [0, 1, -2, 1],
     }
@@ -1146,6 +1167,82 @@ class TestDispatch:
         assert verdicts == [False]
         assert backend == "fft-fallback"
         assert (counts == true).all()
+
+    @pytest.mark.parametrize("form", ["self", "lags", "second-half"])
+    def test_rounding_above_bound_falls_back(self, monkeypatch, form):
+        # a whole number added to one inverse, so every rounding distance is
+        # kept, takes one count past its bound: refused as it is rounded,
+        # before the identities are checked
+        monkeypatch.setattr(energy, "_MAX_CHUNK", self.CHUNK)
+        rng = random.Random(5)
+        X = IntegerSet.from_elements(5000, rng.sample(range(1, 5001), 400))
+        xs, n = X.elements, len(X)
+        if form == "second-half":
+            # Y's five chunks in halves of three and two: the second half's
+            # bound is min(|X|, |Y_1|), below min(|X|, |Y|)
+            ys = np.array(sorted(rng.sample(range(1, 5001), 200)))
+            chunk, _ = energy._chunking(int(max(xs[-1] - xs[0], ys[-1] - ys[0])) + 1)
+            assert int(xs[-1] - xs[0]) // chunk == int(ys[-1] - ys[0]) // chunk == 4
+            second = int((ys >= ys[0] + 3 * chunk).sum())
+            assert second + 1 <= min(n, len(ys))
+            # the first half inverts 5 + 3 - 1 blocks; then the second half's first
+            bump, at, inverse = second + 1, 0, 5 + 3 - 1
+        elif form == "self":
+            ys, bump, at, inverse = xs, n, 0, 0  # r(2 min X) = 1 becomes |X| + 1
+        else:
+            # the former "lag-0" error: the total and both moments kept, and
+            # r(0) = |X| + 2
+            ys, bump, at, inverse = None, [2, -3, 3, -1], slice(0, 4), 0
+        irfft = np.fft.irfft
+        inverses = []
+
+        def raised(spec, n):
+            out = irfft(spec, n)
+            if len(inverses) == inverse:
+                out[at] += bump
+            inverses.append(n)
+            return out
+
+        monkeypatch.setattr(np.fft, "irfft", raised)
+        seen, _ = self.verified_counts(monkeypatch, "_lags_verified" if ys is None
+                                       else "_sums_verified")
+        lo, hi = (0, int(xs[-1] - xs[0])) if ys is None else (int(xs[0] + ys[0]),
+                                                               int(xs[-1] + ys[-1]))
+        backend, counts = streamed(xs, ys, lo, hi, "fft")
+        assert seen == []
+        assert backend == "fft-fallback"
+        assert (counts == streamed(xs, ys, lo, hi, "direct")[1]).all()
+
+    @pytest.mark.parametrize("form", ["self", "lags", "sums"])
+    def test_counts_past_uint16(self, form):
+        # every integer of [1, 70000]: counts up to 70,000 are held as int32
+        xs = np.arange(1, 70_001, dtype=np.int64)
+        ys = {"self": xs, "lags": None, "sums": xs + 1}[form]
+        assert energy._count_type(xs, ys) == np.int32
+        if ys is None:
+            backend, counts = streamed(xs, None, 0, 69_999, "fft")
+            expected = 70_000 - np.arange(70_000)
+        else:
+            lo = int(xs[0] + ys[0])
+            backend, counts = streamed(xs, ys, lo, int(xs[-1] + ys[-1]), "fft")
+            v = np.arange(lo, lo + len(counts))
+            expected = np.minimum(v - lo + 1, int(xs[-1] + ys[-1]) + 1 - v)
+        assert backend == "fft"
+        assert counts.max() == 70_000
+        assert (counts == expected).all()
+
+    def test_count_type(self):
+        def count_type(nx, ny):
+            xs = np.arange(1, nx + 1, dtype=np.int64)
+            return energy._count_type(xs, np.arange(1, ny + 1, dtype=np.int64) + 1)
+
+        small, wide = np.arange(65_535), np.arange(65_536)
+        assert energy._count_type(small, small) == energy._count_type(small, None) == np.uint16
+        assert energy._count_type(wide, wide) == energy._count_type(wide, None) == np.int32
+        # two halves of Y, each at most min(|X|, |Y_h|): their sum fits
+        # min(2 |X|, |Y|)
+        assert count_type(32_767, 70_000) == count_type(70_000, 65_535) == np.uint16
+        assert count_type(32_768, 70_000) == count_type(70_000, 65_536) == np.int32
 
     SHAPES = {
         "dense": lambda: IntegerSet.from_elements(
@@ -1244,7 +1341,9 @@ class TestDispatch:
 class TestChunkedTransform:
     """The chunked transform against direct counting, with `==`, under a
     chunk bound of B = 64: spans of k B - 1, k B and k B + 1 values, an
-    empty chunk, sets of different chunk counts and a single chunk."""
+    empty chunk, sets of different chunk counts, a second set taken in one
+    or two halves of odd or even chunk counts, a half of one element and a
+    single chunk."""
 
     B = 64
 
@@ -1298,6 +1397,27 @@ class TestChunkedTransform:
         xs, ys = self.spread(250, 0.4, 3), self.spread(70, 0.5, 4)
         assert energy._chunking(250)[0] == 63
         self.check(*((ys, xs) if swap else (xs, ys)))
+
+    @pytest.mark.parametrize("swap", [False, True])
+    @pytest.mark.parametrize("ky", [1, 2, 3, 4, 5])
+    def test_halves_of_y(self, ky, swap):
+        # X spans five chunks of 64 and Y ky of them: Y's spectra are made in
+        # one half (ky = 1) or in halves of ceil(ky / 2) and floor(ky / 2)
+        # chunks; swapped, X has ky chunks and Y's five go in halves of 3 and 2
+        xs = self.spread(5 * 64, 0.3, 10 + ky)
+        ys = self.spread(ky * 64 - 5, 0.5, 20 + ky)
+        assert energy._chunking(5 * 64)[0] == 64
+        self.check(*((ys, xs) if swap else (xs, ys)))
+
+    @pytest.mark.parametrize("alone", ["first", "last"])
+    def test_half_of_one_element(self, alone):
+        # each half of Y holds an end of Y, so the emptiest half holds that
+        # end alone: Y's five chunks of 64 in halves of three and two, the
+        # first holding only Y's least element, or the second only its largest
+        gaps = [(1, 4 * 64)] if alone == "first" else [(64, 5 * 64 - 1)]
+        ys = self.spread(5 * 64, 0.5, 8, gaps=gaps)
+        assert len(ys[ys < ys[0] + 3 * 64] if alone == "first" else ys[ys >= ys[0] + 3 * 64]) == 1
+        self.check(self.spread(4 * 64, 0.3, 9), ys)
 
     @pytest.mark.parametrize("form", ["sums", "self", "lags"])
     def test_single_chunk(self, form):
